@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import zlib
 from dataclasses import dataclass, field
 
 from .group import GroupParams
@@ -414,7 +415,9 @@ def run_link_attack(corpus: SpendCorpus, heuristic: str,
         guesser = HEURISTICS[heuristic]
     except KeyError:
         raise ValueError(f"unknown heuristic {heuristic!r}") from None
-    rng = random.Random((seed << 16) ^ corpus.seed ^ hash(heuristic) % (1 << 30))
+    # crc32, not hash(): str hashes are salted per process
+    salt = zlib.crc32(heuristic.encode()) % (1 << 30)
+    rng = random.Random((seed << 16) ^ corpus.seed ^ salt)
     guesses = guesser(corpus, rng)
     correct = sum(1 for g, s in zip(guesses, corpus.spends)
                   if g == s.true_position)
