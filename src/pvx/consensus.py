@@ -25,6 +25,7 @@ from typing import Callable
 
 from .group import GroupParams, tagged_hash
 from .ledger import (
+    DIGEST_SLOT,
     LedgerState,
     Transaction,
     apply_block,
@@ -52,11 +53,18 @@ class Block:
 
 
 def block_digest(group: GroupParams, block: Block) -> str:
+    """Computed once per block object and carried with it, like a
+    transaction's digest (see `pvx.ledger`)."""
+    carried = block.__dict__.get(DIGEST_SLOT)
+    if carried is not None and carried[0] is group:
+        return carried[1]
     parts = [block.height.to_bytes(8, "big"),
              bytes.fromhex(block.parent_digest) if block.parent_digest else b"",
              block.proposer.encode("utf-8"), len(block.txs).to_bytes(4, "big")]
     parts.extend(transaction_digest(group, tx) for tx in block.txs)
-    return tagged_hash(TAG_BLOCK, b"".join(parts)).hex()
+    digest = tagged_hash(TAG_BLOCK, b"".join(parts)).hex()
+    block.__dict__[DIGEST_SLOT] = (group, digest)
+    return digest
 
 
 # -- messages ----------------------------------------------------------------
@@ -237,8 +245,7 @@ class PBFTNode:
         self.stats = NodeStats()
         self.rejections: list[tuple[str, str, str]] = []  # (txid, code, detail)
         self.equivocated: set[int] = set()
-        self.committed_ids: set[str] = set()
-        self._txid_memo: dict[int, tuple[Transaction, str]] = {}
+        self.committed_at: dict[str, int] = {}  # txid -> height
         self._valid_at: dict[str, int] = {}  # txid -> height when validated
 
     # -- helpers -------------------------------------------------------------
@@ -260,16 +267,6 @@ class PBFTNode:
             slot = Slot(self.view, seq)
             self.slots[seq] = slot
         return slot
-
-    def _tx_id(self, tx: Transaction) -> str:
-        hit = self._txid_memo.get(id(tx))
-        if hit is not None and hit[0] is tx:
-            return hit[1]
-        txid = transaction_digest(self.ledger.group, tx).hex()
-        if len(self._txid_memo) > 8192:
-            self._txid_memo.clear()
-        self._txid_memo[id(tx)] = (tx, txid)
-        return txid
 
     def _chain_tip_digest(self) -> str:
         if not self.chain:
@@ -310,8 +307,8 @@ class PBFTNode:
 
     def on_client_tx(self, tx: Transaction, from_client: bool = True) -> list:
         actions: list = []
-        txid = self._tx_id(tx)
-        if txid in self.committed_ids:
+        txid = transaction_digest(self.ledger.group, tx).hex()
+        if txid in self.committed_at:
             return actions  # already final
         if txid not in self.mempool:
             verdict = validate_transaction(self.ledger, tx, self.policy_hook)
@@ -328,9 +325,6 @@ class PBFTNode:
             actions.append(("broadcast", TxForward(tx, self.node_id)))
         self._arm_progress(actions)
         return actions
-
-    def _block_txids(self, block: Block) -> set[str]:
-        return {self._tx_id(tx) for tx in block.txs}
 
     # -- proposing -------------------------------------------------------------
 
@@ -511,8 +505,9 @@ class PBFTNode:
             self.ledger = apply_block(self.ledger, block.txs, block.height)
             self.chain.append(block)
             self.stats.committed += 1
-            for txid in self._block_txids(block):
-                self.committed_ids.add(txid)
+            for tx in block.txs:
+                txid = transaction_digest(self.ledger.group, tx).hex()
+                self.committed_at.setdefault(txid, block.height)
                 self.mempool.pop(txid, None)
             self.timeout = self.cfg.base_timeout  # progress resets backoff
             self.progress_token = None
@@ -838,14 +833,11 @@ class World:
                     raise SafetyViolation("ledger state divergence")
                 by_height[node.executed] = digest
 
-    def committed_txids(self, node_id: str) -> set[str]:
-        return set(self.nodes[node_id].committed_ids)
-
     def tx_final_everywhere(self, tx: Transaction) -> bool:
         txid = transaction_digest(self.group, tx).hex()
         live = [nid for nid in self.honest_ids()
                 if not self.nodes[nid].fault.crashed(self.net.time)]
-        return all(txid in self.nodes[nid].committed_ids for nid in live)
+        return all(txid in self.nodes[nid].committed_at for nid in live)
 
     def stats_summary(self) -> dict:
         return {

@@ -17,7 +17,13 @@ issuance).  Within sections:
 
 Ring signatures and the excess signature sign this digest, so they are not
 part of it; each shielded input's ring references and pseudo commitment
-are.  A shielded input's pseudo commitment is a re-blinded commitment to
+are.
+
+The digest is computed once per transaction object and kept in that
+object's ``__dict__`` next to the group it was computed for, the way
+``functools.cached_property`` stores its value.  It cannot go stale: every
+nested field is frozen, ``dataclasses.replace`` builds a fresh object
+without it, and dataclass equality and hashing ignore it.  A shielded input's pseudo commitment is a re-blinded commitment to
 the spent amount, and its dual-key ring signature proves it opens to the
 same value as the (hidden) ring member being consumed.
 
@@ -130,7 +136,13 @@ def _enc_rangeproof(group: GroupParams, proof: RangeProof) -> bytes:
     return b"".join(parts)
 
 
+DIGEST_SLOT = "_digest"  # (group, digest) in a frozen object's __dict__
+
+
 def transaction_digest(group: GroupParams, tx: Transaction) -> bytes:
+    carried = tx.__dict__.get(DIGEST_SLOT)
+    if carried is not None and carried[0] is group:
+        return carried[1]
     parts = [bytes([KIND_CODES[tx.kind]])]
     parts.append(len(tx.tin).to_bytes(4, "big"))
     for ti in tx.tin:
@@ -161,11 +173,9 @@ def transaction_digest(group: GroupParams, tx: Transaction) -> bytes:
         sig_raw = cred.signature.to_bytes((cred.signature.bit_length() + 7) // 8 or 1, "big")
         parts.append(len(sig_raw).to_bytes(4, "big") + sig_raw)
     parts.append(_enc_str(tx.sponsor_id or ""))
-    return tagged_hash(TAG_TX, b"".join(parts))
-
-
-def tx_id(group: GroupParams, tx: Transaction) -> str:
-    return transaction_digest(group, tx).hex()
+    digest = tagged_hash(TAG_TX, b"".join(parts))
+    tx.__dict__[DIGEST_SLOT] = (group, digest)
+    return digest
 
 
 # ---------------------------------------------------------------------------

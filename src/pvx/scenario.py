@@ -608,11 +608,7 @@ class _Runner:
             return False, None
         world.check_safety()
         txid = transaction_digest(self.group, tx).hex()
-        for block in self.reference.chain:
-            if any(transaction_digest(self.group, t).hex() == txid
-                   for t in block.txs):
-                return True, block.height
-        return True, self.reference.executed
+        return True, self.reference.committed_at[txid]
 
     def _deliver_notes(self, result) -> None:
         state = self.reference.ledger

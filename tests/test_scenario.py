@@ -1,12 +1,15 @@
 import glob
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from pvx import ledger
 from pvx.cli import main as cli_main
 from pvx.scenario import (
     ScenarioError,
+    _Runner,
     emit_report,
     load_scenario,
     parse_report,
@@ -118,6 +121,30 @@ def test_structured_report_round_trips():
     assert parse_report(doc) == result.to_dict()
     with pytest.raises(ValueError):
         emit_report(result, "yaml")
+
+
+def test_each_transaction_is_encoded_at_most_twice(monkeypatch):
+    """Digests travel with their objects: a built transaction is encoded
+    once in its unsigned form (which is signed) and once as the signed
+    object, however many replicas admit, propose, vote on and audit it."""
+    encodings = 0
+    encode = ledger.tagged_hash
+
+    def counting(tag, *items):
+        nonlocal encodings
+        encodings += tag == ledger.TAG_TX
+        return encode(tag, *items)
+
+    monkeypatch.setattr(ledger, "tagged_hash", counting)
+    scenario = random_scenario(2, steps=30)
+    scenario = replace(scenario, consensus=replace(
+        scenario.consensus, n=4, f=1, drop=0.1))
+    runner = _Runner(scenario)
+    result = runner.run()
+    assert all(o.outcome == "accept" for o in result.outcomes)
+    built = sum(len(block.txs) for block in runner.reference.chain)
+    assert built == len(scenario.steps) == 30
+    assert encodings <= 2 * built, encodings / built
 
 
 def test_text_report_renders_desiderata_rows():
