@@ -17,15 +17,16 @@ issuance).  Within sections:
 
 Ring signatures and the excess signature sign this digest, so they are not
 part of it; each shielded input's ring references and pseudo commitment
-are.
-
-The digest is computed once per transaction object and kept in that
-object's ``__dict__`` next to the group it was computed for, the way
-``functools.cached_property`` stores its value.  It cannot go stale: every
-nested field is frozen, ``dataclasses.replace`` builds a fresh object
-without it, and dataclass equality and hashing ignore it.  A shielded input's pseudo commitment is a re-blinded commitment to
+are.  A shielded input's pseudo commitment is a re-blinded commitment to
 the spent amount, and its dual-key ring signature proves it opens to the
 same value as the (hidden) ring member being consumed.
+
+The digest is computed once per transaction object and kept in the
+object's ``__dict__`` with the group it was computed for, as
+``functools.cached_property`` keeps its value; only `transaction_digest`
+writes it.  It cannot go stale: every nested field is frozen,
+``dataclasses.replace`` builds a fresh object without it, and dataclass
+equality and hashing ignore it.
 
 Balance rule: with netflow = (transparent out + fee - transparent in), the
 point  prod(pseudo commitments) * prod(output commitments)^-1 *

@@ -267,23 +267,6 @@ def cooperative_disclosure(group: GroupParams, state: LedgerState,
         tuple(mismatches), tuple(outputs), tuple(inputs))
 
 
-def ring_ambiguity(group: GroupParams, state: LedgerState, tx: Transaction,
-                   input_index: int, known_addresses: set[int]) -> int:
-    """How many ring slots of a given input remain plausible spenders given
-    only the disclosed addresses (no spend secrets): always the full ring,
-    because membership alone proves nothing about being spent."""
-    si = tx.sin[input_index]
-    plausible = 0
-    for ref in si.ring_refs:
-        rec = state.outputs.get(ref)
-        if rec is None:
-            continue
-        # a slot could be excluded only with its spend secret; knowing the
-        # address (even being its owner's counterparty) never suffices
-        plausible += 1
-    return plausible
-
-
 # ---------------------------------------------------------------------------
 # linkability attacks
 
@@ -523,12 +506,3 @@ def desiderata_report(mode: Mode, probes: ScenarioProbes) -> DesiderataMatrix:
     fiat = "full" if mode is Mode.MEDIATED else "none"
     rows.append(DesideratumRow(DESIDERATA_ROWS[6], fiat, STATIC))
     return DesiderataMatrix(mode.value, tuple(rows))
-
-
-def render_desiderata(matrix: DesiderataMatrix) -> str:
-    width = max(len(r.name) for r in matrix.rows) + 2
-    lines = [f"Desiderata ({matrix.mode} mode)",
-             "-" * (width + 28)]
-    for row in matrix.rows:
-        lines.append(f"{row.name:<{width}} {row.verdict:<11} [{row.provenance}]")
-    return "\n".join(lines)

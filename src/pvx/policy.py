@@ -209,12 +209,6 @@ def _blacklist_check(d: IntentDescriptor, ruleset: RuleSet) -> Decision | None:
     return None
 
 
-def register_entity(registry, entity):
-    """Add an entity to the world-model registry; duplicate ids rejected.
-    Thin functional form of Registry.register_entity."""
-    return registry.register_entity(entity)
-
-
 def update_blacklist(ruleset: RuleSet, target_id: str, flagged: bool) -> RuleSet:
     """Flag or clear an entity/account id; returns a new ruleset value."""
     blacklist = set(ruleset.blacklist)

@@ -396,10 +396,6 @@ def emit_report(result: RunResult, fmt: str = "structured") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
 # ---------------------------------------------------------------------------
 # the runner
 
@@ -936,7 +932,7 @@ class _Runner:
 
     # credential pouch helpers --------------------------------------------------
 
-    def _take_credentials(self, holder: str, count: int, peek: bool = False):
+    def _take_credentials(self, holder: str, count: int):
         return list(self.credentials.get(holder, [])[:count])
 
     def _consume_credentials(self, holder: str, count: int) -> None:
@@ -993,6 +989,16 @@ def random_scenario(seed: int, steps: int = 50) -> Scenario:
     def note_total(p):
         return sum(notes[p])
 
+    def spend(p, amount):
+        # oldest notes first until `amount` is covered; change is the newest
+        spent, keep = 0, []
+        for v in notes[p]:
+            if spent < amount:
+                spent += v
+            else:
+                keep.append(v)
+        notes[p] = keep + [spent - amount]
+
     plan: list[dict] = doc["steps"]
     if mode is Mode.MEDIATED:
         for p in people:
@@ -1038,15 +1044,7 @@ def random_scenario(seed: int, steps: int = 50) -> Scenario:
             plan.append({"op": "unshield", "entity": p,
                          "to": rng.choice(list(balances)), "amount": amount,
                          "ring_size": ring, "expect": {"outcome": "accept"}})
-            spend = 0
-            keep = []
-            for v in notes[p]:
-                if spend < amount:
-                    spend += v
-                else:
-                    keep.append(v)
-            keep.append(spend - amount)  # change note
-            notes[p] = keep
+            spend(p, amount)
             dst = plan[-1]["to"]
             balances[dst] += amount
             pool += 1  # change output
@@ -1061,14 +1059,7 @@ def random_scenario(seed: int, steps: int = 50) -> Scenario:
                              "to": payee, "amount": amount,
                              "ring_size": min(3, pool),
                              "expect": {"outcome": "accept"}})
-                spent, keep = 0, []
-                for v in notes[payer]:
-                    if spent < amount:
-                        spent += v
-                    else:
-                        keep.append(v)
-                keep.append(spent - amount)
-                notes[payer] = keep
+                spend(payer, amount)
                 notes[payee].append(amount)
                 pool += 2
             else:
@@ -1085,15 +1076,7 @@ def random_scenario(seed: int, steps: int = 50) -> Scenario:
                              "ring_size": min(3, pool), "fee": 2,
                              "expect": {"outcome": "accept"}})
                 for who, amt in ((payer, amt1), (other, amt2)):
-                    share = 1  # fee 2 split across two legs
-                    spent, keep = 0, []
-                    for v in notes[who]:
-                        if spent < amt + share:
-                            spent += v
-                        else:
-                            keep.append(v)
-                    keep.append(spent - amt - share)
-                    notes[who] = keep
+                    spend(who, amt + 1)  # fee 2 split across two legs
                     creds[who] -= 2
                 notes[payee].append(amt1)
                 notes[payer].append(amt2)

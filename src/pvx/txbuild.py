@@ -326,7 +326,7 @@ def _shielded_spend(group: GroupParams, state: LedgerState, kind: TxKind,
     sins = tuple(
         ShieldedInput(plan.ring_refs,
                       commit(group, plan.note.value, plan.pseudo_blinding),
-                      _unsigned_marker())
+                      _MARKER)
         for plan in plans)
     tx = Transaction(kind, tout=tuple(touts), sin=sins, sout=tuple(souts),
                      fee=fee, credentials=tuple(creds), sponsor_id=sponsor)
@@ -346,10 +346,6 @@ class _UnsignedMarker:
 
 
 _MARKER = _UnsignedMarker()
-
-
-def _unsigned_marker():
-    return _MARKER
 
 
 def build_unshield(group: GroupParams, state: LedgerState, wallet: Wallet,
@@ -436,7 +432,7 @@ def build_mediated_batch(group: GroupParams, state: LedgerState,
     sins = tuple(
         ShieldedInput(plan.ring_refs,
                       commit(group, plan.note.value, plan.pseudo_blinding),
-                      _unsigned_marker())
+                      _MARKER)
         for plan in all_plans)
     tx = Transaction(TxKind.MEDIATED_BATCH, sin=sins, sout=tuple(souts),
                      fee=fee, credentials=tuple(creds),

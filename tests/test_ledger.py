@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from pvx.group import STANDARD_GROUP as G
+from pvx.group import TEST_GROUP
 from pvx.ledger import (
     LedgerState,
     Transaction,
@@ -51,6 +52,17 @@ def test_digest_changes_with_any_field(harness):
     assert transaction_digest(G, replace(res.tx, sponsor_id="x")) != base
     # signatures are not part of the digest
     assert transaction_digest(G, replace(res.tx, excess=None)) == base
+
+
+def test_carried_digest_belongs_to_its_group(small_harness):
+    h = small_harness
+    tx = build_shield(h.group, h.state, h.wallets["alice"], "alice.acct", 10,
+                      h.stream).tx
+    narrow = transaction_digest(TEST_GROUP, tx)
+    wide = transaction_digest(G, tx)  # element widths differ per profile
+    assert wide != narrow
+    assert transaction_digest(TEST_GROUP, tx) == narrow
+    assert transaction_digest(G, replace(tx)) == wide
 
 
 def test_replayed_key_image_rejected(harness):
