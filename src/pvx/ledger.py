@@ -46,7 +46,7 @@ from .blindsig import Credential
 from .group import GroupParams, tagged_hash
 from .pedersen import Commitment, commit, negate_commitment, product
 from .rangeproof import RangeProof, verify_range
-from .ringsig import DualRingSignature, dual_ring_verify
+from .ringsig import RingSignature, dual_ring_verify
 
 TAG_TX = "pvx/tx"
 TAG_EXCESS = "pvx/excess"
@@ -92,7 +92,7 @@ class ShieldedOutput:
 class ShieldedInput:
     ring_refs: tuple[int, ...]  # ledger output ids forming the anonymity set
     pseudo_commitment: Commitment
-    signature: DualRingSignature
+    signature: RingSignature
 
 
 @dataclass(frozen=True)
@@ -360,6 +360,19 @@ def excess_point(group: GroupParams, state: LedgerState, tx: Transaction) -> int
                      negate_commitment(group, commit(group, netflow, 0)).value)
 
 
+def ring_rows(state: LedgerState, ring_refs: tuple[int, ...],
+              pseudo: Commitment) -> list[tuple[int, int]]:
+    """An input's ring-signature rows: (P_i, C_i / C_pseudo) per member."""
+    group = state.group
+    pseudo_inv = group.inv(pseudo.value)
+    rows = []
+    for ref in ring_refs:
+        rec = state.outputs[ref]
+        rows.append((rec.onetime_address,
+                     group.mul(rec.commitment.value, pseudo_inv)))
+    return rows
+
+
 def validate_transaction(state: LedgerState, tx: Transaction,
                          policy_hook: PolicyHook | None = None) -> Verdict:
     """Full acceptance check; each failing clause maps to a distinct code."""
@@ -386,16 +399,12 @@ def validate_transaction(state: LedgerState, tx: Transaction,
     for si in tx.sin:
         if len(si.ring_refs) != len(set(si.ring_refs)):
             return Verdict.reject("MalformedTransaction", "duplicate ring member")
-        members = []
-        for ref in si.ring_refs:
-            rec = state.outputs.get(ref)
-            if rec is None:
-                return Verdict.reject("MalformedTransaction",
-                                      f"unknown ring member {ref}")
-            offset = group.mul(rec.commitment.value,
-                               group.inv(si.pseudo_commitment.value))
-            members.append((rec.onetime_address, offset))
-        if not dual_ring_verify(group, digest, members, si.signature):
+        unknown = [ref for ref in si.ring_refs if ref not in state.outputs]
+        if unknown:
+            return Verdict.reject("MalformedTransaction",
+                                  f"unknown ring member {unknown[0]}")
+        rows = ring_rows(state, si.ring_refs, si.pseudo_commitment)
+        if not dual_ring_verify(group, digest, rows, si.signature):
             return Verdict.reject("RingSignature")
 
     # (b) key images fresh and unique in-tx
@@ -410,6 +419,10 @@ def validate_transaction(state: LedgerState, tx: Transaction,
     # images so a full replay reads as the double spend it is)
     seen_onetime = set()
     for so in tx.sout:
+        if not (group.is_element(so.onetime_address)
+                and group.is_element(so.ephemeral_public)):
+            return Verdict.reject("MalformedTransaction",
+                                  "output key outside the subgroup")
         if so.onetime_address in seen_onetime or so.onetime_address in state.onetime_index:
             return Verdict.reject("DuplicateOnetime")
         seen_onetime.add(so.onetime_address)

@@ -1,43 +1,42 @@
-"""Linkable ring signatures (LSAG construction).
+"""Linkable ring signatures: one MLSAG over rows of m public keys.
 
-A signature over a ring of one-time addresses proves the signer controls
-one member without revealing which.  The key image I = Hp(P_true)^x is a
-deterministic function of the signing key alone, so two signatures by the
-same key carry the same image regardless of ring or message; the ledger
-uses this for double-spend detection.
+A ring is n rows (K_i,0 .. K_i,m-1).  A signature proves that the signer
+knows the discrete logs x_0 .. x_m-1 of every key in one row, without
+revealing which.  The key image I = Hp(K_l,0)^x_0 covers column 0 only.  It
+depends on that signing key alone, so two signatures by the same key carry
+the same image whatever the ring or message; the ledger uses it to detect
+double spends.
 
-Challenge chain, for each slot i:
-    L_i = G^{s_i} * P_i^{c_i}
-    R_i = Hp(P_i)^{s_i} * I^{c_i}
-    c_{i+1} = H("pvx/ring", ring, I, msg, L_i, R_i)
-closing back to c_0.  Nonces are derived deterministically from the
-signing key and message, making signing a pure function of its inputs.
+The observer's spend corpus signs with m = 1 (rows P_i, the LSAG of Liu,
+Wei and Wong).  Ledger spends sign with m = 2 (rows P_i, D_i with
+D_i = C_i / C_pseudo), which also shows that the input's pseudo commitment
+opens to the same amount as the hidden member being spent (Noether, "Ring
+Confidential Transactions", 2016).
+
+Challenge chain, for each row i with responses s_i,0 .. s_i,m-1:
+    L_i,j = G^{s_i,j} * K_i,j^{c_i}
+    R_i   = Hp(K_i,0)^{s_i,0} * I^{c_i}
+    c_{i+1} = H("pvx/ring", ring, I, msg, L_i,0, R_i, L_i,1 .. L_i,m-1)
+closing back to c_0.  `tagged_hash` length-prefixes every item, so the
+item count alone separates column counts.  Nonces are derived from one
+hash of the signing keys, message and ring, making signing a pure function
+of its inputs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .group import GroupParams, TAG_RING
+from .group import GroupParams, TAG_RING, tagged_hash
 
 
 @dataclass(frozen=True)
 class RingSignature:
     c0: int
-    responses: tuple[int, ...]
+    responses: tuple[int, ...]  # row-major: m responses per ring member
     key_image: int
-
-
-def _ring_bytes(group: GroupParams, ring: tuple[int, ...]) -> bytes:
-    return b"".join(group.element_to_bytes(p) for p in ring)
-
-
-def _chain_step(group: GroupParams, ring_b: bytes, key_image: int,
-                message: bytes, l_val: int, r_val: int) -> int:
-    return group.hash_to_scalar(
-        TAG_RING, ring_b, group.element_to_bytes(key_image), message,
-        group.element_to_bytes(l_val), group.element_to_bytes(r_val))
 
 
 @lru_cache(maxsize=65536)
@@ -50,168 +49,103 @@ def key_image_for(group: GroupParams, spend_secret: int, public: int) -> int:
     return group.power(_image_base(group, public), spend_secret)
 
 
-def ring_sign(group: GroupParams, message: bytes, ring: list[int] | tuple[int, ...],
-              true_index: int, spend_secret: int) -> RingSignature:
-    ring = tuple(ring)
-    n = len(ring)
+def _rows_bytes(group: GroupParams, rows: tuple[tuple[int, ...], ...]) -> bytes:
+    return b"".join(group.element_to_bytes(key) for row in rows for key in row)
+
+
+def _chain(group: GroupParams, message: bytes, rows: tuple[tuple[int, ...], ...],
+           ring_b: bytes, image: int, responses: list[int] | tuple[int, ...],
+           start: int, c_start: int) -> list[int]:
+    """Walk the challenge chain once round the ring, entering row `start`
+    with challenge `c_start`.  Returns each row's challenge; the entry for
+    `start` is the one that closes the ring."""
+    power, mul, enc, g = group.power, group.mul, group.element_to_bytes, group.g
+    hash_to_scalar = group.hash_to_scalar
+    n, m = len(rows), len(rows[0])
+    later_columns = range(1, m)
+    image_b = enc(image)
+    c = [0] * n
+    c[start] = c_start
+    for step in range(n):
+        i = (start + step) % n
+        row, c_i, k = rows[i], c[i], i * m
+        key = row[0]
+        points = [enc(mul(power(g, responses[k]), power(key, c_i))),
+                  enc(mul(power(_image_base(group, key), responses[k]),
+                          power(image, c_i)))]
+        for j in later_columns:
+            points.append(enc(mul(power(g, responses[k + j]),
+                                  power(row[j], c_i))))
+        c[(i + 1) % n] = hash_to_scalar(TAG_RING, ring_b, image_b, message,
+                                        *points)
+    return c
+
+
+def _sign(group: GroupParams, message: bytes, rows: Sequence[Sequence[int]],
+          true_index: int, secrets: tuple[int, ...]) -> RingSignature:
+    rows = tuple(map(tuple, rows))
+    n, m = len(rows), len(secrets)
     if n < 1:
         raise ValueError("ring must not be empty")
     if not 0 <= true_index < n:
         raise IndexError("true_index out of bounds")
-    if group.power(group.g, spend_secret) != ring[true_index]:
-        raise ValueError("spend secret does not match ring slot")
+    if m < 1 or any(len(row) != m for row in rows):
+        raise ValueError("every ring row needs one key per secret")
+    if any(group.power(group.g, x) != key
+           for x, key in zip(secrets, rows[true_index])):
+        raise ValueError("secret does not match ring slot")
 
-    hp = [_image_base(group, p) for p in ring]
-    image = group.power(hp[true_index], spend_secret)
-    ring_b = _ring_bytes(group, ring)
-
-    seed = (group.scalar_to_bytes(spend_secret), message, ring_b)
-    alpha = group.nonzero_scalar(TAG_RING + "/nonce", *seed)
-    s = [group.nonzero_scalar(TAG_RING + "/nonce", *seed, i.to_bytes(4, "big"))
-         for i in range(n)]
-
-    c = [0] * n
-    c[(true_index + 1) % n] = _chain_step(
-        group, ring_b, image, message,
-        group.power(group.g, alpha), group.power(hp[true_index], alpha))
-    for step in range(1, n):
-        i = (true_index + step) % n
-        l_val = group.mul(group.power(group.g, s[i]),
-                          group.power(ring[i], c[i]))
-        r_val = group.mul(group.power(hp[i], s[i]),
-                          group.power(image, c[i]))
-        c[(i + 1) % n] = _chain_step(group, ring_b, image, message, l_val, r_val)
-    s[true_index] = (alpha - c[true_index] * spend_secret) % group.q
+    image = key_image_for(group, secrets[0], rows[true_index][0])
+    ring_b = _rows_bytes(group, rows)
+    seed = tagged_hash(TAG_RING + "/seed", *map(group.scalar_to_bytes, secrets),
+                       message, ring_b)
+    s = [group.nonzero_scalar(TAG_RING + "/nonce", seed, k.to_bytes(4, "big"))
+         for k in range(n * m)]
+    # Entering the signer's row with challenge 0 makes its L and R the
+    # commitments G^alpha_j, Hp^alpha_0 to its own nonces alpha_j = s_l,j.
+    c = _chain(group, message, rows, ring_b, image, s, true_index, 0)
+    for j, x in enumerate(secrets):
+        k = true_index * m + j
+        s[k] = (s[k] - c[true_index] * x) % group.q
     return RingSignature(c[0], tuple(s), image)
+
+
+def _verify(group: GroupParams, message: bytes, rows: Sequence[Sequence[int]],
+            sig: RingSignature) -> bool:
+    rows = tuple(map(tuple, rows))
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    if m < 1 or any(len(row) != m for row in rows) \
+            or len(sig.responses) != n * m:
+        return False
+    if not group.is_element(sig.key_image):
+        return False
+    if not all(group.is_element(key) for row in rows for key in row):
+        return False
+    c0 = sig.c0 % group.q
+    c = _chain(group, message, rows, _rows_bytes(group, rows), sig.key_image,
+               sig.responses, 0, c0)
+    return c[0] == c0
+
+
+def ring_sign(group: GroupParams, message: bytes, ring: list[int] | tuple[int, ...],
+              true_index: int, spend_secret: int) -> RingSignature:
+    return _sign(group, message, [(p,) for p in ring], true_index, (spend_secret,))
 
 
 def ring_verify(group: GroupParams, message: bytes,
                 ring: list[int] | tuple[int, ...], sig: RingSignature) -> bool:
-    ring = tuple(ring)
-    n = len(ring)
-    if n < 1 or len(sig.responses) != n:
-        return False
-    if not group.is_element(sig.key_image):
-        return False
-    if not all(group.is_element(p) for p in ring):
-        return False
-    ring_b = _ring_bytes(group, ring)
-    c = sig.c0 % group.q
-    for i in range(n):
-        hp = _image_base(group, ring[i])
-        l_val = group.mul(group.power(group.g, sig.responses[i]),
-                          group.power(ring[i], c))
-        r_val = group.mul(group.power(hp, sig.responses[i]),
-                          group.power(sig.key_image, c))
-        c = _chain_step(group, ring_b, sig.key_image, message, l_val, r_val)
-    return c == sig.c0 % group.q
-
-
-def signatures_linked(sig1: RingSignature, sig2: RingSignature) -> bool:
-    """Same signing key iff same key image, independent of ring or message."""
-    return sig1.key_image == sig2.key_image
-
-
-@dataclass(frozen=True)
-class DualRingSignature:
-    """Ring signature over (address, commitment-offset) pairs.
-
-    Slot i's statement is (P_i, D_i); the signer proves knowledge of both
-    x with P_l = G^x and z with D_l = G^z for one slot l.  The ledger sets
-    D_i = C_i / C_pseudo, so a valid signature shows the input's pseudo
-    commitment opens to the same amount as the (hidden) ring member being
-    spent.  The key image covers only the spend key, as in the single-key
-    form.
-    """
-
-    c0: int
-    responses: tuple[int, ...]         # spend-key responses
-    offset_responses: tuple[int, ...]  # commitment-offset responses
-    key_image: int
-
-
-def _dual_chain_step(group: GroupParams, ring_b: bytes, key_image: int,
-                     message: bytes, l_val: int, r_val: int, m_val: int) -> int:
-    return group.hash_to_scalar(
-        TAG_RING + "/dual", ring_b, group.element_to_bytes(key_image), message,
-        group.element_to_bytes(l_val), group.element_to_bytes(r_val),
-        group.element_to_bytes(m_val))
-
-
-def _dual_ring_bytes(group: GroupParams, ring: tuple[tuple[int, int], ...]) -> bytes:
-    return b"".join(group.element_to_bytes(p) + group.element_to_bytes(d)
-                    for p, d in ring)
+    return _verify(group, message, [(p,) for p in ring], sig)
 
 
 def dual_ring_sign(group: GroupParams, message: bytes,
                    ring: list[tuple[int, int]] | tuple[tuple[int, int], ...],
                    true_index: int, spend_secret: int,
-                   offset_secret: int) -> DualRingSignature:
-    ring = tuple(ring)
-    n = len(ring)
-    if n < 1:
-        raise ValueError("ring must not be empty")
-    if not 0 <= true_index < n:
-        raise IndexError("true_index out of bounds")
-    p_true, d_true = ring[true_index]
-    if group.power(group.g, spend_secret) != p_true:
-        raise ValueError("spend secret does not match ring slot")
-    if group.power(group.g, offset_secret) != d_true:
-        raise ValueError("offset secret does not match ring slot")
-
-    hp = [_image_base(group, p) for p, _ in ring]
-    image = group.power(hp[true_index], spend_secret)
-    ring_b = _dual_ring_bytes(group, ring)
-
-    seed = (group.scalar_to_bytes(spend_secret),
-            group.scalar_to_bytes(offset_secret), message, ring_b)
-    alpha = group.nonzero_scalar(TAG_RING + "/nonce2", *seed)
-    beta = group.nonzero_scalar(TAG_RING + "/nonce2b", *seed)
-    s = [group.nonzero_scalar(TAG_RING + "/nonce2", *seed, i.to_bytes(4, "big"))
-         for i in range(n)]
-    t = [group.nonzero_scalar(TAG_RING + "/nonce2b", *seed, i.to_bytes(4, "big"))
-         for i in range(n)]
-
-    c = [0] * n
-    c[(true_index + 1) % n] = _dual_chain_step(
-        group, ring_b, image, message,
-        group.power(group.g, alpha), group.power(hp[true_index], alpha),
-        group.power(group.g, beta))
-    for step in range(1, n):
-        i = (true_index + step) % n
-        p_i, d_i = ring[i]
-        l_val = group.mul(group.power(group.g, s[i]), group.power(p_i, c[i]))
-        r_val = group.mul(group.power(hp[i], s[i]), group.power(image, c[i]))
-        m_val = group.mul(group.power(group.g, t[i]), group.power(d_i, c[i]))
-        c[(i + 1) % n] = _dual_chain_step(group, ring_b, image, message,
-                                          l_val, r_val, m_val)
-    s[true_index] = (alpha - c[true_index] * spend_secret) % group.q
-    t[true_index] = (beta - c[true_index] * offset_secret) % group.q
-    return DualRingSignature(c[0], tuple(s), tuple(t), image)
+                   offset_secret: int) -> RingSignature:
+    return _sign(group, message, ring, true_index, (spend_secret, offset_secret))
 
 
 def dual_ring_verify(group: GroupParams, message: bytes,
                      ring: list[tuple[int, int]] | tuple[tuple[int, int], ...],
-                     sig: DualRingSignature) -> bool:
-    ring = tuple(ring)
-    n = len(ring)
-    if n < 1 or len(sig.responses) != n or len(sig.offset_responses) != n:
-        return False
-    if not group.is_element(sig.key_image):
-        return False
-    if not all(group.is_element(p) and group.is_element(d) for p, d in ring):
-        return False
-    ring_b = _dual_ring_bytes(group, ring)
-    c = sig.c0 % group.q
-    for i in range(n):
-        p_i, d_i = ring[i]
-        hp = _image_base(group, p_i)
-        l_val = group.mul(group.power(group.g, sig.responses[i]),
-                          group.power(p_i, c))
-        r_val = group.mul(group.power(hp, sig.responses[i]),
-                          group.power(sig.key_image, c))
-        m_val = group.mul(group.power(group.g, sig.offset_responses[i]),
-                          group.power(d_i, c))
-        c = _dual_chain_step(group, ring_b, sig.key_image, message,
-                             l_val, r_val, m_val)
-    return c == sig.c0 % group.q
+                     sig: RingSignature) -> bool:
+    return _verify(group, message, ring, sig)

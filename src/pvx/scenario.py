@@ -494,36 +494,31 @@ class _Runner:
     def _descriptors_for(self, tx: Transaction) -> list[IntentDescriptor]:
         reg = self.registry
         descs = []
-
-        def owner_kind(account_id):
-            _, owner = reg.lookup_account(account_id)
-            return owner, reg.entity(owner).kind
-
         creds = tuple(CredentialPresentation(c) for c in tx.credentials)
         if tx.kind is TxKind.TRANSPARENT_TRANSFER:
-            src_owner, src_kind = owner_kind(tx.tin[0].account_id)
+            src_owner, src_kind = self._owner_kind(tx.tin[0].account_id)
             for to in tx.tout:
-                dst_owner, dst_kind = owner_kind(to.account_id)
+                dst_owner, dst_kind = self._owner_kind(to.account_id)
                 descs.append(IntentDescriptor(
                     tx.kind, LegClass.ACCOUNT, src_kind, LegClass.ACCOUNT,
                     dst_kind, src_owner, dst_owner, to.account_id, to.amount))
         elif tx.kind is TxKind.ISSUE:
             src_kind = reg.entity(tx.sponsor_id).kind
             for to in tx.tout:
-                dst_owner, dst_kind = owner_kind(to.account_id)
+                dst_owner, dst_kind = self._owner_kind(to.account_id)
                 descs.append(IntentDescriptor(
                     tx.kind, LegClass.ACCOUNT, src_kind, LegClass.ACCOUNT,
                     dst_kind, tx.sponsor_id, dst_owner, to.account_id,
                     to.amount))
         elif tx.kind is TxKind.SHIELD:
-            src_owner, src_kind = owner_kind(tx.tin[0].account_id)
+            src_owner, src_kind = self._owner_kind(tx.tin[0].account_id)
             descs.append(IntentDescriptor(
                 tx.kind, LegClass.ACCOUNT, src_kind, LegClass.STORE,
                 src_kind, src_owner, src_owner,
                 amount=sum(ti.amount for ti in tx.tin) - tx.fee))
         elif tx.kind is TxKind.UNSHIELD:
             for to in tx.tout:
-                dst_owner, dst_kind = owner_kind(to.account_id)
+                dst_owner, dst_kind = self._owner_kind(to.account_id)
                 descs.append(IntentDescriptor(
                     tx.kind, LegClass.STORE, EntityKind.INDIVIDUAL,
                     LegClass.ACCOUNT, dst_kind, None, dst_owner,

@@ -21,6 +21,7 @@ from .ledger import (
     TransparentInput,
     TransparentOutput,
     TxKind,
+    ring_rows,
     sign_excess,
     transaction_digest,
 )
@@ -235,13 +236,9 @@ def _sign_spends(group: GroupParams, state: LedgerState, digest: bytes,
     sins = []
     for plan in plans:
         pseudo = commit(group, plan.note.value, plan.pseudo_blinding)
-        members = []
-        for ref in plan.ring_refs:
-            rec = state.outputs[ref]
-            offset = group.mul(rec.commitment.value, group.inv(pseudo.value))
-            members.append((rec.onetime_address, offset))
+        rows = ring_rows(state, plan.ring_refs, pseudo)
         offset_secret = (plan.note.blinding - plan.pseudo_blinding) % group.q
-        sig = dual_ring_sign(group, digest, members, plan.true_index,
+        sig = dual_ring_sign(group, digest, rows, plan.true_index,
                              plan.note.spend_secret, offset_secret)
         sins.append(ShieldedInput(plan.ring_refs, pseudo, sig))
     return tuple(sins)

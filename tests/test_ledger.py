@@ -19,7 +19,7 @@ from pvx.ledger import (
 )
 from pvx.pedersen import commit
 from pvx.rangeproof import prove_range
-from pvx.ringsig import DualRingSignature
+from pvx.ringsig import RingSignature
 from pvx.txbuild import (
     build_issue,
     build_shield,
@@ -40,6 +40,24 @@ def test_wellformed_shield_accepts(harness):
     res = build_shield(G, harness.state, harness.wallets["alice"],
                        "alice.acct", 100, harness.stream)
     assert validate_transaction(harness.state, res.tx).accepted
+
+
+@pytest.mark.parametrize("field", ["onetime_address", "ephemeral_public"])
+@pytest.mark.parametrize("bad", [G.p - 1, 0], ids=["p-1", "zero"])
+def test_output_key_outside_subgroup_rejected(harness, monkeypatch, field, bad):
+    # The honest builder signs the bad key, so only the subgroup check can
+    # catch it; a later ring sampling such an output could never verify.
+    from pvx import txbuild
+
+    make = txbuild.make_onetime_output
+    monkeypatch.setattr(
+        txbuild, "make_onetime_output",
+        lambda *args: replace(make(*args), **{field: bad}))
+    res = build_shield(G, harness.state, harness.wallets["alice"],
+                       "alice.acct", 100, harness.stream)
+    assert getattr(res.tx.sout[0], field) == bad
+    assert validate_transaction(harness.state, res.tx).code \
+        == "MalformedTransaction"
 
 
 def test_digest_changes_with_any_field(harness):
@@ -99,9 +117,8 @@ def test_validation_clause_codes(harness):
                          harness.sampler, harness.rng, harness.stream)
     sin = res.tx.sin[0]
     sig = sin.signature
-    broken = DualRingSignature(sig.c0,
-                               (sig.responses[0] + 1 % G.q,) + sig.responses[1:],
-                               sig.offset_responses, sig.key_image)
+    broken = RingSignature(sig.c0, (sig.responses[0] + 1,) + sig.responses[1:],
+                           sig.key_image)
     tam = replace(res.tx, sin=(replace(sin, signature=broken),) + res.tx.sin[1:])
     assert validate_transaction(state, tam).code == "RingSignature"
 
