@@ -381,6 +381,12 @@ def validate_transaction(state: LedgerState, tx: Transaction,
     shape = _shape_error(tx)
     if shape:
         return Verdict.reject("MalformedTransaction", shape)
+    # the balance check reads the cleartext netflow mod q, so a sum that
+    # reaches q could hide inflation (q = 1019 on the test profile)
+    if (sum(ti.amount for ti in tx.tin) >= group.q
+            or sum(to.amount for to in tx.tout) + tx.fee >= group.q):
+        return Verdict.reject("MalformedTransaction",
+                              "cleartext sum reaches the group order")
 
     for leg in (*tx.tin, *tx.tout):
         if leg.account_id not in state.balances:

@@ -46,6 +46,8 @@ from .group import GroupParams, get_profile, tagged_hash
 from .ledger import (
     LedgerState,
     Transaction,
+    TransparentInput,
+    TransparentOutput,
     TxKind,
     conservation_audit,
     transaction_digest,
@@ -72,6 +74,7 @@ from .policy import (
 )
 from .stealth import recover_spend_secret
 from .txbuild import (
+    SAMPLERS,
     BuildError,
     MediatedLeg,
     ScalarStream,
@@ -86,9 +89,24 @@ from .txbuild import (
     make_sampler,
 )
 
-STEP_OPS = ("transfer", "shield", "unshield", "shielded_transfer",
-            "mediated_exchange", "issue", "blacklist", "issue_credential",
-            "attack_probe", "tax_report")
+# Required fields per step op, and what each must name: a declared account,
+# a declared entity or a positive amount (None: checked when the step runs).
+STEP_FIELDS = {
+    "transfer": (("from", "account"), ("to", "account"), ("amount", "amount")),
+    "shield": (("entity", "entity"), ("amount", "amount")),
+    "unshield": (("entity", "entity"), ("to", "account"),
+                 ("amount", "amount")),
+    "shielded_transfer": (("from", "entity"), ("to", "entity"),
+                          ("amount", "amount")),
+    "mediated_exchange": (("intermediary", "entity"), ("legs", "legs")),
+    "issue": (("authority", "entity"), ("to", "account"),
+              ("amount", "amount")),
+    "blacklist": (("entity", "entity"),),
+    "issue_credential": (("issuer", None), ("holder", "entity")),
+    "attack_probe": (),
+    "tax_report": (("entity", "entity"),),
+}
+LEG_FIELDS = (("payer", "entity"), ("payee", "entity"), ("amount", "amount"))
 
 DENY_REASONS = ("MediationRequired", "BusinessToStoreForbidden", "Blacklisted",
                 "CredentialRequired", "CredentialReused",
@@ -165,6 +183,24 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
+def _check_fields(obj, fields, path: str, names: dict) -> None:
+    """Each (key, what) field is present and names a declared `what`."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(path, "expected an object")
+    for key, what in fields:
+        value = _need(obj, key, path)
+        if what == "amount":
+            _as_int(value, f"{path}.{key}", 1)
+        elif what == "legs":
+            if not isinstance(value, list):
+                raise ScenarioError(f"{path}.{key}", "expected a list of legs")
+            for j, leg in enumerate(value):
+                _check_fields(leg, LEG_FIELDS, f"{path}.{key}[{j}]", names)
+        elif what is not None and (not isinstance(value, str)
+                                   or value not in names[what]):
+            raise ScenarioError(f"{path}.{key}", f"unknown {what} {value!r}")
+
+
 def parse_scenario(text: str | bytes | dict) -> Scenario:
     if isinstance(text, dict):
         doc = text
@@ -216,6 +252,7 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
 
     entities = []
     ids = set()
+    owners: dict[str, str] = {}  # account id -> owning entity id
     for i, edoc in enumerate(doc.get("entities", [])):
         path = f"entities[{i}]"
         eid = str(_need(edoc, "id", path))
@@ -231,8 +268,12 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
         accounts = []
         for j, adoc in enumerate(edoc.get("accounts", [])):
             apath = f"{path}.accounts[{j}]"
-            accounts.append((str(_need(adoc, "id", apath)),
-                             str(_need(adoc, "institution", apath))))
+            acct_id = str(_need(adoc, "id", apath))
+            if acct_id in owners:
+                raise ScenarioError(f"{apath}.id",
+                                    f"duplicate account id {acct_id!r}")
+            owners[acct_id] = eid
+            accounts.append((acct_id, str(_need(adoc, "institution", apath))))
         entities.append(EntityDecl(
             eid, kind, tuple(accounts),
             stealth=bool(edoc.get("stealth", False)),
@@ -243,8 +284,9 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
     genesis = []
     for i, gdoc in enumerate(doc.get("genesis", [])):
         path = f"genesis[{i}]"
-        genesis.append((str(_need(gdoc, "account", path)),
-                        _as_int(_need(gdoc, "amount", path), f"{path}.amount", 1)))
+        _check_fields(gdoc, (("account", "account"), ("amount", "amount")),
+                      path, {"account": owners})
+        genesis.append((gdoc["account"], gdoc["amount"]))
 
     rules_doc = doc.get("ruleset", {})
     threshold = rules_doc.get("threshold")
@@ -253,19 +295,34 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
 
     defaults = doc.get("defaults", {})
     sampler = defaults.get("sampler", "uniform")
-    if sampler not in ("uniform", "age-biased"):
+    if sampler not in tuple(SAMPLERS):
         raise ScenarioError("defaults.sampler", f"unknown sampler {sampler!r}")
 
+    names = {"account": owners, "entity": ids}
     steps = []
     for i, sdoc in enumerate(doc.get("steps", [])):
         path = f"steps[{i}]"
         if not isinstance(sdoc, dict):
             raise ScenarioError(path, "step must be an object")
         op = _need(sdoc, "op", path)
-        if op not in STEP_OPS:
+        if op not in STEP_FIELDS:
             raise ScenarioError(f"{path}.op", f"unknown step op {op!r}")
+        _check_fields(sdoc, STEP_FIELDS[op], path, names)
+        if op == "shield" and "account" in sdoc and (
+                not isinstance(sdoc["account"], str)
+                or owners.get(sdoc["account"]) != sdoc["entity"]):
+            raise ScenarioError(f"{path}.account",
+                                f"not an account of {sdoc['entity']!r}")
+        for key, minimum in (("fee", 0), ("ring_size", 1), ("count", 0)):
+            if key in sdoc:
+                _as_int(sdoc[key], f"{path}.{key}", minimum)
+        if sdoc.get("sampler", "uniform") not in tuple(SAMPLERS):
+            raise ScenarioError(f"{path}.sampler",
+                                f"unknown sampler {sdoc['sampler']!r}")
         expect = sdoc.get("expect")
         if expect is not None:
+            if not isinstance(expect, dict):
+                raise ScenarioError(f"{path}.expect", "expected an object")
             outcome = _need(expect, "outcome", f"{path}.expect")
             if outcome not in ("accept", "deny"):
                 raise ScenarioError(f"{path}.expect.outcome",
@@ -275,9 +332,6 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
                 if reason not in DENY_REASONS + LEDGER_CODES:
                     raise ScenarioError(f"{path}.expect.reason",
                                         f"unknown reason {reason!r}")
-        for amount_key in ("amount",):
-            if amount_key in sdoc:
-                _as_int(sdoc[amount_key], f"{path}.{amount_key}", 1)
         steps.append(dict(sdoc))
 
     range_bits = doc.get("range_bits")
@@ -467,8 +521,6 @@ class _Runner:
         balances = {acct: 0 for acct in registry.accounts}
         genesis = LedgerState.genesis(self.group, balances, self.range_bits)
         for account, amount in sc.genesis:
-            if account not in balances:
-                raise ScenarioError("genesis", f"unknown account {account!r}")
             new_balances = dict(genesis.balances)
             new_balances[account] += amount
             genesis = replace(genesis, balances=new_balances,
@@ -480,7 +532,7 @@ class _Runner:
             for i, nid in enumerate(node_ids)}
         self.world = World(
             self.group, node_ids, node_institutions, sc.consensus.f, genesis,
-            policy_hook=self._policy_hook, seed=self.seed,
+            policy_hook=self._decide, seed=self.seed,
             delay=sc.consensus.delay, drop=sc.consensus.drop,
             fault_scripts=sc.consensus.faults,
             base_timeout=sc.consensus.base_timeout)
@@ -491,54 +543,51 @@ class _Runner:
 
     # -- policy ---------------------------------------------------------------
 
-    def _descriptors_for(self, tx: Transaction) -> list[IntentDescriptor]:
+    def _descriptors_for(self, tx: Transaction,
+                         parties: tuple[str, str] | None = None
+                         ) -> list[IntentDescriptor]:
+        """One policy descriptor per destination leg of `tx`, which may be a
+        draft holding only the fields read here: kind, transparent legs,
+        fee, credentials and sponsor.  The ledger does not show who holds a
+        store, so a store leg counts as an Individual's unless `parties`
+        names the payer and payee entities of a shielded transfer."""
         reg = self.registry
-        descs = []
-        creds = tuple(CredentialPresentation(c) for c in tx.credentials)
-        if tx.kind is TxKind.TRANSPARENT_TRANSFER:
-            src_owner, src_kind = self._owner_kind(tx.tin[0].account_id)
-            for to in tx.tout:
-                dst_owner, dst_kind = self._owner_kind(to.account_id)
-                descs.append(IntentDescriptor(
-                    tx.kind, LegClass.ACCOUNT, src_kind, LegClass.ACCOUNT,
-                    dst_kind, src_owner, dst_owner, to.account_id, to.amount))
-        elif tx.kind is TxKind.ISSUE:
-            src_kind = reg.entity(tx.sponsor_id).kind
-            for to in tx.tout:
-                dst_owner, dst_kind = self._owner_kind(to.account_id)
-                descs.append(IntentDescriptor(
-                    tx.kind, LegClass.ACCOUNT, src_kind, LegClass.ACCOUNT,
-                    dst_kind, tx.sponsor_id, dst_owner, to.account_id,
-                    to.amount))
-        elif tx.kind is TxKind.SHIELD:
-            src_owner, src_kind = self._owner_kind(tx.tin[0].account_id)
-            descs.append(IntentDescriptor(
-                tx.kind, LegClass.ACCOUNT, src_kind, LegClass.STORE,
-                src_kind, src_owner, src_owner,
-                amount=sum(ti.amount for ti in tx.tin) - tx.fee))
-        elif tx.kind is TxKind.UNSHIELD:
-            for to in tx.tout:
-                dst_owner, dst_kind = self._owner_kind(to.account_id)
-                descs.append(IntentDescriptor(
-                    tx.kind, LegClass.STORE, EntityKind.INDIVIDUAL,
-                    LegClass.ACCOUNT, dst_kind, None, dst_owner,
-                    to.account_id, to.amount, creds))
-        elif tx.kind is TxKind.SHIELDED_TRANSFER:
-            descs.append(IntentDescriptor(
-                tx.kind, LegClass.STORE, EntityKind.INDIVIDUAL,
-                LegClass.STORE, EntityKind.INDIVIDUAL))
-        elif tx.kind is TxKind.MEDIATED_BATCH:
-            intermediary_kind = reg.entity(tx.sponsor_id).kind \
-                if tx.sponsor_id in reg.entities else None
-            descs.append(IntentDescriptor(
-                tx.kind, LegClass.STORE, EntityKind.INDIVIDUAL,
-                LegClass.STORE, EntityKind.INDIVIDUAL,
-                credentials=creds, intermediary_kind=intermediary_kind))
-        return descs
 
-    def _policy_hook(self, tx: Transaction) -> Decision:
+        def party(leg_class, entity_id):
+            kind = EntityKind.INDIVIDUAL if entity_id is None \
+                else reg.entity(entity_id).kind
+            return leg_class, kind, entity_id
+
+        payer, payee = parties or (None, None)
+        if tx.kind is TxKind.ISSUE:
+            src = party(LegClass.ACCOUNT, tx.sponsor_id)
+        elif tx.tin:
+            src = party(LegClass.ACCOUNT, self._owner(tx.tin[0].account_id))
+        else:
+            src = party(LegClass.STORE, payer)
+        if tx.kind is TxKind.SHIELD:
+            amount = sum(ti.amount for ti in tx.tin) - tx.fee
+            dsts = [(*party(LegClass.STORE, src[2]), None, amount)]
+        elif tx.tout:
+            dsts = [(*party(LegClass.ACCOUNT, self._owner(to.account_id)),
+                     to.account_id, to.amount) for to in tx.tout]
+        else:
+            dsts = [(*party(LegClass.STORE, payee), None, None)]
+        creds = tuple(CredentialPresentation(c) for c in tx.credentials)
+        sponsor = reg.entities.get(tx.sponsor_id)
+        intermediary_kind = sponsor.kind if sponsor is not None \
+            and tx.kind is TxKind.MEDIATED_BATCH else None
+        return [IntentDescriptor(tx.kind, src[0], src[1], dst_class, dst_kind,
+                                 src[2], dst_owner, account, amount, creds,
+                                 intermediary_kind)
+                for dst_class, dst_kind, dst_owner, account, amount in dsts]
+
+    def _decide(self, tx: Transaction,
+                parties: tuple[str, str] | None = None) -> Decision:
+        """The replicas' policy hook, and the runner's check before it
+        builds: the first denial among `tx`'s descriptors, else allow."""
         try:
-            for desc in self._descriptors_for(tx):
+            for desc in self._descriptors_for(tx, parties):
                 decision = authorize(desc, self.ruleset)
                 if not decision.allowed:
                     return decision
@@ -681,8 +730,11 @@ class _Runner:
 
     # each _op_* returns a StepOutcome ----------------------------------------
 
-    def _payment_common(self, index, step, descriptor, build):
-        decision = authorize(descriptor, self.ruleset)
+    def _payment_common(self, index, step, draft, build, parties=None):
+        """Decide on `draft` with the replicas' derivation, then build,
+        submit and settle the transaction: deliver its notes and spend its
+        credentials."""
+        decision = self._decide(draft, parties)
         if not decision.allowed:
             return StepOutcome(index, step["op"], "deny",
                                decision.reason.value)
@@ -692,73 +744,60 @@ class _Runner:
             return StepOutcome(index, step["op"], "error",
                                detail="not committed before deadline")
         self._deliver_notes(result)
+        used = {c.serial for c in result.tx.credentials}
+        for holder, pouch in self.credentials.items():
+            self.credentials[holder] = [c for c in pouch
+                                        if c.serial not in used]
         return StepOutcome(index, step["op"], "accept", height=height)
 
     def _op_transfer(self, index, step):
-        src = step["from"]
-        dst = step["to"]
-        amount = step["amount"]
-        src_owner, src_kind = self._owner_kind(src)
-        dst_owner, dst_kind = self._owner_kind(dst)
-        desc = IntentDescriptor(
-            TxKind.TRANSPARENT_TRANSFER, LegClass.ACCOUNT, src_kind,
-            LegClass.ACCOUNT, dst_kind, src_owner, dst_owner, dst, amount)
-        outcome = self._payment_common(
-            index, step, desc,
-            lambda: build_transparent_transfer(
-                self.group, src, dst, dst_owner, amount, self._fee(step)))
+        dst_owner = self._owner(step["to"])
+        result = build_transparent_transfer(
+            self.group, step["from"], step["to"], dst_owner, step["amount"],
+            self._fee(step))
+        outcome = self._payment_common(index, step, result.tx, lambda: result)
         self._blacklist_probe(dst_owner, outcome.outcome == "accept")
         return outcome
 
-    def _owner_kind(self, account_id: str):
-        inst, owner = self.registry.lookup_account(account_id)
-        return owner, self.registry.entity(owner).kind
+    def _owner(self, account_id: str) -> str:
+        return self.registry.lookup_account(account_id)[1]
 
     def _op_shield(self, index, step):
+        # an allowed shield pays an Individual's store, and every
+        # Individual has a wallet
         entity = step["entity"]
         account = step.get("account") or self._first_account(entity)
         amount = step["amount"]
-        kind = self.registry.entity(entity).kind
-        desc = IntentDescriptor(
-            TxKind.SHIELD, LegClass.ACCOUNT, kind, LegClass.STORE, kind,
-            entity, entity, amount=amount)
-        wallet = self._wallet(entity) if entity in self.wallets else None
-        if wallet is None:
-            # the policy matrix decides (business shields are denied there)
-            decision = authorize(desc, self.ruleset)
-            reason = decision.reason.value if not decision.allowed else None
-            return StepOutcome(index, step["op"],
-                               "deny" if not decision.allowed else "error",
-                               reason)
+        fee = self._fee(step)
+        draft = Transaction(
+            TxKind.SHIELD, tin=(TransparentInput(account, amount + fee),),
+            fee=fee)
         return self._payment_common(
-            index, step, desc,
-            lambda: build_shield(self.group, self.reference.ledger, wallet,
-                                 account, amount, self.stream,
-                                 self._fee(step)))
+            index, step, draft,
+            lambda: build_shield(self.group, self.reference.ledger,
+                                 self.wallets[entity], account, amount,
+                                 self.stream, fee))
 
     def _op_unshield(self, index, step):
         entity = step["entity"]
         dst = step["to"]
         amount = step["amount"]
-        dst_owner, dst_kind = self._owner_kind(dst)
+        fee = self._fee(step)
+        dst_owner = self._owner(dst)
         threshold = self.ruleset.identification_threshold
-        creds = []
+        creds = ()
         if threshold is not None and amount > threshold:
-            creds = self._take_credentials(entity, 1)
-        desc = IntentDescriptor(
-            TxKind.UNSHIELD, LegClass.STORE, EntityKind.INDIVIDUAL,
-            LegClass.ACCOUNT, dst_kind, None, dst_owner, dst, amount,
-            tuple(CredentialPresentation(c) for c in creds))
+            creds = tuple(self.credentials.get(entity, [])[:1])
+        draft = Transaction(
+            TxKind.UNSHIELD, tout=(TransparentOutput(dst, amount, dst_owner),),
+            fee=fee, credentials=creds)
         wallet = self._wallet(entity)
         outcome = self._payment_common(
-            index, step, desc,
+            index, step, draft,
             lambda: build_unshield(
                 self.group, self.reference.ledger, wallet, dst, dst_owner,
                 amount, self._ring_size(step), self._sampler_for(step),
-                self.rng, self.stream, self._fee(step),
-                credentials=tuple(creds)))
-        if outcome.outcome == "accept" and creds:
-            self._consume_credentials(entity, len(creds))
+                self.rng, self.stream, fee, credentials=creds))
         self._blacklist_probe(dst_owner, outcome.outcome == "accept")
         return outcome
 
@@ -766,19 +805,17 @@ class _Runner:
         src = step["from"]
         dst = step["to"]
         amount = step["amount"]
-        desc = IntentDescriptor(
-            TxKind.SHIELDED_TRANSFER, LegClass.STORE,
-            self.registry.entity(src).kind, LegClass.STORE,
-            self.registry.entity(dst).kind, src, dst)
+        fee = self._fee(step)
         wallet = self._wallet(src)
         dst_wallet = self._wallet(dst)
+        # the runner knows both parties' kinds; the replicas do not
         outcome = self._payment_common(
-            index, step, desc,
+            index, step, Transaction(TxKind.SHIELDED_TRANSFER, fee=fee),
             lambda: build_shielded_transfer(
                 self.group, self.reference.ledger, wallet, dst,
                 dst_wallet.address, amount, self._ring_size(step),
-                self._sampler_for(step), self.rng, self.stream,
-                self._fee(step)))
+                self._sampler_for(step), self.rng, self.stream, fee),
+            parties=(src, dst))
         if outcome.outcome == "accept":
             self._registration_probe(src, dst)
         self._blacklist_probe(dst, outcome.outcome == "accept")
@@ -787,67 +824,40 @@ class _Runner:
     def _op_mediated_exchange(self, index, step):
         intermediary = step["intermediary"]
         legs_doc = step["legs"]
-        payers = {leg["payer"] for leg in legs_doc}
-        pools = {p: list(self.credentials.get(p, [])) for p in sorted(payers)}
-        presentations = tuple(
-            CredentialPresentation(c) for p in sorted(pools)
-            for c in pools[p])
-        if self.sc.mode is Mode.MEDIATED and not presentations:
-            presentations = (CredentialPresentation(None),)
-        desc = IntentDescriptor(
-            TxKind.MEDIATED_BATCH, LegClass.STORE, EntityKind.INDIVIDUAL,
-            LegClass.STORE, EntityKind.INDIVIDUAL,
-            credentials=presentations,
-            intermediary_kind=self.registry.entity(intermediary).kind
-            if intermediary in self.registry.entities else None)
-        decision = authorize(desc, self.ruleset)
-        if not decision.allowed:
-            for leg in legs_doc:
-                self._blacklist_probe(leg["payee"], False)
-            return StepOutcome(index, step["op"], "deny", decision.reason.value)
-
+        payers = sorted({leg["payer"] for leg in legs_doc})
+        pools = {p: list(self.credentials.get(p, [])) for p in payers}
         fee = step.get("fee", self.registry.mediation_fee(
             intermediary, self.ruleset.mediation_fee))
-        legs = []
-        for leg in legs_doc:
-            payer_wallet = self._wallet(leg["payer"])
-            payee_wallet = self._wallet(leg["payee"])
-            legs.append(MediatedLeg(payer_wallet, leg["payee"],
-                                    payee_wallet.address, leg["amount"]))
-        result = build_mediated_batch(
-            self.group, self.reference.ledger, intermediary, legs,
-            self._ring_size(step), self._sampler_for(step), self.rng,
-            self.stream, fee,
-            credential_pools=pools if self.sc.mode is Mode.MEDIATED else None)
-        ok, height = self._submit_and_wait(result.tx)
-        if not ok:
-            return StepOutcome(index, step["op"], "error",
-                               detail="not committed before deadline")
-        self._deliver_notes(result)
-        used = {c.serial for c in result.tx.credentials}
-        for payer in pools:
-            self.credentials[payer] = [
-                c for c in self.credentials.get(payer, [])
-                if c.serial not in used]
-        participants = [leg["payer"] for leg in legs_doc] + \
-                       [leg["payee"] for leg in legs_doc]
-        self._registration_probe(*participants)
-        for leg in legs_doc:
-            self._blacklist_probe(leg["payee"], True)
-        return StepOutcome(index, step["op"], "accept", height=height)
+        draft = Transaction(
+            TxKind.MEDIATED_BATCH, fee=fee,
+            credentials=tuple(c for p in payers for c in pools[p]),
+            sponsor_id=intermediary)
+
+        def build():
+            legs = [MediatedLeg(self._wallet(leg["payer"]), leg["payee"],
+                                self._wallet(leg["payee"]).address,
+                                leg["amount"]) for leg in legs_doc]
+            return build_mediated_batch(
+                self.group, self.reference.ledger, intermediary, legs,
+                self._ring_size(step), self._sampler_for(step), self.rng,
+                self.stream, fee, credential_pools=pools
+                if self.sc.mode is Mode.MEDIATED else None)
+
+        outcome = self._payment_common(index, step, draft, build)
+        accepted = outcome.outcome == "accept"
+        if accepted:
+            self._registration_probe(*(leg["payer"] for leg in legs_doc),
+                                     *(leg["payee"] for leg in legs_doc))
+        if outcome.outcome != "error":
+            for leg in legs_doc:
+                self._blacklist_probe(leg["payee"], accepted)
+        return outcome
 
     def _op_issue(self, index, step):
-        authority = step["authority"]
-        dst = step["to"]
-        amount = step["amount"]
-        dst_owner, dst_kind = self._owner_kind(dst)
-        desc = IntentDescriptor(
-            TxKind.ISSUE, LegClass.ACCOUNT,
-            self.registry.entity(authority).kind, LegClass.ACCOUNT, dst_kind,
-            authority, dst_owner, dst, amount)
-        return self._payment_common(
-            index, step, desc,
-            lambda: build_issue(self.group, authority, dst, dst_owner, amount))
+        dst_owner = self._owner(step["to"])
+        result = build_issue(self.group, step["authority"], step["to"],
+                             dst_owner, step["amount"])
+        return self._payment_common(index, step, result.tx, lambda: result)
 
     def _op_blacklist(self, index, step):
         entity = step["entity"]
@@ -924,14 +934,6 @@ class _Runner:
                       for i in report.items],
             "consistent": consistent})
         return StepOutcome(index, step["op"], "accept")
-
-    # credential pouch helpers --------------------------------------------------
-
-    def _take_credentials(self, holder: str, count: int):
-        return list(self.credentials.get(holder, [])[:count])
-
-    def _consume_credentials(self, holder: str, count: int) -> None:
-        self.credentials[holder] = self.credentials.get(holder, [])[count:]
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:

@@ -244,10 +244,6 @@ def _sign_spends(group: GroupParams, state: LedgerState, digest: bytes,
     return tuple(sins)
 
 
-def _excess_scalar(group: GroupParams, pseudo_blindings, out_blindings) -> int:
-    return (sum(pseudo_blindings) - sum(out_blindings)) % group.q
-
-
 def build_transparent_transfer(group: GroupParams, from_account: str,
                                to_account: str, to_owner: str, amount: int,
                                fee: int = 0) -> BuildResult:
@@ -293,49 +289,6 @@ def build_shield(group: GroupParams, state: LedgerState, wallet: Wallet,
     return BuildResult(tx, (note,), ())
 
 
-def _shielded_spend(group: GroupParams, state: LedgerState, kind: TxKind,
-                    wallet: Wallet, spend_total: int, payment_outputs,
-                    touts, fee: int, ring_size: int, sampler,
-                    rng: random.Random, stream: ScalarStream,
-                    creds=(), sponsor=None) -> BuildResult:
-    """Common path for unshield / shielded transfer: select notes, ring
-    them, add the payer change note, sign everything over the digest.
-
-    `payment_outputs` is a list of (recipient_id, address, value).
-    """
-    notes = wallet.select_notes(spend_total + fee)
-    total_in = sum(n.value for n in notes)
-    change = total_in - spend_total - fee
-    plans = _plan_spends(state, notes, sampler, ring_size, rng, stream)
-
-    souts, created = [], []
-    for recipient_id, address, value in payment_outputs:
-        out, note = _make_note(group, recipient_id, address, value,
-                               len(souts), state.range_bits, stream)
-        souts.append(out)
-        created.append(note)
-    change_out, change_note = _make_note(
-        group, wallet.entity_id, wallet.address, change, len(souts),
-        state.range_bits, stream)
-    souts.append(change_out)
-    created.append(change_note)
-
-    sins = tuple(
-        ShieldedInput(plan.ring_refs,
-                      commit(group, plan.note.value, plan.pseudo_blinding),
-                      _MARKER)
-        for plan in plans)
-    tx = Transaction(kind, tout=tuple(touts), sin=sins, sout=tuple(souts),
-                     fee=fee, credentials=tuple(creds), sponsor_id=sponsor)
-    digest = transaction_digest(group, tx)
-    signed = _sign_spends(group, state, digest, plans)
-    z = _excess_scalar(group, (p.pseudo_blinding for p in plans),
-                       (n.blinding for n in created))
-    tx = replace(tx, sin=signed, excess=sign_excess(group, z, digest))
-    return BuildResult(tx, tuple(created),
-                       tuple(n.output_id for n in notes))
-
-
 class _UnsignedMarker:
     """Placeholder signature while the digest is being computed; the digest
     never covers signatures, so any stand-in works."""
@@ -345,17 +298,83 @@ class _UnsignedMarker:
 _MARKER = _UnsignedMarker()
 
 
+@dataclass(frozen=True)
+class MediatedLeg:
+    payer_wallet: Wallet
+    payee_id: str
+    payee_address: tuple[int, int] | None  # None: paid by a transparent output
+    amount: int
+
+
+def _spend_legs(group: GroupParams, state: LedgerState, kind: TxKind,
+                legs: list[MediatedLeg], ring_size: int, sampler,
+                rng: random.Random, stream: ScalarStream, fee: int,
+                tout=(), credentials=(),
+                credential_pools: dict[str, list] | None = None,
+                sponsor_id: str | None = None) -> BuildResult:
+    """Common path for every shielded spend: per leg, select the payer's
+    notes, ring them, pay the payee and add the payer's change note; then
+    sign everything over the digest.  The fee is split across legs,
+    remainder on the first.  When credential pools are given, one
+    credential per spent note is drawn from the payer's pool."""
+    fee_shares = [fee // len(legs)] * len(legs)
+    fee_shares[0] += fee - sum(fee_shares)
+
+    plans, souts, created, consumed = [], [], [], []
+    creds = list(credentials)
+    pool_cursor: dict[str, int] = {}
+    for leg, share in zip(legs, fee_shares):
+        if leg.amount <= 0:
+            raise BuildError("amount must be positive")
+        payer = leg.payer_wallet
+        notes = payer.select_notes(leg.amount + share, exclude=set(consumed))
+        change = sum(n.value for n in notes) - leg.amount - share
+        leg_plans = _plan_spends(state, notes, sampler, ring_size, rng, stream)
+        if credential_pools is not None:
+            pool = credential_pools.get(payer.entity_id, [])
+            start = pool_cursor.get(payer.entity_id, 0)
+            if len(pool) - start < len(leg_plans):
+                raise BuildError("each spent note needs a credential")
+            creds.extend(pool[start:start + len(leg_plans)])
+            pool_cursor[payer.entity_id] = start + len(leg_plans)
+        plans.extend(leg_plans)
+        consumed.extend(n.output_id for n in notes)
+
+        payments = [(payer.entity_id, payer.address, change)]
+        if leg.payee_address is not None:
+            payments.insert(0, (leg.payee_id, leg.payee_address, leg.amount))
+        for recipient_id, address, value in payments:
+            out, note = _make_note(group, recipient_id, address, value,
+                                   len(souts), state.range_bits, stream)
+            souts.append(out)
+            created.append(note)
+
+    sins = tuple(
+        ShieldedInput(plan.ring_refs,
+                      commit(group, plan.note.value, plan.pseudo_blinding),
+                      _MARKER)
+        for plan in plans)
+    tx = Transaction(kind, tout=tuple(tout), sin=sins, sout=tuple(souts),
+                     fee=fee, credentials=tuple(creds), sponsor_id=sponsor_id)
+    digest = transaction_digest(group, tx)
+    signed = _sign_spends(group, state, digest, plans)
+    z = (sum(p.pseudo_blinding for p in plans)
+         - sum(n.blinding for n in created)) % group.q
+    tx = replace(tx, sin=signed, excess=sign_excess(group, z, digest))
+    return BuildResult(tx, tuple(created), tuple(consumed))
+
+
 def build_unshield(group: GroupParams, state: LedgerState, wallet: Wallet,
                    to_account: str, to_owner: str, amount: int,
                    ring_size: int, sampler, rng: random.Random,
                    stream: ScalarStream, fee: int = 0,
                    credentials: tuple = ()) -> BuildResult:
-    if amount <= 0:
-        raise BuildError("amount must be positive")
-    return _shielded_spend(
-        group, state, TxKind.UNSHIELD, wallet, amount, [],
-        [TransparentOutput(to_account, amount, to_owner)],
-        fee, ring_size, sampler, rng, stream, creds=credentials)
+    return _spend_legs(
+        group, state, TxKind.UNSHIELD,
+        [MediatedLeg(wallet, to_owner, None, amount)], ring_size, sampler,
+        rng, stream, fee,
+        tout=[TransparentOutput(to_account, amount, to_owner)],
+        credentials=credentials)
 
 
 def build_shielded_transfer(group: GroupParams, state: LedgerState,
@@ -363,20 +382,10 @@ def build_shielded_transfer(group: GroupParams, state: LedgerState,
                             recipient_address: tuple[int, int], amount: int,
                             ring_size: int, sampler, rng: random.Random,
                             stream: ScalarStream, fee: int = 0) -> BuildResult:
-    if amount <= 0:
-        raise BuildError("amount must be positive")
-    return _shielded_spend(
-        group, state, TxKind.SHIELDED_TRANSFER, wallet, amount,
-        [(recipient_id, recipient_address, amount)], [],
-        fee, ring_size, sampler, rng, stream)
-
-
-@dataclass(frozen=True)
-class MediatedLeg:
-    payer_wallet: Wallet
-    payee_id: str
-    payee_address: tuple[int, int]
-    amount: int
+    return _spend_legs(
+        group, state, TxKind.SHIELDED_TRANSFER,
+        [MediatedLeg(wallet, recipient_id, recipient_address, amount)],
+        ring_size, sampler, rng, stream, fee)
 
 
 def build_mediated_batch(group: GroupParams, state: LedgerState,
@@ -387,56 +396,10 @@ def build_mediated_batch(group: GroupParams, state: LedgerState,
     """Intermediary-posted swap: every leg's payer ring-signs its inputs,
     outputs pay the payees plus per-payer change.  When credential pools
     are given (mediated mode), one credential is attached per shielded
-    input, drawn from the spending payer's pool.  The mediation fee is
-    split across legs, remainder on the first."""
+    input, drawn from the spending payer's pool."""
     if len(legs) < 2:
         raise BuildError("a mediated batch swaps value between at least two legs")
-    fee_shares = [fee // len(legs)] * len(legs)
-    fee_shares[0] += fee - sum(fee_shares)
-
-    all_plans, souts, created, creds, consumed = [], [], [], [], []
-    earmarked: set[int] = set()
-    pool_cursor: dict[str, int] = {}
-    for leg, share in zip(legs, fee_shares):
-        if leg.amount <= 0:
-            raise BuildError("amount must be positive")
-        notes = leg.payer_wallet.select_notes(leg.amount + share,
-                                              exclude=earmarked)
-        earmarked.update(n.output_id for n in notes)
-        change = sum(n.value for n in notes) - leg.amount - share
-        plans = _plan_spends(state, notes, sampler, ring_size, rng, stream)
-        if credential_pools is not None:
-            payer = leg.payer_wallet.entity_id
-            pool = credential_pools.get(payer, [])
-            start = pool_cursor.get(payer, 0)
-            if len(pool) - start < len(plans):
-                raise BuildError("each spent note needs a credential")
-            creds.extend(pool[start:start + len(plans)])
-            pool_cursor[payer] = start + len(plans)
-        all_plans.extend(plans)
-        consumed.extend(n.output_id for n in notes)
-
-        out, note = _make_note(group, leg.payee_id, leg.payee_address,
-                               leg.amount, len(souts), state.range_bits, stream)
-        souts.append(out)
-        created.append(note)
-        change_out, change_note = _make_note(
-            group, leg.payer_wallet.entity_id, leg.payer_wallet.address,
-            change, len(souts), state.range_bits, stream)
-        souts.append(change_out)
-        created.append(change_note)
-
-    sins = tuple(
-        ShieldedInput(plan.ring_refs,
-                      commit(group, plan.note.value, plan.pseudo_blinding),
-                      _MARKER)
-        for plan in all_plans)
-    tx = Transaction(TxKind.MEDIATED_BATCH, sin=sins, sout=tuple(souts),
-                     fee=fee, credentials=tuple(creds),
-                     sponsor_id=intermediary_id)
-    digest = transaction_digest(group, tx)
-    signed = _sign_spends(group, state, digest, all_plans)
-    z = _excess_scalar(group, (p.pseudo_blinding for p in all_plans),
-                       (n.blinding for n in created))
-    tx = replace(tx, sin=signed, excess=sign_excess(group, z, digest))
-    return BuildResult(tx, tuple(created), tuple(consumed))
+    return _spend_legs(group, state, TxKind.MEDIATED_BATCH, legs, ring_size,
+                       sampler, rng, stream, fee,
+                       credential_pools=credential_pools,
+                       sponsor_id=intermediary_id)

@@ -83,6 +83,36 @@ def test_carried_digest_belongs_to_its_group(small_harness):
     assert transaction_digest(G, replace(tx)) == wide
 
 
+@pytest.mark.parametrize("paid", [10, 10 + TEST_GROUP.q], ids=["exact", "wrapped"])
+def test_cleartext_sum_cannot_wrap_the_group_order(small_harness, paid):
+    # The balance check reads the cleartext netflow mod q, so on the test
+    # profile (q = 1019) paying 10 + q out of a 10-unit note would balance.
+    from pvx.ledger import ShieldedInput, sign_excess
+    from pvx.txbuild import _make_note, _plan_spends, _sign_spends
+
+    h = small_harness
+    group, wallet = h.group, h.wallets["alice"]
+    h.land(build_shield(group, h.state, wallet, "alice.acct", 10, h.stream))
+    note = next(n for n in wallet.notes if n.value == 10)
+    plans = _plan_spends(h.state, [note], h.sampler, 3, h.rng, h.stream)
+    change, opening = _make_note(group, "alice", wallet.address, 0, 0,
+                                 h.state.range_bits, h.stream)
+    tx = Transaction(
+        TxKind.UNSHIELD, tout=(TransparentOutput("acme.acct", paid, "acme"),),
+        sin=(ShieldedInput(plans[0].ring_refs,
+                           commit(group, 10, plans[0].pseudo_blinding), None),),
+        sout=(change,))
+    digest = transaction_digest(group, tx)
+    z = (plans[0].pseudo_blinding - opening.blinding) % group.q
+    tx = replace(tx, sin=_sign_spends(group, h.state, digest, plans),
+                 excess=sign_excess(group, z, digest))
+    verdict = validate_transaction(h.state, tx)
+    if paid < group.q:
+        assert verdict.accepted, verdict
+    else:
+        assert verdict.code == "MalformedTransaction", verdict
+
+
 def test_replayed_key_image_rejected(harness):
     res = build_unshield(G, harness.state, harness.wallets["alice"],
                          "acme.acct", "acme", 90, 3, harness.sampler,

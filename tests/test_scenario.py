@@ -92,6 +92,90 @@ def test_bad_amounts_and_reasons():
         parse_scenario("{nope")
 
 
+def test_shield_spends_only_the_entitys_own_account():
+    # shielding bob's account into alice's store would move bob's funds
+    doc = minimal_doc()
+    doc["steps"].append({"op": "shield", "entity": "alice",
+                         "account": "bob.acct", "amount": 20})
+    with pytest.raises(ScenarioError, match=r"steps\[2\].account"):
+        parse_scenario(json.dumps(doc))
+    doc["steps"][2]["account"] = "alice.acct"
+    assert parse_scenario(json.dumps(doc)).steps[2]["account"] == "alice.acct"
+
+
+STEP_FIELD_CASES = {
+    "issue-without-to": (
+        {"op": "issue", "authority": "cb", "amount": 5}, r"steps\[2\].to"),
+    "negative-fee": (
+        {"op": "transfer", "from": "alice.acct", "to": "bob.acct",
+         "amount": 5, "fee": -3}, r"steps\[2\].fee"),
+    "transfer-to-undeclared-account": (
+        {"op": "transfer", "from": "alice.acct", "to": "ghost.acct",
+         "amount": 5}, r"steps\[2\].to"),
+    "shielded-transfer-to-undeclared-entity": (
+        {"op": "shielded_transfer", "from": "alice", "to": "ghost",
+         "amount": 5}, r"steps\[2\].to"),
+    "unknown-sampler": (
+        {"op": "unshield", "entity": "alice", "to": "bob.acct", "amount": 5,
+         "sampler": "newest"}, r"steps\[2\].sampler"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_FIELD_CASES))
+def test_step_fields_checked_at_parse_time(case):
+    step, path = STEP_FIELD_CASES[case]
+    doc = minimal_doc()
+    doc["steps"].append(step)
+    with pytest.raises(ScenarioError, match=path):
+        parse_scenario(json.dumps(doc))
+
+
+def test_accounts_checked_at_parse_time():
+    doc = minimal_doc(genesis=[{"account": "ghost.acct", "amount": 5}])
+    with pytest.raises(ScenarioError, match=r"genesis\[0\].account"):
+        parse_scenario(json.dumps(doc))
+    doc = minimal_doc()
+    doc["entities"][3]["accounts"][0]["id"] = "alice.acct"
+    with pytest.raises(ScenarioError, match=r"entities\[3\].accounts\[0\].id"):
+        parse_scenario(json.dumps(doc))
+
+
+def test_mediated_leg_fields_checked_at_parse_time():
+    doc = minimal_doc()
+    doc["steps"].append({"op": "mediated_exchange", "intermediary": "bank",
+                         "legs": [{"payer": "alice", "payee": "bob",
+                                   "amount": 5},
+                                  {"payer": "bob", "amount": 0}]})
+    with pytest.raises(ScenarioError, match=r"steps\[2\].legs\[1\].payee"):
+        parse_scenario(json.dumps(doc))
+    doc["steps"][2]["legs"][1]["payee"] = "alice"
+    with pytest.raises(ScenarioError, match=r"steps\[2\].legs\[1\].amount"):
+        parse_scenario(json.dumps(doc))
+
+
+def test_store_kind_check_is_the_runners():
+    # The ledger cannot see who holds a store, so only the runner, which
+    # knows both parties' kinds, stops a payment into a business's store.
+    doc = minimal_doc(mode="supported", range_bits=12)
+    doc["entities"].append({"id": "shop", "kind": "RegisteredBusiness",
+                            "stealth": True})
+    doc["steps"] = [
+        {"op": "transfer", "from": "alice.acct", "to": "bob.acct",
+         "amount": 1, "expect": {"outcome": "accept"}},
+        {"op": "shield", "entity": "alice", "account": "alice.acct",
+         "amount": 30, "expect": {"outcome": "accept"}},
+        {"op": "shielded_transfer", "from": "alice", "to": "shop",
+         "amount": 10, "ring_size": 1,
+         "expect": {"outcome": "deny",
+                    "reason": "BusinessToStoreForbidden"}}]
+    doc["genesis"] = [{"account": "alice.acct", "amount": 100}]
+    runner = _Runner(parse_scenario(json.dumps(doc)))
+    result = runner.run()
+    assert not result.mismatches, result.mismatches
+    assert result.outcomes[2].height is None
+    assert [b.height for b in runner.reference.chain] == [1, 2]
+
+
 def test_same_seed_identical_results():
     scenario = parse_scenario(json.dumps(minimal_doc()))
     a = run_scenario(scenario)
@@ -214,6 +298,15 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     broken.write_text("{")
     assert cli_main(["run", str(broken)]) == 2
     assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_run_exits_2_on_a_missing_step_field(tmp_path, capsys):
+    doc = minimal_doc()
+    del doc["steps"][0]["to"]
+    path = tmp_path / "no_to.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["run", str(path)]) == 2
+    assert r"steps[0].to" in capsys.readouterr().err
 
 
 def test_cli_report_file_and_seed(tmp_path, capsys):
