@@ -72,7 +72,9 @@ class GroupParams:
         return a * b % self.p
 
     def inv(self, a: int) -> int:
-        return pow(a, self.p - 2, self.p)
+        # 0 has no inverse; it maps to 0, as a^(p-2) did, and no
+        # subgroup check downstream accepts it
+        return pow(a, -1, self.p) if a % self.p else 0
 
     def power(self, base: int, exp: int) -> int:
         return pow(base, exp % self.q, self.p)

@@ -76,9 +76,8 @@ def _prove_bit(group: GroupParams, c: Commitment, index: int,
     c_vals[(bit + 1) % 2] = _bit_challenge(
         group, c, index, bit_c, group.power(group.g, alpha))
     decoy = (bit + 1) % 2
-    a_decoy = group.mul(
-        group.power(group.g, s_decoy),
-        group.inv(group.power(keys[decoy], c_vals[decoy])))
+    a_decoy = group.mul(group.power(group.g, s_decoy),
+                        group.power(keys[decoy], group.q - c_vals[decoy]))
     c_vals[bit] = _bit_challenge(group, c, index, bit_c, a_decoy)
     s_true = (alpha + c_vals[bit] * blinding) % group.q
 
@@ -93,10 +92,10 @@ def _verify_bit(group: GroupParams, c: Commitment, index: int,
     k0 = proof.bit_commitment
     k1 = group.mul(proof.bit_commitment, _h_inverse(group))
     a0 = group.mul(group.power(group.g, proof.s0),
-                   group.inv(group.power(k0, proof.c0)))
+                   group.power(k0, group.q - proof.c0))
     c1 = _bit_challenge(group, c, index, proof.bit_commitment, a0)
     a1 = group.mul(group.power(group.g, proof.s1),
-                   group.inv(group.power(k1, c1)))
+                   group.power(k1, group.q - c1))
     return _bit_challenge(group, c, index, proof.bit_commitment, a1) == proof.c0
 
 

@@ -86,6 +86,16 @@ def test_element_from_bytes_rejects_non_members():
     assert g.is_element(1)
 
 
+def test_inverse_matches_fermat():
+    # 0 and multiples of p have no inverse and map to 0, as a^(p-2) does
+    g = TEST_GROUP
+    for a in range(-g.p, 2 * g.p + 1):
+        assert g.inv(a) == pow(a, g.p - 2, g.p), a
+    s = STANDARD_GROUP
+    for a in (0, 1, s.g, s.h, s.p - 1, s.p, s.p + 5):
+        assert s.inv(a) == pow(a, s.p - 2, s.p), a
+
+
 def test_hash_to_group_lands_in_subgroup():
     for g in (TEST_GROUP, STANDARD_GROUP):
         for i in range(20):
