@@ -247,6 +247,7 @@ class PBFTNode:
         self.equivocated: set[int] = set()
         self.committed_at: dict[str, int] = {}  # txid -> height
         self._valid_at: dict[str, int] = {}  # txid -> height when validated
+        self._proven: set[Transaction] = set()  # proofs passed, not yet final
 
     # -- helpers -------------------------------------------------------------
 
@@ -281,7 +282,8 @@ class PBFTNode:
             return False
         state = self.ledger
         for tx in block.txs:
-            verdict = validate_transaction(state, tx, self.policy_hook)
+            verdict = validate_transaction(state, tx, self.policy_hook,
+                                           self._proven)
             if not verdict.accepted:
                 return False
             state = apply_transaction(state, tx)
@@ -311,9 +313,11 @@ class PBFTNode:
         if txid in self.committed_at:
             return actions  # already final
         if txid not in self.mempool:
-            verdict = validate_transaction(self.ledger, tx, self.policy_hook)
+            verdict = validate_transaction(self.ledger, tx, self.policy_hook,
+                                           self._proven)
             if not verdict.accepted:
                 self.rejections.append((txid, verdict.code, verdict.detail))
+                self._proven.discard(tx)
                 return actions
             self.mempool[txid] = tx
             self._valid_at[txid] = self.executed
@@ -339,13 +343,15 @@ class PBFTNode:
                 chosen.append(tx)
                 state = apply_transaction(state, tx)
                 continue
-            verdict = validate_transaction(state, tx, self.policy_hook)
+            verdict = validate_transaction(state, tx, self.policy_hook,
+                                           self._proven)
             if verdict.accepted:
                 chosen.append(tx)
                 state = apply_transaction(state, tx)
             else:
                 stale.append(txid)
                 self.rejections.append((txid, verdict.code, verdict.detail))
+                self._proven.discard(tx)
         for txid in stale:
             del self.mempool[txid]
         return tuple(chosen)
@@ -509,6 +515,7 @@ class PBFTNode:
                 txid = transaction_digest(self.ledger.group, tx).hex()
                 self.committed_at.setdefault(txid, block.height)
                 self.mempool.pop(txid, None)
+                self._proven.discard(tx)
             self.timeout = self.cfg.base_timeout  # progress resets backoff
             self.progress_token = None
             self._maybe_propose(actions)

@@ -349,7 +349,7 @@ def _shape_error(tx: Transaction) -> str | None:
     return None
 
 
-def excess_point(group: GroupParams, state: LedgerState, tx: Transaction) -> int:
+def excess_point(group: GroupParams, tx: Transaction) -> int:
     """The balance remainder that must equal G^z."""
     acc = product(group, (si.pseudo_commitment for si in tx.sin))
     out = product(group, (so.commitment for so in tx.sout))
@@ -374,9 +374,18 @@ def ring_rows(state: LedgerState, ring_refs: tuple[int, ...],
 
 
 def validate_transaction(state: LedgerState, tx: Transaction,
-                         policy_hook: PolicyHook | None = None) -> Verdict:
-    """Full acceptance check; each failing clause maps to a distinct code."""
+                         policy_hook: PolicyHook | None = None,
+                         proven: set[Transaction] | None = None) -> Verdict:
+    """Full acceptance check; each failing clause maps to a distinct code.
+
+    `proven` holds transactions whose range proofs and excess signature
+    already passed (clauses (c) and (d)); they read no ledger state, so a
+    transaction in it skips them, and one that passes them is added.  The
+    key is the whole transaction: the digest covers neither its ring
+    signatures nor its excess signature.  Every other clause always runs.
+    """
     group = state.group
+    checked = proven is not None and tx in proven
 
     shape = _shape_error(tx)
     if shape:
@@ -437,14 +446,17 @@ def validate_transaction(state: LedgerState, tx: Transaction,
     for so in tx.sout:
         if so.range_proof.k != state.range_bits:
             return Verdict.reject("RangeProof", "wrong proof width")
-        if not verify_range(group, so.commitment, so.range_proof):
+        if not checked and not verify_range(group, so.commitment,
+                                            so.range_proof):
             return Verdict.reject("RangeProof")
 
     # (d) commitment balance with excess signature
-    if tx.kind is not TxKind.ISSUE:
-        point = excess_point(group, state, tx)
+    if tx.kind is not TxKind.ISSUE and not checked:
+        point = excess_point(group, tx)
         if not verify_excess(group, point, digest, tx.excess):
             return Verdict.reject("BalanceProof")
+    if proven is not None and not checked:
+        proven.add(tx)
 
     # (e) policy
     if policy_hook is not None:

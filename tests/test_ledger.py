@@ -249,6 +249,63 @@ def test_apply_then_revalidate_is_double_spend(harness):
     assert validate_transaction(harness.state, res.tx).code == "DoubleSpend"
 
 
+def test_proven_set_is_keyed_by_the_whole_transaction(harness):
+    """Copies that share a checked transaction's digest but carry another
+    excess signature or key image are caught; only the state-independent
+    proofs are skipped, so spent inputs still read as double spends."""
+    state = harness.state
+    res = build_shielded_transfer(
+        G, state, harness.wallets["alice"], "bob",
+        harness.wallets["bob"].address, 60, 3, harness.sampler, harness.rng,
+        harness.stream)
+    tx = res.tx
+    proven = set()
+    assert validate_transaction(state, tx, proven=proven).accepted
+    assert len(proven) == 1
+
+    excess = replace(tx.excess, response=(tx.excess.response + 1) % G.q)
+    forged = replace(tx, excess=excess)
+    assert transaction_digest(G, forged) == transaction_digest(G, tx)
+    assert validate_transaction(state, forged, proven=proven).code == \
+        "BalanceProof"
+
+    sin = tx.sin[0]
+    other_image = G.hash_to_group("pvx/test-image", b"other")
+    assert G.is_element(other_image) and other_image != sin.signature.key_image
+    swapped = replace(tx, sin=(replace(sin, signature=replace(
+        sin.signature, key_image=other_image)),) + tx.sin[1:])
+    assert transaction_digest(G, swapped) == transaction_digest(G, tx)
+    assert validate_transaction(state, swapped, proven=proven).code == \
+        "RingSignature"
+
+    assert validate_transaction(state, tx, proven=proven).accepted
+    spent = apply_transaction(state, tx)
+    assert validate_transaction(spent, tx).code == "DoubleSpend"
+    assert validate_transaction(spent, tx, proven=proven).code == "DoubleSpend"
+
+
+def test_proven_set_still_checks_ring_rows_against_the_state(harness):
+    """A ring member id can name different outputs in two folded states,
+    so a proven transaction's ring signature is verified every time."""
+    wallet = harness.wallets["alice"]
+    before = harness.state
+    other = build_shield(G, before, wallet, "alice.acct", 50, harness.stream)
+    harness.land(build_shield(G, before, wallet, "alice.acct", 40,
+                              harness.stream))
+    fork = apply_block(before, [other.tx], before.height + 1)
+    assert fork.outputs.keys() == harness.state.outputs.keys()
+    # a ring of every output holds the one the two forks disagree on
+    res = build_shielded_transfer(
+        G, harness.state, wallet, "bob", harness.wallets["bob"].address, 60,
+        len(harness.state.outputs), harness.sampler, harness.rng,
+        harness.stream)
+    proven = set()
+    assert validate_transaction(harness.state, res.tx, proven=proven).accepted
+    assert validate_transaction(fork, res.tx).code == "RingSignature"
+    assert validate_transaction(fork, res.tx, proven=proven).code == \
+        "RingSignature"
+
+
 def test_fold_equivalence_over_random_txs(harness):
     """Applying one-by-one equals applying the block atomically."""
     rng = random.Random(11)

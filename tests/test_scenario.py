@@ -230,6 +230,30 @@ def test_each_transaction_is_encoded_at_most_twice(monkeypatch):
     assert encodings <= 2 * built, encodings / built
 
 
+def test_each_replica_checks_range_proofs_once(monkeypatch):
+    """A replica admits, proposes or fold-validates a transaction several
+    times, but verifies its range proofs only the first time."""
+    calls = 0
+    verify = ledger.verify_range
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return verify(*args)
+
+    monkeypatch.setattr(ledger, "verify_range", counting)
+    scenario = random_scenario(2, steps=30)
+    scenario = replace(scenario, consensus=replace(
+        scenario.consensus, n=4, f=1, drop=0.1))
+    runner = _Runner(scenario)
+    result = runner.run()
+    assert all(o.outcome == "accept" for o in result.outcomes)
+    outputs = sum(len(tx.sout) for block in runner.reference.chain
+                  for tx in block.txs)
+    assert outputs > 0
+    assert calls <= 4 * outputs, calls / outputs
+
+
 def test_text_report_renders_desiderata_rows():
     result = run_scenario(load_scenario(
         os.path.join(SCENARIO_DIR, "desiderata_supported.json")))
