@@ -53,6 +53,7 @@ from .ledger import (
     transaction_digest,
 )
 from .observer import (
+    HEURISTICS,
     ScenarioProbes,
     desiderata_report,
     institution_shares,
@@ -63,6 +64,7 @@ from .observer import (
 from .policy import (
     CredentialPresentation,
     Decision,
+    DenyReason,
     EntityKind,
     IntentDescriptor,
     LegClass,
@@ -313,9 +315,15 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
                 or owners.get(sdoc["account"]) != sdoc["entity"]):
             raise ScenarioError(f"{path}.account",
                                 f"not an account of {sdoc['entity']!r}")
-        for key, minimum in (("fee", 0), ("ring_size", 1), ("count", 0)):
+        for key, minimum in (("fee", 0), ("ring_size", 1), ("count", 0),
+                             ("trials", 1)):
             if key in sdoc:
                 _as_int(sdoc[key], f"{path}.{key}", minimum)
+        heuristics = sdoc.get("heuristics", [])
+        if not isinstance(heuristics, list) or not all(
+                isinstance(h, str) and h in HEURISTICS for h in heuristics):
+            raise ScenarioError(f"{path}.heuristics",
+                                f"unknown heuristic in {heuristics!r}")
         if sdoc.get("sampler", "uniform") not in tuple(SAMPLERS):
             raise ScenarioError(f"{path}.sampler",
                                 f"unknown sampler {sdoc['sampler']!r}")
@@ -586,6 +594,9 @@ class _Runner:
                 parties: tuple[str, str] | None = None) -> Decision:
         """The replicas' policy hook, and the runner's check before it
         builds: the first denial among `tx`'s descriptors, else allow."""
+        if tx.kind is TxKind.ISSUE \
+                and tx.sponsor_id not in self.registry.entities:
+            return Decision.deny(DenyReason.ISSUER_NOT_AUTHORIZED)
         try:
             for desc in self._descriptors_for(tx, parties):
                 decision = authorize(desc, self.ruleset)

@@ -7,6 +7,7 @@ import pytest
 
 from pvx import ledger
 from pvx.cli import main as cli_main
+from pvx.policy import DenyReason
 from pvx.scenario import (
     ScenarioError,
     _Runner,
@@ -16,6 +17,7 @@ from pvx.scenario import (
     random_scenario,
     run_scenario,
 )
+from pvx.txbuild import build_issue
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "pvx",
                             "scenarios")
@@ -118,6 +120,11 @@ STEP_FIELD_CASES = {
     "unknown-sampler": (
         {"op": "unshield", "entity": "alice", "to": "bob.acct", "amount": 5,
          "sampler": "newest"}, r"steps\[2\].sampler"),
+    "unknown-heuristic": (
+        {"op": "attack_probe", "heuristics": ["bogus"]},
+        r"steps\[2\].heuristics"),
+    "negative-trials": (
+        {"op": "attack_probe", "trials": -5}, r"steps\[2\].trials"),
 }
 
 
@@ -174,6 +181,16 @@ def test_store_kind_check_is_the_runners():
     assert not result.mismatches, result.mismatches
     assert result.outcomes[2].height is None
     assert [b.height for b in runner.reference.chain] == [1, 2]
+
+
+def test_unregistered_issuer_is_a_coded_denial():
+    # the replicas' policy hook answers any client, not only the runner
+    runner = _Runner(parse_scenario(json.dumps(minimal_doc())))
+    tx = build_issue(runner.group, "ghost", "alice.acct", "alice", 5).tx
+    assert runner._decide(tx).reason is DenyReason.ISSUER_NOT_AUTHORIZED
+    verdict = ledger.validate_transaction(runner.reference.ledger, tx,
+                                          runner._decide)
+    assert verdict.code == "IssuerNotAuthorized"
 
 
 def test_same_seed_identical_results():
@@ -331,6 +348,15 @@ def test_cli_run_exits_2_on_a_missing_step_field(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli_main(["run", str(path)]) == 2
     assert r"steps[0].to" in capsys.readouterr().err
+
+
+def test_cli_run_exits_2_on_an_unknown_heuristic(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["steps"].append({"op": "attack_probe", "heuristics": ["bogus"]})
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["run", str(path)]) == 2
+    assert r"steps[2].heuristics" in capsys.readouterr().err
 
 
 def test_cli_report_file_and_seed(tmp_path, capsys):
