@@ -385,7 +385,6 @@ def validate_transaction(state: LedgerState, tx: Transaction,
     signatures nor its excess signature.  Every other clause always runs.
     """
     group = state.group
-    checked = proven is not None and tx in proven
 
     shape = _shape_error(tx)
     if shape:
@@ -443,6 +442,7 @@ def validate_transaction(state: LedgerState, tx: Transaction,
         seen_onetime.add(so.onetime_address)
 
     # (c) range proofs at the ledger's fixed bit width
+    checked = proven is not None and tx in proven
     for so in tx.sout:
         if so.range_proof.k != state.range_bits:
             return Verdict.reject("RangeProof", "wrong proof width")

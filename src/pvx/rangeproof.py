@@ -10,7 +10,9 @@ The OR proof is a two-slot ring over the statements
     K_0 = C_i         (= G^{r_i} when b_i = 0)
     K_1 = C_i * H^-1  (= G^{r_i} when b_i = 1)
 with a Fiat-Shamir challenge chain bound to the value commitment, the bit
-index and the bit commitment under the "pvx/range" tag.
+index and the bit commitment under the "pvx/range" tag.  Each branch's
+commitment is G^s * K^(q-c): K lies in the order-q subgroup, so K^(q-c) is
+K^-c without an inversion.
 
 All nonces are derived deterministically from the witness, so proving is a
 pure function of its inputs.
