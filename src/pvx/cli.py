@@ -49,15 +49,15 @@ def _cmd_run(args) -> int:
 def _cmd_matrix(args) -> int:
     mode = Mode.SUPPORTED if args.mode == "supported" else Mode.MEDIATED
     credential = None
-    issuer_key = None
+    trusted = ()
     if args.credentialed:
         keypair = issuer_keygen(b"pvx-matrix-demo-issuer")
         request = credential_request(keypair.public, serial=1,
                                      unblinder=0xC0FFEE)
         credential = credential_finalize(
             keypair.public, request, credential_issue(keypair, request.blinded))
-        issuer_key = keypair.public
-    ruleset = RuleSet(mode, credential_issuer=issuer_key)
+        trusted = (keypair.public,)
+    ruleset = RuleSet(mode, credential_issuers=trusted)
     cells = authorize_matrix(ruleset, credential)
     print(f"policy matrix, mode={mode.value}"
           + (", with valid credential" if credential else ""))

@@ -38,6 +38,10 @@ from .simnet import ClientSubmit, Deliver, FaultScript, SimNetwork, TimerFire
 TAG_MAC = "pvx/mac"
 TAG_BLOCK = "pvx/block"
 
+BACKOFF = 2                # view-change timeout multiplier
+MAX_TIMEOUT = 960_000      # backoff ceiling keeps churn bounded (us)
+RETRANSMIT_EVERY = 25_000  # us
+
 
 class SafetyViolation(RuntimeError):
     """Honest nodes committed conflicting blocks; must never happen with at
@@ -176,9 +180,6 @@ class NodeConfig:
     replicas: tuple[str, ...]
     f: int
     base_timeout: int = 60_000      # microseconds
-    backoff: float = 2.0
-    max_timeout: int = 960_000      # backoff ceiling keeps churn bounded
-    retransmit_every: int = 25_000
 
     def __post_init__(self):
         if len(self.replicas) < 3 * self.f + 1:
@@ -202,11 +203,9 @@ class Slot:
     digest: str | None = None
     block: Block | None = None
     prepares: dict[str, str] = field(default_factory=dict)
-    commits: dict[str, str] = field(default_factory=dict)
     commit_msgs: dict[str, Commit] = field(default_factory=dict)
     sent_prepare: bool = False
-    sent_commit: bool = False
-    prepared: bool = False
+    prepared: bool = False  # and this node's Commit sent
     committed: bool = False
 
 
@@ -243,7 +242,7 @@ class PBFTNode:
         self.retransmit_armed = False
         self.executed_at_arm = 0
         self.stats = NodeStats()
-        self.rejections: list[tuple[str, str, str]] = []  # (txid, code, detail)
+        self.rejections: dict[str, str] = {}  # txid -> latest ledger code
         self.equivocated: set[int] = set()
         self.committed_at: dict[str, int] = {}  # txid -> height
         self._valid_at: dict[str, int] = {}  # txid -> height when validated
@@ -298,7 +297,7 @@ class PBFTNode:
                             self.timeout))
         if not self.retransmit_armed and self._work_pending():
             self.retransmit_armed = True
-            actions.append(("timer", "retransmit", self.cfg.retransmit_every))
+            actions.append(("timer", "retransmit", RETRANSMIT_EVERY))
 
     def _work_pending(self) -> bool:
         return bool(self.mempool) or any(
@@ -316,7 +315,7 @@ class PBFTNode:
             verdict = validate_transaction(self.ledger, tx, self.policy_hook,
                                            self._proven)
             if not verdict.accepted:
-                self.rejections.append((txid, verdict.code, verdict.detail))
+                self.rejections[txid] = verdict.code
                 self._proven.discard(tx)
                 return actions
             self.mempool[txid] = tx
@@ -350,7 +349,7 @@ class PBFTNode:
                 state = apply_transaction(state, tx)
             else:
                 stale.append(txid)
-                self.rejections.append((txid, verdict.code, verdict.detail))
+                self.rejections[txid] = verdict.code
                 self._proven.discard(tx)
         for txid in stale:
             del self.mempool[txid]
@@ -478,12 +477,9 @@ class PBFTNode:
                            if d == slot.digest and s != leader)
         if matching >= 2 * self.cfg.f:
             slot.prepared = True
-            if not slot.sent_commit:
-                slot.sent_commit = True
-                slot.commits[self.node_id] = slot.digest
-                own = Commit(self.view, slot.seq, slot.digest, self.node_id)
-                slot.commit_msgs[self.node_id] = own
-                actions.append(("broadcast", own))
+            own = Commit(self.view, slot.seq, slot.digest, self.node_id)
+            slot.commit_msgs[self.node_id] = own
+            actions.append(("broadcast", own))
             self._check_committed(slot, actions)
 
     def _on_commit(self, msg: Commit, actions: list) -> None:
@@ -492,14 +488,14 @@ class PBFTNode:
         slot = self._slot(msg.seq) if msg.view == self.view else self.slots.get(msg.seq)
         if slot is None:
             return
-        slot.commits[msg.sender] = msg.digest
         slot.commit_msgs[msg.sender] = msg
         self._check_committed(slot, actions)
 
     def _check_committed(self, slot: Slot, actions: list) -> None:
         if slot.committed or slot.block is None or slot.digest is None:
             return
-        matching = sum(1 for d in slot.commits.values() if d == slot.digest)
+        matching = sum(1 for m in slot.commit_msgs.values()
+                       if m.digest == slot.digest)
         if matching >= 2 * self.cfg.f + 1:
             slot.committed = True
             self.buffered_commits[slot.seq] = slot.block
@@ -575,8 +571,7 @@ class PBFTNode:
         self.view_votes.setdefault(target, {})[self.node_id] = vc
         actions.append(("broadcast", vc))
         self.stats.view_changes += 1
-        self.timeout = min(int(self.timeout * self.cfg.backoff),
-                           self.cfg.max_timeout)
+        self.timeout = min(self.timeout * BACKOFF, MAX_TIMEOUT)
         self.progress_token = None
         self._arm_progress(actions)
         self._maybe_lead_new_view(target, actions)
@@ -667,7 +662,7 @@ class PBFTNode:
             self._retransmit(actions)
             if self._work_pending():
                 self.retransmit_armed = True
-                actions.append(("timer", "retransmit", self.cfg.retransmit_every))
+                actions.append(("timer", "retransmit", RETRANSMIT_EVERY))
         return actions
 
     def _retransmit(self, actions: list) -> None:
@@ -682,7 +677,7 @@ class PBFTNode:
             if slot.sent_prepare:
                 actions.append(("broadcast", Prepare(
                     self.view, seq, slot.digest, self.node_id)))
-            if slot.sent_commit:
+            if slot.prepared:
                 actions.append(("broadcast", Commit(
                     self.view, seq, slot.digest, self.node_id)))
         if self.vc_target > self.view:
@@ -709,12 +704,11 @@ class World:
                  policy_hook=None, seed: int = 0,
                  delay: tuple[int, int] = (1_000, 5_000), drop: float = 0.0,
                  fault_scripts: dict[str, list[str]] | None = None,
-                 base_timeout: int = 60_000,
-                 partitions=()):
+                 base_timeout: int = 60_000):
         from .simnet import merge_faults
 
         self.group = group
-        self.net = SimNetwork(node_ids, seed, delay, drop, partitions)
+        self.net = SimNetwork(node_ids, seed, delay, drop)
         self.secret = tagged_hash(TAG_MAC + "/secret", seed.to_bytes(8, "big"))
         replicas = tuple(sorted(node_ids))
         self.nodes: dict[str, PBFTNode] = {}
@@ -792,14 +786,11 @@ class World:
                 return
             self._dispatch_actions(node, node.on_client_tx(event.tx))
 
-    def step(self, max_events: int | None = None,
-             until_time: int | None = None) -> int:
+    def step(self, max_events: int | None = None) -> int:
         """Process events in (time, tiebreak) order; returns events handled."""
         handled = 0
         while self.net.pending():
             if max_events is not None and handled >= max_events:
-                break
-            if until_time is not None and self.net._queue[0][0] > until_time:
                 break
             event = self.net.pop()
             self._process(event)

@@ -1,17 +1,18 @@
-"""Registry binding entities, institutional accounts, published stealth
-addresses, credential issuer keys, and intermediary fees -- the world-model
-shared by policy, ledger, and observer.
+"""Registry binding entities, institutional accounts and intermediary fees
+-- the world-model shared by policy, ledger, and observer.
 
-The registry is scenario-static except for blacklist flags and credential
-issuance.  Every account has exactly one owner; individuals may appear
-with zero accounts (pure private-store actors).
+The registry owns who exists (id and kind), who holds which account, and
+what each intermediary charges.  The regulator's rules (blacklist, trusted
+credential issuers, identification threshold) live in `policy.RuleSet`,
+and spent key images and credential serials in the ledger state.  Every
+account has exactly one owner; individuals may appear with zero accounts
+(pure private-store actors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .blindsig import IssuerPublicKey
 from .policy import EntityKind
 
 
@@ -19,8 +20,6 @@ from .policy import EntityKind
 class Entity:
     entity_id: str
     kind: EntityKind
-    blacklisted: bool = False
-    publishes_stealth: bool = False
 
 
 @dataclass(frozen=True)
@@ -31,19 +30,9 @@ class Account:
 
 
 @dataclass(frozen=True)
-class RecipientCoordinates:
-    """Where to send a payment: an account id or a stealth address."""
-    kind: str  # "account" | "stealth"
-    account_id: str | None = None
-    stealth_address: tuple[int, int] | None = None
-
-
-@dataclass(frozen=True)
 class Registry:
     entities: dict[str, Entity] = field(default_factory=dict)
     accounts: dict[str, Account] = field(default_factory=dict)
-    stealth_addresses: dict[str, tuple[int, int]] = field(default_factory=dict)
-    issuer_keys: dict[str, IssuerPublicKey] = field(default_factory=dict)
     fee_schedule: dict[str, int] = field(default_factory=dict)
 
     # -- registration (copy-on-write) --------------------------------------
@@ -71,29 +60,6 @@ class Registry:
         accounts[account.account_id] = account
         return replace(self, accounts=accounts)
 
-    def publish_stealth_address(self, entity_id: str,
-                                address: tuple[int, int]) -> "Registry":
-        if entity_id not in self.entities:
-            raise ValueError(f"unknown entity {entity_id!r}")
-        published = dict(self.stealth_addresses)
-        published[entity_id] = address
-        return replace(self, stealth_addresses=published)
-
-    def register_issuer(self, entity_id: str, key: IssuerPublicKey) -> "Registry":
-        if entity_id not in self.entities:
-            raise ValueError(f"unknown entity {entity_id!r}")
-        keys = dict(self.issuer_keys)
-        keys[entity_id] = key
-        return replace(self, issuer_keys=keys)
-
-    def set_blacklist(self, entity_id: str, flagged: bool) -> "Registry":
-        entity = self.entities.get(entity_id)
-        if entity is None:
-            raise ValueError(f"unknown entity {entity_id!r}")
-        entities = dict(self.entities)
-        entities[entity_id] = replace(entity, blacklisted=flagged)
-        return replace(self, entities=entities)
-
     # -- lookups ------------------------------------------------------------
 
     def entity(self, entity_id: str) -> Entity:
@@ -113,19 +79,6 @@ class Registry:
     def accounts_of(self, entity_id: str) -> list[str]:
         return sorted(a.account_id for a in self.accounts.values()
                       if a.owner_id == entity_id)
-
-    def lookup_recipient(self, entity_id: str) -> RecipientCoordinates:
-        """Payment coordinates: published stealth address if any, else the
-        entity's first account."""
-        if entity_id not in self.entities:
-            raise LookupError(f"unknown entity {entity_id!r}")
-        address = self.stealth_addresses.get(entity_id)
-        if address is not None:
-            return RecipientCoordinates("stealth", stealth_address=address)
-        accounts = self.accounts_of(entity_id)
-        if accounts:
-            return RecipientCoordinates("account", account_id=accounts[0])
-        raise LookupError(f"{entity_id!r} has no payment coordinates")
 
     def mediation_fee(self, intermediary_id: str, default: int) -> int:
         return self.fee_schedule.get(intermediary_id, default)

@@ -294,7 +294,7 @@ class Verdict:
         return cls(False, code, detail)
 
 
-def _shape_error(tx: Transaction) -> str | None:
+def _shape_error(group: GroupParams, tx: Transaction) -> str | None:
     k = tx.kind
     if tx.fee < 0 or tx.fee > MAX_AMOUNT:
         return "fee out of range"
@@ -304,6 +304,23 @@ def _shape_error(tx: Transaction) -> str | None:
     for to in tx.tout:
         if not 0 <= to.amount <= MAX_AMOUNT:
             return "output amount out of range"
+    # every field the digest encodes must fit its fixed width
+    p = group.p
+    for si in tx.sin:
+        if not all(0 <= ref < 2 ** 64 for ref in si.ring_refs):
+            return "ring reference out of range"
+        if not 0 <= si.pseudo_commitment.value < p:
+            return "pseudo-commitment out of range"
+    for so in tx.sout:
+        if not (0 <= so.onetime_address < p and 0 <= so.ephemeral_public < p
+                and 0 <= so.commitment.value < p):
+            return "output element out of range"
+        if so.range_proof.k >= 2 ** 16 or not all(
+                0 <= bp.bit_commitment < p for bp in so.range_proof.bits):
+            return "range proof out of range"
+    for cred in tx.credentials:
+        if not 0 <= cred.serial < 2 ** 256 or cred.signature < 0:
+            return "credential out of range"
     if k is TxKind.ISSUE:
         if tx.tin or tx.sin or tx.sout:
             return "issuance carries only transparent outputs"
@@ -386,7 +403,7 @@ def validate_transaction(state: LedgerState, tx: Transaction,
     """
     group = state.group
 
-    shape = _shape_error(tx)
+    shape = _shape_error(group, tx)
     if shape:
         return Verdict.reject("MalformedTransaction", shape)
     # the balance check reads the cleartext netflow mod q, so a sum that

@@ -1,5 +1,5 @@
-"""Observability semantics, regulator reporting, cooperative disclosure,
-adversarial linkability attacks, and the desiderata matrix.
+"""Observability semantics, regulator reporting, adversarial linkability
+attacks, and the desiderata matrix.
 
 Observer classes project committed transactions onto what that class may
 legitimately see: transparent legs are cleartext for everyone, shielded
@@ -10,17 +10,15 @@ amount.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import zlib
 from dataclasses import dataclass, field
 
 from .group import GroupParams
-from .ledger import LedgerState, Transaction, TxKind, transaction_digest
-from .pedersen import commit
+from .ledger import Transaction, TxKind, transaction_digest
 from .policy import EntityKind, Mode
-from .ringsig import key_image_for, ring_sign
+from .ringsig import ring_sign
 from .entityreg import Registry
 
 
@@ -52,11 +50,6 @@ class VisibleRecord:
     height: int
     kind: str
     fields: dict
-
-    def to_json(self) -> str:
-        return json.dumps({"tx_id": self.tx_id, "height": self.height,
-                           "kind": self.kind, "fields": self.fields},
-                          sort_keys=True)
 
 
 def _transparent_fields(tx: Transaction) -> dict:
@@ -191,80 +184,6 @@ def tax_report(group: GroupParams, chain, registry: Registry, entity_id: str,
                                          to.account_id, to.amount))
     return TaxReport(entity_id, lo, hi, tuple(items),
                      sum(i.amount for i in items))
-
-
-# ---------------------------------------------------------------------------
-# cooperative disclosure
-
-
-@dataclass(frozen=True)
-class DisclosedOutput:
-    index: int
-    value: int
-    blinding: int
-
-
-@dataclass(frozen=True)
-class DisclosedInput:
-    index: int
-    onetime_address: int
-    value: int
-    blinding: int
-    onetime_secret: int
-
-
-@dataclass(frozen=True)
-class DisclosureReport:
-    tx_id: str
-    consistent: bool
-    mismatches: tuple[str, ...]
-    opened_outputs: tuple[DisclosedOutput, ...]
-    opened_inputs: tuple[DisclosedInput, ...]
-
-
-def cooperative_disclosure(group: GroupParams, state: LedgerState,
-                           tx: Transaction,
-                           outputs: list[DisclosedOutput],
-                           inputs: list[DisclosedInput] = ()) -> DisclosureReport:
-    """Check a participant's voluntary opening against the ledger.
-
-    The participant reveals amounts, blindings and its own one-time keys;
-    nothing here identifies the counterparty beyond what the participant
-    already knew.
-    """
-    mismatches = []
-    for d in outputs:
-        if not 0 <= d.index < len(tx.sout):
-            mismatches.append(f"output {d.index}: no such output")
-            continue
-        so = tx.sout[d.index]
-        if commit(group, d.value % group.q, d.blinding % group.q) != so.commitment:
-            mismatches.append(f"output {d.index}: commitment mismatch")
-    for d in inputs:
-        if not 0 <= d.index < len(tx.sin):
-            mismatches.append(f"input {d.index}: no such input")
-            continue
-        si = tx.sin[d.index]
-        ring_addresses = {state.outputs[ref].onetime_address
-                          for ref in si.ring_refs if ref in state.outputs}
-        if d.onetime_address not in ring_addresses:
-            mismatches.append(f"input {d.index}: address not in ring")
-            continue
-        if group.power(group.g, d.onetime_secret) != d.onetime_address:
-            mismatches.append(f"input {d.index}: one-time key mismatch")
-            continue
-        if key_image_for(group, d.onetime_secret, d.onetime_address) \
-                != si.signature.key_image:
-            mismatches.append(f"input {d.index}: key image mismatch")
-            continue
-        ref = next(r for r in si.ring_refs
-                   if state.outputs[r].onetime_address == d.onetime_address)
-        if commit(group, d.value % group.q, d.blinding % group.q) \
-                != state.outputs[ref].commitment:
-            mismatches.append(f"input {d.index}: commitment mismatch")
-    return DisclosureReport(
-        transaction_digest(group, tx).hex(), not mismatches,
-        tuple(mismatches), tuple(outputs), tuple(inputs))
 
 
 # ---------------------------------------------------------------------------

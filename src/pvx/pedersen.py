@@ -30,18 +30,8 @@ def commit(group: GroupParams, v: int, r: int) -> Commitment:
     return Commitment(group.power(group.g, r) * group.power(group.h, v) % group.p)
 
 
-def add_commitments(group: GroupParams, a: Commitment, b: Commitment) -> Commitment:
-    return Commitment(group.mul(a.value, b.value))
-
-
 def negate_commitment(group: GroupParams, a: Commitment) -> Commitment:
     return Commitment(group.inv(a.value))
-
-
-def verify_opening(group: GroupParams, c: Commitment, v: int, r: int) -> bool:
-    if not (0 <= v < group.q and 0 <= r < group.q):
-        return False
-    return commit(group, v, r) == c
 
 
 def product(group: GroupParams, commitments) -> Commitment:

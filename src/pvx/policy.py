@@ -5,7 +5,9 @@ identification threshold, and credential requirements.
 Deny reasons form a closed enum so every verdict is machine-checkable:
 MediationRequired, BusinessToStoreForbidden, Blacklisted,
 CredentialRequired, CredentialReused, ThresholdIdentificationRequired,
-IssuerNotAuthorized.
+IssuerNotAuthorized.  `authorize` is pure and never returns
+CredentialReused: a spent serial is the ledger's to refuse, under the same
+name.
 """
 
 from __future__ import annotations
@@ -60,17 +62,6 @@ class Decision:
         return cls(False, reason)
 
 
-@dataclass(frozen=True)
-class CredentialPresentation:
-    """A credential as seen at authorization time.
-
-    `already_spent` is supplied by whoever holds the serial-consumption
-    state (the ledger validator); authorize itself stays pure.
-    """
-    credential: Credential | None
-    already_spent: bool = False
-
-
 # Expected (source class, destination class) per transaction kind.
 KIND_SHAPES = {
     TxKind.TRANSPARENT_TRANSFER: (LegClass.ACCOUNT, LegClass.ACCOUNT),
@@ -80,11 +71,6 @@ KIND_SHAPES = {
     TxKind.MEDIATED_BATCH: (LegClass.STORE, LegClass.STORE),
     TxKind.ISSUE: (LegClass.ACCOUNT, LegClass.ACCOUNT),
 }
-
-# Kinds whose amounts ride in cleartext on a transparent leg.
-VISIBLE_AMOUNT_KINDS = frozenset({
-    TxKind.TRANSPARENT_TRANSFER, TxKind.SHIELD, TxKind.UNSHIELD, TxKind.ISSUE,
-})
 
 
 @dataclass(frozen=True)
@@ -98,20 +84,18 @@ class IntentDescriptor:
     dest_entity_id: str | None = None
     dest_account_id: str | None = None
     amount: int | None = None
-    credentials: tuple[CredentialPresentation, ...] = ()
+    credentials: tuple[Credential, ...] = ()
     intermediary_kind: EntityKind | None = None
-
-    @property
-    def amount_visible(self) -> bool:
-        return self.tx_kind in VISIBLE_AMOUNT_KINDS
 
 
 @dataclass(frozen=True)
 class RuleSet:
+    """The regulator's rules.  Whether a credential's serial is already
+    spent is ledger state (validation clause (f)), not a rule."""
     mode: Mode
     blacklist: frozenset[str] = frozenset()
     identification_threshold: int | None = None
-    credential_issuer: IssuerPublicKey | None = None
+    credential_issuers: tuple[IssuerPublicKey, ...] = ()
     mediation_fee: int = 0
 
 
@@ -119,10 +103,10 @@ class MalformedIntent(ValueError):
     """Descriptor incomplete or internally inconsistent."""
 
 
-def _credential_ok(ruleset: RuleSet, pres: CredentialPresentation) -> bool:
-    return (pres.credential is not None
-            and ruleset.credential_issuer is not None
-            and credential_verify(ruleset.credential_issuer, pres.credential))
+def _credential_ok(ruleset: RuleSet, credential: Credential) -> bool:
+    """Signed by any trusted issuer."""
+    return any(credential_verify(key, credential)
+               for key in ruleset.credential_issuers)
 
 
 def authorize(descriptor: IntentDescriptor, ruleset: RuleSet) -> Decision:
@@ -170,11 +154,8 @@ def authorize(descriptor: IntentDescriptor, ruleset: RuleSet) -> Decision:
         if (ruleset.identification_threshold is not None
                 and d.amount is not None
                 and d.amount > ruleset.identification_threshold):
-            if not any(_credential_ok(ruleset, p) for p in d.credentials):
+            if not any(_credential_ok(ruleset, c) for c in d.credentials):
                 return Decision.deny(DenyReason.THRESHOLD_IDENTIFICATION_REQUIRED)
-            if all(p.already_spent for p in d.credentials
-                   if _credential_ok(ruleset, p)):
-                return Decision.deny(DenyReason.CREDENTIAL_REUSED)
         return Decision.allow()
 
     if d.tx_kind is TxKind.SHIELDED_TRANSFER:
@@ -189,11 +170,8 @@ def authorize(descriptor: IntentDescriptor, ruleset: RuleSet) -> Decision:
         if ruleset.mode is Mode.MEDIATED:
             if not d.credentials:
                 return Decision.deny(DenyReason.CREDENTIAL_REQUIRED)
-            for pres in d.credentials:
-                if not _credential_ok(ruleset, pres):
-                    return Decision.deny(DenyReason.CREDENTIAL_REQUIRED)
-                if pres.already_spent:
-                    return Decision.deny(DenyReason.CREDENTIAL_REUSED)
+            if not all(_credential_ok(ruleset, c) for c in d.credentials):
+                return Decision.deny(DenyReason.CREDENTIAL_REQUIRED)
         return Decision.allow()
 
     raise MalformedIntent(f"unhandled kind {d.tx_kind}")  # pragma: no cover
@@ -236,10 +214,10 @@ def authorize_matrix(ruleset: RuleSet,
     combination, decided.  Shape-inconsistent combinations come back as
     "malformed" rather than a policy verdict.
 
-    Pass a valid `credential` (under the ruleset's issuer) to decide the
-    matrix for credentialed actors; omit it for bare ones.
+    Pass a valid `credential` (under one of the ruleset's issuers) to
+    decide the matrix for credentialed actors; omit it for bare ones.
     """
-    creds = (CredentialPresentation(credential),) if credential else ()
+    creds = (credential,) if credential else ()
     cells = []
     for kind in TxKind:
         for sclass in LegClass:

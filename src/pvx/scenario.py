@@ -62,7 +62,6 @@ from .observer import (
     tax_report,
 )
 from .policy import (
-    CredentialPresentation,
     Decision,
     DenyReason,
     EntityKind,
@@ -483,48 +482,37 @@ class _Runner:
     # -- world construction ---------------------------------------------------
 
     def _setup(self) -> None:
+        """The registry owns entities, accounts and fees; the ruleset owns
+        the mode, blacklist, threshold and trusted issuer keys."""
         sc = self.sc
-        registry = Registry()
-        wallets: dict[str, Wallet] = {}
+        seed = self.seed.to_bytes(8, "big")
         institutions = [e.entity_id for e in sc.entities
                         if e.kind in (EntityKind.REGULATED_INSTITUTION,
                                       EntityKind.CENTRAL_BANK)]
+        registry = Registry(fee_schedule={
+            e.entity_id: e.fee for e in sc.entities if e.fee is not None})
         for decl in sc.entities:
-            registry = registry.register_entity(Entity(
-                decl.entity_id, decl.kind, blacklisted=decl.blacklisted))
+            registry = registry.register_entity(
+                Entity(decl.entity_id, decl.kind))
         for decl in sc.entities:
             for acct_id, inst in decl.accounts:
                 registry = registry.register_account(
                     Account(acct_id, inst, decl.entity_id))
-            if decl.kind is EntityKind.INDIVIDUAL or decl.stealth:
-                wallet = Wallet.create(
-                    self.group, decl.entity_id,
-                    tagged_hash("pvx/scenario/wallet",
-                                self.seed.to_bytes(8, "big")))
-                wallets[decl.entity_id] = wallet
-                if decl.stealth:
-                    registry = registry.publish_stealth_address(
-                        decl.entity_id, wallet.address)
-            if decl.fee is not None:
-                registry.fee_schedule[decl.entity_id] = decl.fee
-
-        self.issuers = {}
-        issuer_key = None
-        for decl in sc.entities:
-            if decl.issuer:
-                keypair = issuer_keygen(tagged_hash(
-                    "pvx/scenario/issuer", self.seed.to_bytes(8, "big"),
-                    decl.entity_id.encode()))
-                self.issuers[decl.entity_id] = keypair
-                registry = registry.register_issuer(decl.entity_id,
-                                                    keypair.public)
-                issuer_key = keypair.public
-
-        blacklist = frozenset(e.entity_id for e in sc.entities if e.blacklisted)
         self.registry = registry
-        self.wallets = wallets
-        self.ruleset = RuleSet(sc.mode, blacklist, sc.threshold, issuer_key,
-                               sc.mediation_fee)
+        self.wallets = {
+            e.entity_id: Wallet.create(self.group, e.entity_id, tagged_hash(
+                "pvx/scenario/wallet", seed))
+            for e in sc.entities
+            if e.kind is EntityKind.INDIVIDUAL or e.stealth}
+        self.issuers = {
+            e.entity_id: issuer_keygen(tagged_hash(
+                "pvx/scenario/issuer", seed, e.entity_id.encode()))
+            for e in sc.entities if e.issuer}
+        self.ruleset = RuleSet(
+            sc.mode, frozenset(e.entity_id for e in sc.entities
+                               if e.blacklisted),
+            sc.threshold, tuple(k.public for k in self.issuers.values()),
+            sc.mediation_fee)
 
         balances = {acct: 0 for acct in registry.accounts}
         genesis = LedgerState.genesis(self.group, balances, self.range_bits)
@@ -581,12 +569,12 @@ class _Runner:
                      to.account_id, to.amount) for to in tx.tout]
         else:
             dsts = [(*party(LegClass.STORE, payee), None, None)]
-        creds = tuple(CredentialPresentation(c) for c in tx.credentials)
         sponsor = reg.entities.get(tx.sponsor_id)
         intermediary_kind = sponsor.kind if sponsor is not None \
             and tx.kind is TxKind.MEDIATED_BATCH else None
         return [IntentDescriptor(tx.kind, src[0], src[1], dst_class, dst_kind,
-                                 src[2], dst_owner, account, amount, creds,
+                                 src[2], dst_owner, account, amount,
+                                 tx.credentials,
                                  intermediary_kind)
                 for dst_class, dst_kind, dst_owner, account, amount in dsts]
 
@@ -637,29 +625,32 @@ class _Runner:
             raise ScenarioError("steps", f"{entity_id!r} has no account")
         return accounts[0]
 
-    def _submit_and_wait(self, tx: Transaction) -> tuple[bool, int | None]:
-        """Submit to a live honest node; retry periodically until committed
-        on every live honest replica or the step deadline expires."""
+    def _submit_and_wait(self, tx: Transaction) -> tuple[str, int | str | None]:
+        """Submit to a live honest node and resubmit to the next one
+        periodically: ("accept", height) once the tx is final on every live
+        honest replica.  The network falls silent when each replica has
+        refused it, since simulated time only moves with events:
+        ("deny", ledger code) once every live honest replica has recorded a
+        rejection.  ("error", None) past the step deadline."""
         world = self.world
-        deadline = world.net.time + self.sc.consensus.step_deadline
-        target = self._live_honest[len(self.outcomes) % len(self._live_honest)]
-        world.submit_client_tx(target, tx)
-        attempt = 0
-        while world.net.time <= deadline:
-            if world.run_until(lambda: world.tx_final_everywhere(tx),
-                               deadline=min(deadline,
-                                            world.net.time + 2_000_000)):
-                break
-            attempt += 1
-            world.submit_client_tx(
-                self._live_honest[attempt % len(self._live_honest)], tx)
-        else:
-            return False, None
-        if not world.tx_final_everywhere(tx):
-            return False, None
-        world.check_safety()
+        live = self._live_honest
         txid = transaction_digest(self.group, tx).hex()
-        return True, self.reference.committed_at[txid]
+        deadline = world.net.time + self.sc.consensus.step_deadline
+        world.submit_client_tx(live[len(self.outcomes) % len(live)], tx)
+        attempt = 0
+        while not world.run_until(lambda: world.tx_final_everywhere(tx),
+                                  deadline=min(deadline,
+                                               world.net.time + 2_000_000)):
+            if not world.net.pending():
+                codes = [world.nodes[nid].rejections.get(txid) for nid in live]
+                if all(codes):
+                    return "deny", codes[0]
+            attempt += 1
+            world.submit_client_tx(live[attempt % len(live)], tx)
+            if world.net.time > deadline:
+                return "error", None
+        world.check_safety()
+        return "accept", self.reference.committed_at[txid]
 
     def _deliver_notes(self, result) -> None:
         state = self.reference.ledger
@@ -726,8 +717,8 @@ class _Runner:
             self.registry, self.reference.chain)
         stats = self.world.stats_summary()
         stats["rejections"] = sorted(
-            {(code or "") for node in self.world.nodes.values()
-             for (_, code, _) in node.rejections})
+            {code for node in self.world.nodes.values()
+             for code in node.rejections.values()})
         return RunResult(
             scenario=self.sc.name,
             mode=self.sc.mode.value,
@@ -750,8 +741,10 @@ class _Runner:
             return StepOutcome(index, step["op"], "deny",
                                decision.reason.value)
         result = build()
-        ok, height = self._submit_and_wait(result.tx)
-        if not ok:
+        status, height_or_code = self._submit_and_wait(result.tx)
+        if status == "deny":
+            return StepOutcome(index, step["op"], "deny", height_or_code)
+        if status == "error":
             return StepOutcome(index, step["op"], "error",
                                detail="not committed before deadline")
         self._deliver_notes(result)
@@ -759,7 +752,7 @@ class _Runner:
         for holder, pouch in self.credentials.items():
             self.credentials[holder] = [c for c in pouch
                                         if c.serial not in used]
-        return StepOutcome(index, step["op"], "accept", height=height)
+        return StepOutcome(index, step["op"], "accept", height=height_or_code)
 
     def _op_transfer(self, index, step):
         dst_owner = self._owner(step["to"])
@@ -873,7 +866,6 @@ class _Runner:
     def _op_blacklist(self, index, step):
         entity = step["entity"]
         flag = bool(step.get("flag", True))
-        self.registry = self.registry.set_blacklist(entity, flag)
         self.ruleset = update_blacklist(self.ruleset, entity, flag)
         return StepOutcome(index, step["op"], "accept")
 

@@ -97,9 +97,3 @@ def recover_spend_secret(group: GroupParams, keypair: StealthKeypair,
     if t is None:
         return None
     return (t + keypair.spend_secret) % group.q
-
-
-def recover_blinding(group: GroupParams, scan_secret: int,
-                     ephemeral_public: int) -> int:
-    """The commitment blinding the sender derived for this output."""
-    return shared_blinding(group, group.power(ephemeral_public, scan_secret))

@@ -81,7 +81,17 @@ def test_invalid_tx_excluded_with_reason():
     w.step(max_events=500)
     node = w.nodes["n0"]
     assert node.executed == 0
-    assert any(code == "InsufficientFunds" for _, code, _ in node.rejections)
+    assert "InsufficientFunds" in node.rejections.values()
+
+
+def test_rejections_hold_one_entry_per_transaction():
+    w = make_world(1, 0)
+    bad = build_transparent_transfer(G, "b", "a", "alice", 999).tx  # overdraft
+    for _ in range(100):
+        w.submit_client_tx("n0", bad)
+    w.step()
+    assert w.nodes["n0"].rejections == {
+        transaction_digest(G, bad).hex(): "InsufficientFunds"}
 
 
 def test_liveness_under_message_drop():

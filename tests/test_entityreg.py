@@ -1,9 +1,7 @@
 import pytest
 
 from pvx.entityreg import Account, Entity, Registry
-from pvx.group import TEST_GROUP
 from pvx.policy import EntityKind
-from pvx.stealth import derive_stealth_keypair
 
 
 @pytest.fixture
@@ -15,8 +13,6 @@ def registry():
     reg = reg.register_entity(Entity("bob", EntityKind.INDIVIDUAL))
     reg = reg.register_account(Account("acme.acct", "bank1", "acme"))
     reg = reg.register_account(Account("alice.acct", "bank1", "alice"))
-    kp = derive_stealth_keypair(TEST_GROUP, b"alice")
-    reg = reg.publish_stealth_address("alice", kp.address)
     return reg
 
 
@@ -24,19 +20,6 @@ def test_lookup_account(registry):
     assert registry.lookup_account("acme.acct") == ("bank1", "acme")
     with pytest.raises(LookupError):
         registry.lookup_account("nope")
-
-
-def test_lookup_recipient_prefers_stealth(registry):
-    coords = registry.lookup_recipient("alice")
-    assert coords.kind == "stealth"
-    assert coords.stealth_address is not None
-    coords = registry.lookup_recipient("acme")
-    assert coords.kind == "account"
-    assert coords.account_id == "acme.acct"
-    with pytest.raises(LookupError):
-        registry.lookup_recipient("ghost")
-    with pytest.raises(LookupError):
-        registry.lookup_recipient("bob")  # no account, nothing published
 
 
 def test_duplicate_ids_rejected(registry):
@@ -70,18 +53,8 @@ def test_accountless_individual_is_fine(registry):
     assert registry.accounts_of("bob") == []
 
 
-def test_blacklist_flag(registry):
-    flagged = registry.set_blacklist("bob", True)
-    assert flagged.entity("bob").blacklisted
-    assert not registry.entity("bob").blacklisted  # value semantics
-    cleared = flagged.set_blacklist("bob", False)
-    assert not cleared.entity("bob").blacklisted
-    with pytest.raises(ValueError):
-        registry.set_blacklist("ghost", True)
-
-
-def test_mediation_fee_schedule(registry):
-    reg = registry.register_entity(Entity("mix", EntityKind.INTERMEDIARY))
-    reg.fee_schedule["mix"] = 5
+def test_mediation_fee_schedule():
+    reg = Registry(fee_schedule={"mix": 5})
+    reg = reg.register_entity(Entity("mix", EntityKind.INTERMEDIARY))
     assert reg.mediation_fee("mix", default=2) == 5
     assert reg.mediation_fee("other", default=2) == 2

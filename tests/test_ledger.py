@@ -17,8 +17,8 @@ from pvx.ledger import (
     transaction_digest,
     validate_transaction,
 )
-from pvx.pedersen import commit
-from pvx.rangeproof import prove_range
+from pvx.pedersen import Commitment, commit
+from pvx.rangeproof import RangeProof, prove_range
 from pvx.ringsig import RingSignature
 from pvx.txbuild import (
     build_issue,
@@ -111,6 +111,62 @@ def test_cleartext_sum_cannot_wrap_the_group_order(small_harness, paid):
         assert verdict.accepted, verdict
     else:
         assert verdict.code == "MalformedTransaction", verdict
+
+
+def _with_input(tx, **fields):
+    return replace(tx, sin=(replace(tx.sin[0], **fields), *tx.sin[1:]))
+
+
+def _with_output(tx, **fields):
+    return replace(tx, sout=(replace(tx.sout[0], **fields), *tx.sout[1:]))
+
+
+def _with_bit(tx, **fields):
+    proof = tx.sout[0].range_proof
+    bits = (replace(proof.bits[0], **fields), *proof.bits[1:])
+    return _with_output(tx, range_proof=replace(proof, bits=bits))
+
+
+def _with_credential(tx, serial, signature):
+    from pvx.blindsig import Credential
+    return replace(tx, credentials=(Credential("eligible", serial, signature),))
+
+
+UNENCODABLE = {
+    "pseudo-commitment=-p": lambda tx, p: _with_input(
+        tx, pseudo_commitment=Commitment(-p)),
+    "pseudo-commitment=p": lambda tx, p: _with_input(
+        tx, pseudo_commitment=Commitment(p)),
+    "ring-ref=-1": lambda tx, p: _with_input(
+        tx, ring_refs=(-1, *tx.sin[0].ring_refs[1:])),
+    "ring-ref=2^64": lambda tx, p: _with_input(
+        tx, ring_refs=(2 ** 64, *tx.sin[0].ring_refs[1:])),
+    "onetime-address=-1": lambda tx, p: _with_output(tx, onetime_address=-1),
+    "ephemeral=-1": lambda tx, p: _with_output(tx, ephemeral_public=-1),
+    "commitment=2^200": lambda tx, p: _with_output(
+        tx, commitment=Commitment(2 ** 200)),
+    "commitment=-1": lambda tx, p: _with_output(tx, commitment=Commitment(-1)),
+    "bit-commitment=-1": lambda tx, p: _with_bit(tx, bit_commitment=-1),
+    "bit-commitment=p": lambda tx, p: _with_bit(tx, bit_commitment=p),
+    "proof-width=2^16": lambda tx, p: _with_output(tx, range_proof=RangeProof(
+        tx.sout[0].range_proof.bits[:1] * 2 ** 16)),
+    "serial=-1": lambda tx, p: _with_credential(tx, -1, 1),
+    "serial=2^256": lambda tx, p: _with_credential(tx, 2 ** 256, 1),
+    "signature=-1": lambda tx, p: _with_credential(tx, 1, -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNENCODABLE))
+def test_fields_the_digest_cannot_encode_are_malformed(small_harness, case):
+    # a group element outside [0, p) or a count wider than its fixed
+    # encoding must get a code, not escape from transaction_digest
+    h = small_harness
+    tx = build_shielded_transfer(h.group, h.state, h.wallets["alice"], "bob",
+                                 h.wallets["bob"].address, 20, 3, h.sampler,
+                                 h.rng, h.stream).tx
+    assert validate_transaction(h.state, tx).accepted
+    bad = UNENCODABLE[case](tx, h.group.p)
+    assert validate_transaction(h.state, bad).code == "MalformedTransaction"
 
 
 def test_replayed_key_image_rejected(harness):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,13 +7,11 @@ from pvx.entityreg import Account, Entity, Registry
 from pvx.group import STANDARD_GROUP as G
 from pvx.group import TEST_GROUP
 from pvx.ledger import TxKind
+from pvx.pedersen import commit
 from pvx.observer import (
     DESIDERATA_ROWS,
-    DisclosedInput,
-    DisclosedOutput,
     Observer,
     ScenarioProbes,
-    cooperative_disclosure,
     desiderata_report,
     institution_shares,
     make_spend_corpus,
@@ -96,8 +95,8 @@ def test_projection_never_leaks_openings(world):
     h, registry = world
     for observer in (Observer.regulator(), Observer.public(),
                      Observer.institution("bank1"), Observer.adversary("x")):
-        blob = b"".join(r.to_json().encode() for r in view(G, h.chain,
-                                                           registry, observer))
+        blob = b"".join(json.dumps(dataclasses.asdict(r)).encode()
+                        for r in view(G, h.chain, registry, observer))
         for oid, (v, r) in h.openings.items():
             blinding = G.scalar_to_bytes(r)
             assert blinding not in blob
@@ -112,7 +111,8 @@ def test_projection_never_leaks_openings(world):
 
 
 def test_participant_opens_own_tx(world):
-    # the participant holds (v, r) for its outputs; disclosure confirms them
+    # the participant holds (v, r) for its outputs, and they open the
+    # commitment on the chain; any other amount does not
     h, _ = world
     for block in h.chain:
         tx = block.txs[0]
@@ -122,12 +122,10 @@ def test_participant_opens_own_tx(world):
         if oid not in h.openings:
             continue
         val, blind = h.openings[oid]
-        report = cooperative_disclosure(
-            G, h.state, tx, [DisclosedOutput(0, val, blind)])
-        assert report.consistent
-        assert report.opened_outputs[0].value == val
+        assert commit(G, val, blind) == tx.sout[0].commitment
+        assert commit(G, val + 1, blind) != tx.sout[0].commitment
         return
-    pytest.fail("no unspent disclosed output found")
+    pytest.fail("no unspent output found")
 
 
 def test_tax_report_sums_transparent_inflows(harness, registry):
@@ -157,58 +155,6 @@ def test_tax_report_empty_and_errors(harness, registry):
     assert report.total == 0 and report.items == ()
     with pytest.raises(ValueError, match="not a registered business"):
         tax_report(G, harness.chain, registry, "alice")
-
-
-def test_cooperative_disclosure_lies_detected(world):
-    h, _ = world
-    transfer_tx = h.chain[-1].txs[0]
-    # find the true openings for this tx's outputs
-    openings = []
-    for idx, so in enumerate(transfer_tx.sout):
-        oid = h.state.onetime_index[so.onetime_address]
-        v, r = h.openings[oid]
-        openings.append(DisclosedOutput(idx, v, r))
-    honest = cooperative_disclosure(G, h.state, transfer_tx, openings)
-    assert honest.consistent
-    lying = [DisclosedOutput(0, openings[0].value + 1, openings[0].blinding)]
-    report = cooperative_disclosure(G, h.state, transfer_tx, lying)
-    assert not report.consistent
-    assert "commitment mismatch" in report.mismatches[0]
-
-
-def test_cooperative_disclosure_of_inputs(world):
-    # alice discloses which ring member of her spend was real: the one-time
-    # key she can rebuild from her stealth keypair, whose key image matches
-    h, _ = world
-    tx = h.chain[-1].txs[0]  # the shielded transfer alice made
-    si = tx.sin[0]
-    from pvx.pedersen import commit
-    from pvx.ringsig import key_image_for
-    from pvx.stealth import recover_blinding, recover_spend_secret
-
-    disclosed = None
-    for ref in si.ring_refs:
-        rec = h.state.outputs[ref]
-        secret = recover_spend_secret(G, h.wallets["alice"].keypair,
-                                      rec.ephemeral_public,
-                                      rec.onetime_address)
-        if secret is None:
-            continue
-        if key_image_for(G, secret, rec.onetime_address) == si.signature.key_image:
-            blinding = recover_blinding(G, h.wallets["alice"].keypair.scan_secret,
-                                        rec.ephemeral_public)
-            value = next(v for v in range(2 ** 12)
-                         if commit(G, v, blinding) == rec.commitment)
-            disclosed = DisclosedInput(0, rec.onetime_address, value,
-                                       blinding, secret)
-            break
-    assert disclosed is not None
-    report = cooperative_disclosure(G, h.state, tx, [], [disclosed])
-    assert report.consistent, report.mismatches
-    # wrong value -> mismatch
-    bad = DisclosedInput(0, disclosed.onetime_address, disclosed.value + 1,
-                         disclosed.blinding, disclosed.onetime_secret)
-    assert not cooperative_disclosure(G, h.state, tx, [], [bad]).consistent
 
 
 def test_link_attack_ring_one_is_fully_traced():

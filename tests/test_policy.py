@@ -9,7 +9,6 @@ from pvx.blindsig import (
 )
 from pvx.ledger import TxKind
 from pvx.policy import (
-    CredentialPresentation,
     DenyReason,
     EntityKind,
     IntentDescriptor,
@@ -41,7 +40,7 @@ def credential(issuer):
 
 def rules(mode, issuer=None, threshold=None, blacklist=()):
     return RuleSet(mode, frozenset(blacklist), threshold,
-                   issuer.public if issuer else None)
+                   (issuer.public,) if issuer else ())
 
 
 def descriptor(kind, sclass, skind, dclass, dkind, **kw):
@@ -117,7 +116,7 @@ def test_matrix_examples_named_in_flows(issuer, credential):
     assert authorize(b2s, sup).reason is DenyReason.BUSINESS_TO_STORE_FORBIDDEN
 
     batch = descriptor(TxKind.MEDIATED_BATCH, STORE, IND, STORE, IND,
-                       credentials=(CredentialPresentation(credential),),
+                       credentials=(credential,),
                        intermediary_kind=EntityKind.INTERMEDIARY)
     assert authorize(batch, med).allowed
     bare = descriptor(TxKind.MEDIATED_BATCH, STORE, IND, STORE, IND,
@@ -165,31 +164,32 @@ def test_threshold_rule(issuer, credential):
         DenyReason.THRESHOLD_IDENTIFICATION_REQUIRED
     identified = descriptor(TxKind.UNSHIELD, STORE, IND, ACCOUNT,
                             EntityKind.REGISTERED_BUSINESS, amount=51,
-                            credentials=(CredentialPresentation(credential),))
+                            credentials=(credential,))
     assert authorize(identified, ruleset).allowed
-    spent = descriptor(TxKind.UNSHIELD, STORE, IND, ACCOUNT,
-                       EntityKind.REGISTERED_BUSINESS, amount=51,
-                       credentials=(CredentialPresentation(credential, True),))
-    assert authorize(spent, ruleset).reason is DenyReason.CREDENTIAL_REUSED
     # threshold off by default
     assert authorize(big, rules(Mode.MEDIATED, issuer=issuer)).allowed
-
-
-def test_spent_credential_in_batch(issuer, credential):
-    ruleset = rules(Mode.MEDIATED, issuer=issuer)
-    batch = descriptor(TxKind.MEDIATED_BATCH, STORE, IND, STORE, IND,
-                       credentials=(CredentialPresentation(credential, True),),
-                       intermediary_kind=EntityKind.INTERMEDIARY)
-    assert authorize(batch, ruleset).reason is DenyReason.CREDENTIAL_REUSED
 
 
 def test_forged_credential_rejected(issuer):
     ruleset = rules(Mode.MEDIATED, issuer=issuer)
     forged = Credential("eligible", 5, 12345)
     batch = descriptor(TxKind.MEDIATED_BATCH, STORE, IND, STORE, IND,
-                       credentials=(CredentialPresentation(forged),),
+                       credentials=(forged,),
                        intermediary_kind=EntityKind.INTERMEDIARY)
     assert authorize(batch, ruleset).reason is DenyReason.CREDENTIAL_REQUIRED
+
+
+def test_a_credential_from_any_trusted_issuer_counts(issuer, credential):
+    other = issuer_keygen(b"policy-test-issuer-2")
+    batch = descriptor(TxKind.MEDIATED_BATCH, STORE, IND, STORE, IND,
+                       credentials=(credential,),
+                       intermediary_kind=EntityKind.INTERMEDIARY)
+    for trusted in ((issuer.public, other.public),
+                    (other.public, issuer.public)):
+        assert authorize(batch, RuleSet(Mode.MEDIATED,
+                                        credential_issuers=trusted)).allowed
+    untrusted = RuleSet(Mode.MEDIATED, credential_issuers=(other.public,))
+    assert authorize(batch, untrusted).reason is DenyReason.CREDENTIAL_REQUIRED
 
 
 def test_issue_authority(issuer):
@@ -237,18 +237,9 @@ def test_malformed_descriptors(issuer):
         authorize(IntentDescriptor(None, ACCOUNT, IND, ACCOUNT, IND), ruleset)
 
 
-def test_amount_visibility():
-    assert descriptor(TxKind.UNSHIELD, STORE, IND, ACCOUNT, IND).amount_visible
-    assert descriptor(TxKind.SHIELD, ACCOUNT, IND, STORE, IND).amount_visible
-    assert not descriptor(TxKind.SHIELDED_TRANSFER, STORE, IND, STORE,
-                          IND).amount_visible
-    assert not descriptor(TxKind.MEDIATED_BATCH, STORE, IND, STORE,
-                          IND).amount_visible
-
-
 def test_authorize_is_pure(issuer, credential):
     ruleset = rules(Mode.MEDIATED, issuer=issuer)
     d = descriptor(TxKind.MEDIATED_BATCH, STORE, IND, STORE, IND,
-                   credentials=(CredentialPresentation(credential),),
+                   credentials=(credential,),
                    intermediary_kind=EntityKind.INTERMEDIARY)
     assert authorize(d, ruleset) == authorize(d, ruleset)

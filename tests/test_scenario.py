@@ -1,6 +1,8 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -191,6 +193,68 @@ def test_unregistered_issuer_is_a_coded_denial():
     verdict = ledger.validate_transaction(runner.reference.ledger, tx,
                                           runner._decide)
     assert verdict.code == "IssuerNotAuthorized"
+
+
+def test_credentials_from_any_declared_issuer_count():
+    # a second issuer must not displace the first: holders here carry
+    # credentials from "mix", declared before "mix2"
+    with open(os.path.join(SCENARIO_DIR, "mediated_consumer_exchange.json"),
+              encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["consensus"] = {"n": 1, "f": 0, "seed": doc["consensus"]["seed"]}
+    doc["entities"].append({"id": "mix2", "kind": "Intermediary",
+                            "issuer": True})
+    result = run_scenario(parse_scenario(json.dumps(doc)))
+    assert not result.mismatches, result.mismatches
+    assert result.outcomes[10].op == "mediated_exchange"
+    assert result.outcomes[10].outcome == "accept"
+
+
+def test_blacklist_step_updates_only_the_ruleset():
+    # the ruleset owns the blacklist; the registry keeps no copy of it
+    doc = minimal_doc(mode="supported")
+    doc["genesis"] = [{"account": "alice.acct", "amount": 100}]
+    pay = {"op": "transfer", "from": "alice.acct", "to": "bob.acct",
+           "amount": 5}
+    doc["steps"] = [
+        {"op": "blacklist", "entity": "bob"},
+        dict(pay, expect={"outcome": "deny", "reason": "Blacklisted"}),
+        {"op": "blacklist", "entity": "bob", "flag": False},
+        dict(pay, expect={"outcome": "accept"})]
+    runner = _Runner(parse_scenario(json.dumps(doc)))
+    registry = runner.registry
+    result = runner.run()
+    assert not result.mismatches, result.mismatches
+    assert runner.registry is registry
+    assert runner.ruleset.blacklist == frozenset()
+
+
+@pytest.mark.parametrize("n,f", [(1, 0), (4, 1)])
+def test_overdraft_is_a_coded_denial(n, f):
+    # Every replica refuses the transfer, so the network falls silent; the
+    # step must end with the ledger's code.  The run happens in a child
+    # process, so that a hang fails this test instead of stalling the suite.
+    doc = minimal_doc(mode="supported", consensus={"n": n, "f": f, "seed": 3})
+    doc["genesis"] = [{"account": "alice.acct", "amount": 100}]
+    pay = {"op": "transfer", "from": "alice.acct", "to": "bob.acct"}
+    doc["steps"] = [
+        dict(pay, amount=500,
+             expect={"outcome": "deny", "reason": "InsufficientFunds"}),
+        dict(pay, amount=40, expect={"outcome": "accept"})]
+    child = ("import sys; from pvx.scenario import emit_report, "
+             "parse_scenario, run_scenario; sys.stdout.write(emit_report("
+             "run_scenario(parse_scenario(sys.stdin.read()))))")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", child], input=json.dumps(doc),
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["expectations"]["mismatches"] == []
+    assert report["steps"][0]["height"] is None
+    assert report["steps"][1]["height"] == 1
+    assert report["consensus"]["rejections"] == ["InsufficientFunds"]
 
 
 def test_same_seed_identical_results():

@@ -4,9 +4,9 @@ from pvx.group import TEST_GROUP as G
 from pvx.stealth import (
     derive_stealth_keypair,
     make_onetime_output,
-    recover_blinding,
     recover_spend_secret,
     scan_output,
+    shared_blinding,
 )
 
 
@@ -41,7 +41,8 @@ def test_scan_roundtrip():
     # full one-time secret x satisfies G^x == P
     assert G.power(G.g, secret) == out.onetime_address
     # and the sender/recipient agree on the derived blinding
-    assert recover_blinding(G, kp.scan_secret, out.ephemeral_public) == out.shared_blinding
+    shared = G.power(out.ephemeral_public, kp.scan_secret)
+    assert shared_blinding(G, shared) == out.shared_blinding
 
 
 def test_wrong_scan_secret_sees_nothing():
