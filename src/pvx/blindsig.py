@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from .group import TAG_CRED, tagged_hash
 
 _E = 65537
+_PRIME_BITS = 256  # each issuer prime: a 512-bit RSA modulus
+_MR_ROUNDS = 40    # Miller-Rabin rounds per prime candidate
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ def _seed_stream(seed: bytes, label: bytes, index: int, nbytes: int) -> int:
     return int.from_bytes(out[:nbytes], "big")
 
 
-def _is_probable_prime(n: int, rounds: int = 40) -> bool:
+def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
     for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
@@ -71,7 +73,7 @@ def _is_probable_prime(n: int, rounds: int = 40) -> bool:
         d //= 2
         r += 1
     size = (n.bit_length() + 7) // 8
-    for i in range(rounds):
+    for i in range(_MR_ROUNDS):
         a = _seed_stream(n.to_bytes(size, "big"), b"mr", i, size) % (n - 3) + 2
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -85,22 +87,23 @@ def _is_probable_prime(n: int, rounds: int = 40) -> bool:
     return True
 
 
-def _derive_prime(seed: bytes, index: int, bits: int) -> int:
+def _derive_prime(seed: bytes, index: int) -> int:
     attempt = 0
     while True:
-        cand = _seed_stream(seed, b"prime", index * 100003 + attempt, bits // 8)
-        cand |= (1 << (bits - 1)) | 1
+        cand = _seed_stream(seed, b"prime", index * 100003 + attempt,
+                            _PRIME_BITS // 8)
+        cand |= (1 << (_PRIME_BITS - 1)) | 1
         if cand % _E != 1 and _is_probable_prime(cand):
             return cand
         attempt += 1
 
 
-def issuer_keygen(seed: bytes, bits: int = 512) -> IssuerKeypair:
-    """Deterministic RSA keypair; `bits` is the modulus size."""
-    p = _derive_prime(seed, 0, bits // 2)
-    q = _derive_prime(seed, 1, bits // 2)
+def issuer_keygen(seed: bytes) -> IssuerKeypair:
+    """Deterministic RSA keypair."""
+    p = _derive_prime(seed, 0)
+    q = _derive_prime(seed, 1)
     while q == p:  # vanishingly unlikely, but keep the stream moving
-        q = _derive_prime(seed, 2, bits // 2)
+        q = _derive_prime(seed, 2)
     phi = (p - 1) * (q - 1)
     d = pow(_E, -1, phi)
     return IssuerKeypair(IssuerPublicKey(p * q, _E), d)

@@ -21,10 +21,10 @@ from .blindsig import (
 )
 from .consensus import SafetyViolation
 from .group import get_profile
-from .observer import make_spend_corpus, run_link_attack
+from .observer import HEURISTICS, make_spend_corpus, run_link_attack
 from .policy import Mode, RuleSet, authorize_matrix
 from .scenario import ScenarioError, emit_report, load_scenario, run_scenario
-from .txbuild import make_sampler
+from .txbuild import SAMPLERS, make_sampler
 
 
 def _cmd_run(args) -> int:
@@ -80,18 +80,13 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    try:
-        sampler = make_sampler(args.sampler)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    group = get_profile("test")
-    corpus = make_spend_corpus(group, args.trials, args.ring_size, sampler,
+    corpus = make_spend_corpus(get_profile("test"), args.trials,
+                               args.ring_size, make_sampler(args.sampler),
                                seed=args.seed)
     print(f"decoy sampler={args.sampler} ring={args.ring_size} "
           f"trials={args.trials} seed={args.seed}")
     print(f"{'heuristic':<18} {'accuracy':>9} {'baseline':>9} {'z-score':>9}")
-    for heuristic in ("uniform-guess", "newest-member", "key-image-graph"):
+    for heuristic in HEURISTICS:
         stats = run_link_attack(corpus, heuristic, seed=args.seed)
         print(f"{heuristic:<18} {stats.accuracy:>9.4f} "
               f"{stats.baseline:>9.4f} {stats.z_score:>+9.2f}")
@@ -122,7 +117,7 @@ def main(argv=None) -> int:
     p_matrix.set_defaults(func=_cmd_matrix)
 
     p_attack = sub.add_parser("attack", help="run the linkability experiment")
-    p_attack.add_argument("--sampler", choices=("uniform", "age-biased"),
+    p_attack.add_argument("--sampler", choices=tuple(SAMPLERS),
                           default="uniform")
     p_attack.add_argument("--ring-size", type=int, default=11)
     p_attack.add_argument("--trials", type=int, default=10_000)

@@ -30,6 +30,7 @@ from .ledger import (
     Transaction,
     apply_block,
     apply_transaction,
+    shape_error,
     transaction_digest,
     validate_transaction,
 )
@@ -176,7 +177,6 @@ def compute_mac(secret: bytes, sender: str, msg) -> bytes:
 @dataclass(frozen=True)
 class NodeConfig:
     node_id: str
-    institution_id: str
     replicas: tuple[str, ...]
     f: int
     base_timeout: int = 60_000      # microseconds
@@ -212,7 +212,6 @@ class Slot:
 @dataclass
 class NodeStats:
     view_changes: int = 0
-    committed: int = 0
     rejected_byzantine: int = 0
 
 
@@ -308,6 +307,10 @@ class PBFTNode:
 
     def on_client_tx(self, tx: Transaction, from_client: bool = True) -> list:
         actions: list = []
+        if shape_error(self.ledger.group, tx):
+            # without a digest there is no txid to record a rejection under
+            self.stats.rejected_byzantine += 1
+            return actions
         txid = transaction_digest(self.ledger.group, tx).hex()
         if txid in self.committed_at:
             return actions  # already final
@@ -506,7 +509,6 @@ class PBFTNode:
             block = self.buffered_commits.pop(self.executed + 1)
             self.ledger = apply_block(self.ledger, block.txs, block.height)
             self.chain.append(block)
-            self.stats.committed += 1
             for tx in block.txs:
                 txid = transaction_digest(self.ledger.group, tx).hex()
                 self.committed_at.setdefault(txid, block.height)
@@ -699,9 +701,8 @@ class PBFTNode:
 class World:
     """Hosts the replica set on a deterministic network."""
 
-    def __init__(self, group: GroupParams, node_ids: list[str],
-                 institutions: dict[str, str], f: int, genesis: LedgerState,
-                 policy_hook=None, seed: int = 0,
+    def __init__(self, group: GroupParams, node_ids: list[str], f: int,
+                 genesis: LedgerState, policy_hook=None, seed: int = 0,
                  delay: tuple[int, int] = (1_000, 5_000), drop: float = 0.0,
                  fault_scripts: dict[str, list[str]] | None = None,
                  base_timeout: int = 60_000):
@@ -715,8 +716,7 @@ class World:
         scripts = fault_scripts or {}
         for node_id in replicas:
             fault = merge_faults(scripts.get(node_id, []))
-            cfg = NodeConfig(node_id, institutions.get(node_id, node_id),
-                             replicas, f, base_timeout=base_timeout)
+            cfg = NodeConfig(node_id, replicas, f, base_timeout=base_timeout)
             self.nodes[node_id] = PBFTNode(cfg, genesis, policy_hook, fault)
         self.byzantine = {nid for nid, node in self.nodes.items()
                           if node.fault.equivocate_heights}

@@ -95,14 +95,6 @@ class GroupParams:
     def scalar_to_bytes(self, s: int) -> bytes:
         return (s % self.q).to_bytes(self.scalar_bytes, "big")
 
-    def element_from_bytes(self, raw: bytes) -> int:
-        if len(raw) != self.element_bytes:
-            raise ValueError(f"element must be {self.element_bytes} bytes")
-        a = int.from_bytes(raw, "big")
-        if not self.is_element(a):
-            raise ValueError("not a subgroup element")
-        return a
-
     # -- hashing ----------------------------------------------------------
 
     def hash_to_scalar(self, tag: str, *items: bytes) -> int:

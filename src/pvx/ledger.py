@@ -45,7 +45,7 @@ from typing import Callable
 from .blindsig import Credential
 from .group import GroupParams, tagged_hash
 from .pedersen import Commitment, commit, negate_commitment, product
-from .rangeproof import RangeProof, verify_range
+from .rangeproof import BitProof, RangeProof, verify_range
 from .ringsig import RingSignature, dual_ring_verify
 
 TAG_TX = "pvx/tx"
@@ -229,7 +229,6 @@ class LedgerState:
     total_issued: int
     fees_accrued: int
     height: int
-    next_output_id: int = 0
 
     @classmethod
     def genesis(cls, group: GroupParams, accounts: dict[str, int],
@@ -256,7 +255,7 @@ class LedgerState:
     def digest(self) -> str:
         g = self.group
         parts = [_enc_u64(self.height), _enc_u64(self.total_issued),
-                 _enc_u64(self.fees_accrued), _enc_u64(self.next_output_id)]
+                 _enc_u64(self.fees_accrued), _enc_u64(len(self.outputs))]
         for acct in sorted(self.balances):
             parts.append(_enc_str(acct))
             parts.append(_enc_u64(self.balances[acct]))
@@ -294,32 +293,72 @@ class Verdict:
         return cls(False, code, detail)
 
 
-def _shape_error(group: GroupParams, tx: Transaction) -> str | None:
+def _int_in(v, lo: int, hi: int) -> bool:
+    """`v` is an int, not a bool or another type, in [lo, hi)."""
+    return type(v) is int and lo <= v < hi
+
+
+def _ints(*values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+def shape_error(group: GroupParams, tx: Transaction) -> str | None:
+    """Why `tx` is malformed, from `tx` alone, or None.  A transaction that
+    passes has the declared type in every field `validate_transaction`
+    reads and fits every fixed width the digest encodes, so neither
+    raises on it."""
     k = tx.kind
-    if tx.fee < 0 or tx.fee > MAX_AMOUNT:
+    if not isinstance(k, TxKind) or not all(
+            type(legs) is tuple
+            for legs in (tx.tin, tx.tout, tx.sin, tx.sout, tx.credentials)):
+        return "malformed transaction"
+    if not _int_in(tx.fee, 0, MAX_AMOUNT + 1):
         return "fee out of range"
+    if tx.sponsor_id is not None and type(tx.sponsor_id) is not str:
+        return "sponsor id is not a string"
+    if tx.excess is not None and not (
+            type(tx.excess) is ExcessSignature
+            and _ints(tx.excess.nonce_point, tx.excess.response)):
+        return "malformed balance proof"
     for ti in tx.tin:
-        if not 0 <= ti.amount <= MAX_AMOUNT:
-            return "input amount out of range"
+        if not (type(ti) is TransparentInput and type(ti.account_id) is str
+                and _int_in(ti.amount, 0, MAX_AMOUNT + 1)):
+            return "malformed transparent input"
     for to in tx.tout:
-        if not 0 <= to.amount <= MAX_AMOUNT:
-            return "output amount out of range"
+        if not (type(to) is TransparentOutput and type(to.account_id) is str
+                and type(to.owner_id) is str
+                and _int_in(to.amount, 0, MAX_AMOUNT + 1)):
+            return "malformed transparent output"
     # every field the digest encodes must fit its fixed width
     p = group.p
     for si in tx.sin:
-        if not all(0 <= ref < 2 ** 64 for ref in si.ring_refs):
+        if not (type(si) is ShieldedInput and type(si.ring_refs) is tuple
+                and all(_int_in(ref, 0, 2 ** 64) for ref in si.ring_refs)):
             return "ring reference out of range"
-        if not 0 <= si.pseudo_commitment.value < p:
+        if not (type(si.pseudo_commitment) is Commitment
+                and _int_in(si.pseudo_commitment.value, 0, p)):
             return "pseudo-commitment out of range"
+        sig = si.signature
+        if not (type(sig) is RingSignature and _ints(sig.c0, sig.key_image)
+                and type(sig.responses) is tuple and _ints(*sig.responses)):
+            return "malformed ring signature"
     for so in tx.sout:
-        if not (0 <= so.onetime_address < p and 0 <= so.ephemeral_public < p
-                and 0 <= so.commitment.value < p):
+        if not (type(so) is ShieldedOutput and type(so.commitment) is Commitment
+                and _int_in(so.onetime_address, 0, p)
+                and _int_in(so.ephemeral_public, 0, p)
+                and _int_in(so.commitment.value, 0, p)):
             return "output element out of range"
-        if so.range_proof.k >= 2 ** 16 or not all(
-                0 <= bp.bit_commitment < p for bp in so.range_proof.bits):
+        proof = so.range_proof
+        if not (type(proof) is RangeProof and type(proof.bits) is tuple
+                and len(proof.bits) < 2 ** 16
+                and all(type(bp) is BitProof
+                        and _int_in(bp.bit_commitment, 0, p)
+                        and _ints(bp.c0, bp.s0, bp.s1) for bp in proof.bits)):
             return "range proof out of range"
     for cred in tx.credentials:
-        if not 0 <= cred.serial < 2 ** 256 or cred.signature < 0:
+        if not (type(cred) is Credential and type(cred.attribute) is str
+                and _int_in(cred.serial, 0, 2 ** 256)
+                and type(cred.signature) is int and cred.signature >= 0):
             return "credential out of range"
     if k is TxKind.ISSUE:
         if tx.tin or tx.sin or tx.sout:
@@ -403,7 +442,7 @@ def validate_transaction(state: LedgerState, tx: Transaction,
     """
     group = state.group
 
-    shape = _shape_error(group, tx)
+    shape = shape_error(group, tx)
     if shape:
         return Verdict.reject("MalformedTransaction", shape)
     # the balance check reads the cleartext netflow mod q, so a sum that
@@ -508,13 +547,12 @@ def apply_transaction(state: LedgerState, tx: Transaction) -> LedgerState:
 
     outputs = dict(state.outputs)
     onetime_index = dict(state.onetime_index)
-    next_id = state.next_output_id
     for so in tx.sout:
-        rec = OutputRecord(next_id, so.onetime_address, so.ephemeral_public,
-                           so.commitment, so.range_proof, state.height + 1)
-        outputs[next_id] = rec
-        onetime_index[so.onetime_address] = next_id
-        next_id += 1
+        oid = len(outputs)  # output ids are dense, in creation order
+        outputs[oid] = OutputRecord(oid, so.onetime_address,
+                                    so.ephemeral_public, so.commitment,
+                                    so.range_proof, state.height + 1)
+        onetime_index[so.onetime_address] = oid
 
     issued = state.total_issued
     if tx.kind is TxKind.ISSUE:
@@ -529,7 +567,6 @@ def apply_transaction(state: LedgerState, tx: Transaction) -> LedgerState:
         credential_serials=state.credential_serials | {c.serial for c in tx.credentials},
         total_issued=issued,
         fees_accrued=state.fees_accrued + tx.fee,
-        next_output_id=next_id,
     )
 
 

@@ -190,6 +190,9 @@ def tax_report(group: GroupParams, chain, registry: Registry, entity_id: str,
 # linkability attacks
 
 
+CORPUS_CHURN = 2  # outputs minted per spend in a synthetic corpus
+
+
 @dataclass(frozen=True)
 class SpendRecord:
     ring_ids: tuple[int, ...]  # ascending ledger ids == creation order
@@ -199,9 +202,7 @@ class SpendRecord:
 
 @dataclass(frozen=True)
 class SpendCorpus:
-    group_name: str
     ring_size: int
-    sampler: str
     seed: int
     spends: tuple[SpendRecord, ...]
 
@@ -217,12 +218,11 @@ class LinkAttackStats:
 
 
 def make_spend_corpus(group: GroupParams, trials: int, ring_size: int,
-                      sampler, seed: int, initial_population: int | None = None,
-                      churn: int = 2, sign: bool = True) -> SpendCorpus:
+                      sampler, seed: int) -> SpendCorpus:
     """Synthesize a spend history: a growing output population, true spends
     uniform over the unspent pool, sampler-chosen decoys drawn from that
-    same pool, and (optionally) real one-time keys with real ring
-    signatures at each spend.
+    same pool, and real one-time keys with real ring signatures at each
+    spend.  Each spend mints `CORPUS_CHURN` new outputs.
 
     True pick and decoys share one candidate pool, so under the uniform
     sampler every ring member is exchangeable and all position heuristics
@@ -231,7 +231,6 @@ def make_spend_corpus(group: GroupParams, trials: int, ring_size: int,
     import bisect
 
     rng = random.Random(seed)
-    n0 = initial_population or max(ring_size * 50, 500)
     secrets: dict[int, int] = {}
     unspent: list[int] = []  # ascending ids == ascending age
     minted = 0
@@ -245,25 +244,20 @@ def make_spend_corpus(group: GroupParams, trials: int, ring_size: int,
                 "pvx/corpus", seed.to_bytes(8, "big"), oid.to_bytes(8, "big"))
             unspent.append(oid)
 
-    mint(n0)
+    mint(max(ring_size * 50, 500))
     spends = []
     for trial in range(trials):
         true_id = unspent[rng.randrange(len(unspent))]
         decoys = sampler.sample(unspent, true_id, ring_size, rng)
         ring_ids = tuple(sorted(decoys + [true_id]))
         true_pos = ring_ids.index(true_id)
-        if sign:
-            ring_pubs = [group.power(group.g, secrets[oid]) for oid in ring_ids]
-            sig = ring_sign(group, trial.to_bytes(8, "big"), ring_pubs,
-                            true_pos, secrets[true_id])
-            image = sig.key_image
-        else:
-            image = group.power(group.g, secrets[true_id])
-        spends.append(SpendRecord(ring_ids, true_pos, image))
+        ring_pubs = [group.power(group.g, secrets[oid]) for oid in ring_ids]
+        sig = ring_sign(group, trial.to_bytes(8, "big"), ring_pubs,
+                        true_pos, secrets[true_id])
+        spends.append(SpendRecord(ring_ids, true_pos, sig.key_image))
         del unspent[bisect.bisect_left(unspent, true_id)]
-        mint(churn)
-    return SpendCorpus(group.name, ring_size, getattr(sampler, "name", "?"),
-                       seed, tuple(spends))
+        mint(CORPUS_CHURN)
+    return SpendCorpus(ring_size, seed, tuple(spends))
 
 
 def _guess_uniform(corpus: SpendCorpus, rng: random.Random) -> list[int]:

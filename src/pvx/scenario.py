@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .blindsig import (
     credential_finalize,
@@ -73,6 +73,7 @@ from .policy import (
     authorize,
     update_blacklist,
 )
+from .simnet import merge_faults
 from .stealth import recover_spend_secret
 from .txbuild import (
     SAMPLERS,
@@ -184,10 +185,29 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(path, "expected an object")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(path, "expected a list")
+    return value
+
+
+def _flag(obj: dict, key: str, path: str, default: bool) -> bool:
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path}.{key}", f"expected true or false, "
+                                             f"got {value!r}")
+    return value
+
+
 def _check_fields(obj, fields, path: str, names: dict) -> None:
     """Each (key, what) field is present and names a declared `what`."""
-    if not isinstance(obj, dict):
-        raise ScenarioError(path, "expected an object")
+    _object(obj, path)
     for key, what in fields:
         value = _need(obj, key, path)
         if what == "amount":
@@ -229,23 +249,45 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
     if profile not in ("standard", "test"):
         raise ScenarioError("profile", f"unknown profile {profile!r}")
 
-    cons_doc = doc.get("consensus", {})
+    cons_doc = _object(doc.get("consensus", {}), "consensus")
     n = _as_int(cons_doc.get("n", 1), "consensus.n", 1)
     f = _as_int(cons_doc.get("f", 0), "consensus.f", 0)
     if n < 3 * f + 1:
         raise ScenarioError("consensus.n",
                             f"n={n} violates the n >= 3f+1 bound for f={f}")
-    delay = tuple(cons_doc.get("delay", (1_000, 5_000)))
-    if len(delay) != 2 or delay[0] > delay[1]:
+    delay = _list(cons_doc.get("delay", [1_000, 5_000]), "consensus.delay")
+    if len(delay) != 2:
         raise ScenarioError("consensus.delay", "expected [min, max]")
-    faults = cons_doc.get("faults", {})
-    if not isinstance(faults, dict):
-        raise ScenarioError("consensus.faults", "expected {node: [specs]}")
+    delay_min = _as_int(delay[0], "consensus.delay[0]", 0)
+    delay_max = _as_int(delay[1], "consensus.delay[1]", delay_min)
+    drop = cons_doc.get("drop", 0.0)
+    if isinstance(drop, bool) or not isinstance(drop, (int, float)) \
+            or not 0 <= drop <= 1:
+        raise ScenarioError("consensus.drop",
+                            f"expected a probability, got {drop!r}")
+    faults = _object(cons_doc.get("faults", {}), "consensus.faults")
+    node_ids = [f"node{i}" for i in range(n)]
+    live = set(node_ids)  # neither crashes nor equivocates
+    for node, specs in faults.items():
+        path = f"consensus.faults.{node}"
+        if node not in node_ids:
+            raise ScenarioError(path, f"no node {node!r} among "
+                                      f"node0..node{n - 1}")
+        if not all(isinstance(spec, str) for spec in _list(specs, path)):
+            raise ScenarioError(path, "expected a list of fault specs")
+        try:
+            script = merge_faults(specs)
+        except ValueError as exc:
+            raise ScenarioError(path, f"bad fault spec: {exc}") from None
+        if script.crash_at is not None or script.equivocate_heights:
+            live.discard(node)
+    if not live:
+        raise ScenarioError("consensus.faults",
+                            "every node crashes or equivocates")
     consensus = ConsensusParams(
         n=n, f=f, seed=_as_int(cons_doc.get("seed", 0), "consensus.seed"),
-        delay=(int(delay[0]), int(delay[1])),
-        drop=float(cons_doc.get("drop", 0.0)),
-        faults={str(k): list(v) for k, v in faults.items()},
+        delay=(delay_min, delay_max), drop=float(drop),
+        faults={node: list(specs) for node, specs in faults.items()},
         base_timeout=_as_int(cons_doc.get("base_timeout", 60_000),
                              "consensus.base_timeout", 1),
         step_deadline=_as_int(cons_doc.get("step_deadline", 120_000_000),
@@ -254,9 +296,9 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
     entities = []
     ids = set()
     owners: dict[str, str] = {}  # account id -> owning entity id
-    for i, edoc in enumerate(doc.get("entities", [])):
+    for i, edoc in enumerate(_list(doc.get("entities", []), "entities")):
         path = f"entities[{i}]"
-        eid = str(_need(edoc, "id", path))
+        eid = str(_need(_object(edoc, path), "id", path))
         if eid in ids:
             raise ScenarioError(f"{path}.id", f"duplicate entity id {eid!r}")
         ids.add(eid)
@@ -267,45 +309,45 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
             raise ScenarioError(f"{path}.kind",
                                 f"unknown entity kind {kind_raw!r}") from None
         accounts = []
-        for j, adoc in enumerate(edoc.get("accounts", [])):
+        for j, adoc in enumerate(_list(edoc.get("accounts", []),
+                                       f"{path}.accounts")):
             apath = f"{path}.accounts[{j}]"
-            acct_id = str(_need(adoc, "id", apath))
+            acct_id = str(_need(_object(adoc, apath), "id", apath))
             if acct_id in owners:
                 raise ScenarioError(f"{apath}.id",
                                     f"duplicate account id {acct_id!r}")
             owners[acct_id] = eid
             accounts.append((acct_id, str(_need(adoc, "institution", apath))))
+        fee = edoc.get("fee")
         entities.append(EntityDecl(
             eid, kind, tuple(accounts),
-            stealth=bool(edoc.get("stealth", False)),
-            blacklisted=bool(edoc.get("blacklisted", False)),
-            issuer=bool(edoc.get("issuer", False)),
-            fee=edoc.get("fee")))
+            stealth=_flag(edoc, "stealth", path, False),
+            blacklisted=_flag(edoc, "blacklisted", path, False),
+            issuer=_flag(edoc, "issuer", path, False),
+            fee=None if fee is None else _as_int(fee, f"{path}.fee", 0)))
 
     genesis = []
-    for i, gdoc in enumerate(doc.get("genesis", [])):
+    for i, gdoc in enumerate(_list(doc.get("genesis", []), "genesis")):
         path = f"genesis[{i}]"
         _check_fields(gdoc, (("account", "account"), ("amount", "amount")),
                       path, {"account": owners})
         genesis.append((gdoc["account"], gdoc["amount"]))
 
-    rules_doc = doc.get("ruleset", {})
+    rules_doc = _object(doc.get("ruleset", {}), "ruleset")
     threshold = rules_doc.get("threshold")
     if threshold is not None:
         threshold = _as_int(threshold, "ruleset.threshold", 0)
 
-    defaults = doc.get("defaults", {})
+    defaults = _object(doc.get("defaults", {}), "defaults")
     sampler = defaults.get("sampler", "uniform")
     if sampler not in tuple(SAMPLERS):
         raise ScenarioError("defaults.sampler", f"unknown sampler {sampler!r}")
 
     names = {"account": owners, "entity": ids}
     steps = []
-    for i, sdoc in enumerate(doc.get("steps", [])):
+    for i, sdoc in enumerate(_list(doc.get("steps", []), "steps")):
         path = f"steps[{i}]"
-        if not isinstance(sdoc, dict):
-            raise ScenarioError(path, "step must be an object")
-        op = _need(sdoc, "op", path)
+        op = _need(_object(sdoc, path), "op", path)
         if op not in STEP_FIELDS:
             raise ScenarioError(f"{path}.op", f"unknown step op {op!r}")
         _check_fields(sdoc, STEP_FIELDS[op], path, names)
@@ -323,14 +365,14 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
                 isinstance(h, str) and h in HEURISTICS for h in heuristics):
             raise ScenarioError(f"{path}.heuristics",
                                 f"unknown heuristic in {heuristics!r}")
+        _flag(sdoc, "flag", path, True)
         if sdoc.get("sampler", "uniform") not in tuple(SAMPLERS):
             raise ScenarioError(f"{path}.sampler",
                                 f"unknown sampler {sdoc['sampler']!r}")
         expect = sdoc.get("expect")
         if expect is not None:
-            if not isinstance(expect, dict):
-                raise ScenarioError(f"{path}.expect", "expected an object")
-            outcome = _need(expect, "outcome", f"{path}.expect")
+            outcome = _need(_object(expect, f"{path}.expect"), "outcome",
+                            f"{path}.expect")
             if outcome not in ("accept", "deny"):
                 raise ScenarioError(f"{path}.expect.outcome",
                                     f"expected accept|deny, got {outcome!r}")
@@ -486,9 +528,6 @@ class _Runner:
         the mode, blacklist, threshold and trusted issuer keys."""
         sc = self.sc
         seed = self.seed.to_bytes(8, "big")
-        institutions = [e.entity_id for e in sc.entities
-                        if e.kind in (EntityKind.REGULATED_INSTITUTION,
-                                      EntityKind.CENTRAL_BANK)]
         registry = Registry(fee_schedule={
             e.entity_id: e.fee for e in sc.entities if e.fee is not None})
         for decl in sc.entities:
@@ -515,20 +554,13 @@ class _Runner:
             sc.mediation_fee)
 
         balances = {acct: 0 for acct in registry.accounts}
-        genesis = LedgerState.genesis(self.group, balances, self.range_bits)
         for account, amount in sc.genesis:
-            new_balances = dict(genesis.balances)
-            new_balances[account] += amount
-            genesis = replace(genesis, balances=new_balances,
-                              total_issued=genesis.total_issued + amount)
+            balances[account] += amount
+        genesis = LedgerState.genesis(self.group, balances, self.range_bits)
 
-        node_ids = [f"node{i}" for i in range(sc.consensus.n)]
-        node_institutions = {
-            nid: institutions[i % len(institutions)] if institutions else nid
-            for i, nid in enumerate(node_ids)}
         self.world = World(
-            self.group, node_ids, node_institutions, sc.consensus.f, genesis,
-            policy_hook=self._decide, seed=self.seed,
+            self.group, [f"node{i}" for i in range(sc.consensus.n)],
+            sc.consensus.f, genesis, policy_hook=self._decide, seed=self.seed,
             delay=sc.consensus.delay, drop=sc.consensus.drop,
             fault_scripts=sc.consensus.faults,
             base_timeout=sc.consensus.base_timeout)
@@ -865,7 +897,7 @@ class _Runner:
 
     def _op_blacklist(self, index, step):
         entity = step["entity"]
-        flag = bool(step.get("flag", True))
+        flag = step.get("flag", True)
         self.ruleset = update_blacklist(self.ruleset, entity, flag)
         return StepOutcome(index, step["op"], "accept")
 
@@ -895,10 +927,7 @@ class _Runner:
         corpus = make_spend_corpus(
             get_profile("test"), trials, ring_size, sampler,
             seed=self.seed ^ (index + 1) * 7919)
-        heuristics = step.get("heuristics",
-                              ["uniform-guess", "newest-member",
-                               "key-image-graph"])
-        for heuristic in heuristics:
+        for heuristic in step.get("heuristics", HEURISTICS):
             stats = run_link_attack(corpus, heuristic, seed=self.seed)
             self.probes.attack_stats.append(stats)
             self.reports["attacks"].append({

@@ -4,10 +4,10 @@ Events live in a heap keyed by (virtual time, tiebreak counter), so the
 processing order is a pure function of the seed and the inputs.  Virtual
 time is integer microseconds; nothing reads a wall clock.
 
-Per-link behaviour: uniform delay jitter inside [delay_min, delay_max],
-independent drop probability, and optional partition windows.  Node fault
-scripts use the vocabulary crash@t, mute@t..t', equivocate@h (the last is
-interpreted by the consensus layer, not the network).
+Per-link behaviour: uniform delay jitter inside [delay_min, delay_max]
+and an independent drop probability.  Node fault scripts use the
+vocabulary crash@t, mute@t..t', equivocate@h (the last is interpreted by
+the consensus layer, not the network).
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ def merge_faults(specs: list[str]) -> FaultScript:
 @dataclass(frozen=True)
 class Deliver:
     dst: str
-    src: str
     message: object
 
 
@@ -96,13 +95,11 @@ class SimNetwork:
     """Event queue plus the link model shared by all nodes."""
 
     def __init__(self, node_ids: list[str], seed: int,
-                 delay: tuple[int, int] = (1_000, 5_000), drop: float = 0.0,
-                 partitions: tuple[tuple[int, int, tuple[frozenset, ...]], ...] = ()):
+                 delay: tuple[int, int] = (1_000, 5_000), drop: float = 0.0):
         self.node_ids = sorted(node_ids)
         self.rng = random.Random(seed)
         self.delay_min, self.delay_max = delay
         self.drop = drop
-        self.partitions = partitions
         self.time = 0
         self._counter = 0
         self._queue: list[tuple[int, int, object]] = []
@@ -116,25 +113,14 @@ class SimNetwork:
         self._counter += 1
         heapq.heappush(self._queue, (at, self._counter, event))
 
-    def _partitioned(self, src: str, dst: str) -> bool:
-        for start, end, groups in self.partitions:
-            if start <= self.time <= end:
-                for group in groups:
-                    if (src in group) != (dst in group):
-                        return True
-        return False
-
     def send(self, src: str, dst: str, message: object) -> None:
         self.stats.sent += 1
         self.stats.count_type(message)
-        if self._partitioned(src, dst):
-            self.stats.dropped += 1
-            return
         if self.drop > 0 and self.rng.random() < self.drop:
             self.stats.dropped += 1
             return
         latency = self.rng.randint(self.delay_min, self.delay_max)
-        self.schedule(self.time + latency, Deliver(dst, src, message))
+        self.schedule(self.time + latency, Deliver(dst, message))
 
     def set_timer(self, node_id: str, kind: str, delay: int) -> None:
         self.schedule(self.time + delay, TimerFire(node_id, kind))

@@ -37,7 +37,6 @@ class StealthKeypair:
 
 @dataclass(frozen=True)
 class OneTimeOutputKeys:
-    ephemeral_secret: int
     ephemeral_public: int
     onetime_address: int
     shared_blinding: int  # blinding the sender uses for the amount commitment
@@ -67,9 +66,8 @@ def make_onetime_output(group: GroupParams, address: tuple[int, int],
     shared = group.power(scan_pub, ephemeral)
     t = _onetime_scalar(group, shared)
     p = group.mul(group.power(group.g, t), spend_pub)
-    return OneTimeOutputKeys(
-        ephemeral, group.power(group.g, ephemeral), p,
-        shared_blinding(group, shared))
+    return OneTimeOutputKeys(group.power(group.g, ephemeral), p,
+                             shared_blinding(group, shared))
 
 
 def scan_output(group: GroupParams, scan_secret: int, spend_public: int,

@@ -75,9 +75,6 @@ class Wallet:
     def address(self) -> tuple[int, int]:
         return self.keypair.address
 
-    def balance(self) -> int:
-        return sum(n.value for n in self.notes)
-
     def add_note(self, note: WalletNote) -> None:
         self.notes.append(note)
         self.notes.sort(key=lambda n: n.output_id)
@@ -141,9 +138,7 @@ class AgeBiasedSampler:
     the ascending-by-age population, so draws are O(1)."""
 
     name = "age-biased"
-
-    def __init__(self, exponent: float = 2.0):
-        self.exponent = exponent
+    exponent = 2.0
 
     def sample(self, population: list[int], true_id: int, ring_size: int,
                rng: random.Random) -> list[int]:
@@ -182,7 +177,6 @@ class CreatedNote:
     """Opening of a shielded output the builder just made, to be delivered
     to the recipient's wallet once the transaction commits."""
     recipient_id: str
-    sout_index: int
     value: int
     blinding: int
     onetime_address: int
@@ -197,15 +191,15 @@ class BuildResult:
 
 
 def _make_note(group: GroupParams, recipient_id: str,
-               address: tuple[int, int], value: int, sout_index: int,
-               range_bits: int, stream: ScalarStream) -> tuple[ShieldedOutput, CreatedNote]:
+               address: tuple[int, int], value: int, range_bits: int,
+               stream: ScalarStream) -> tuple[ShieldedOutput, CreatedNote]:
     keys = make_onetime_output(group, address, stream.next())
     blinding = keys.shared_blinding
     out = ShieldedOutput(
         keys.onetime_address, keys.ephemeral_public,
         commit(group, value, blinding),
         prove_range(group, value, blinding, range_bits))
-    note = CreatedNote(recipient_id, sout_index, value, blinding,
+    note = CreatedNote(recipient_id, value, blinding,
                        keys.onetime_address, keys.ephemeral_public)
     return out, note
 
@@ -278,7 +272,7 @@ def build_shield(group: GroupParams, state: LedgerState, wallet: Wallet,
     if state.balances.get(from_account, 0) < amount + fee:
         raise BuildError("insufficient account balance")
     out, note = _make_note(group, wallet.entity_id, wallet.address, amount,
-                           0, state.range_bits, stream)
+                           state.range_bits, stream)
     tx = Transaction(
         TxKind.SHIELD,
         tin=(TransparentInput(from_account, amount + fee),),
@@ -287,15 +281,6 @@ def build_shield(group: GroupParams, state: LedgerState, wallet: Wallet,
     z = (0 - note.blinding) % group.q
     tx = replace(tx, excess=sign_excess(group, z, digest))
     return BuildResult(tx, (note,), ())
-
-
-class _UnsignedMarker:
-    """Placeholder signature while the digest is being computed; the digest
-    never covers signatures, so any stand-in works."""
-    key_image = 0
-
-
-_MARKER = _UnsignedMarker()
 
 
 @dataclass(frozen=True)
@@ -345,14 +330,15 @@ def _spend_legs(group: GroupParams, state: LedgerState, kind: TxKind,
             payments.insert(0, (leg.payee_id, leg.payee_address, leg.amount))
         for recipient_id, address, value in payments:
             out, note = _make_note(group, recipient_id, address, value,
-                                   len(souts), state.range_bits, stream)
+                                   state.range_bits, stream)
             souts.append(out)
             created.append(note)
 
+    # the digest never covers signatures: draft inputs carry none
     sins = tuple(
         ShieldedInput(plan.ring_refs,
                       commit(group, plan.note.value, plan.pseudo_blinding),
-                      _MARKER)
+                      None)
         for plan in plans)
     tx = Transaction(kind, tout=tuple(tout), sin=sins, sout=tuple(souts),
                      fee=fee, credentials=tuple(creds), sponsor_id=sponsor_id)

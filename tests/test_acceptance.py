@@ -155,9 +155,8 @@ def _bft_world(n, f, seed, drop, faults):
     genesis = LedgerState.genesis(get_profile("standard"),
                                   {"a": 10 ** 6, "b": 0}, range_bits=12)
     ids = [f"n{i}" for i in range(n)]
-    return World(get_profile("standard"), ids, {i: i for i in ids}, f,
-                 genesis, None, seed=seed, drop=drop,
-                 fault_scripts=faults, base_timeout=60_000)
+    return World(get_profile("standard"), ids, f, genesis, None, seed=seed,
+                 drop=drop, fault_scripts=faults, base_timeout=60_000)
 
 
 def test_acceptance_4_bft_safety_and_liveness():

@@ -15,7 +15,7 @@ from pvx.blindsig import (
 
 @pytest.fixture(scope="module")
 def issuer():
-    return issuer_keygen(b"issuer-seed", bits=512)
+    return issuer_keygen(b"issuer-seed")
 
 
 def run_protocol(issuer, serial, unblinder, attribute="eligible"):
@@ -32,7 +32,7 @@ def test_issue_finalize_verify_roundtrip(issuer):
 
 
 def test_wrong_issuer_key_fails(issuer):
-    other = issuer_keygen(b"another-issuer", bits=512)
+    other = issuer_keygen(b"another-issuer")
     cred = run_protocol(issuer, serial=42, unblinder=777777)
     assert not credential_verify(other.public, cred)
 
@@ -46,8 +46,8 @@ def test_tampered_serial_or_attribute_fails(issuer):
 
 
 def test_keygen_deterministic():
-    assert issuer_keygen(b"seed-x", bits=512) == issuer_keygen(b"seed-x", bits=512)
-    assert issuer_keygen(b"seed-x", bits=512) != issuer_keygen(b"seed-y", bits=512)
+    assert issuer_keygen(b"seed-x") == issuer_keygen(b"seed-x")
+    assert issuer_keygen(b"seed-x") != issuer_keygen(b"seed-y")
 
 
 def test_issuer_transcript_unlinkable(issuer):

@@ -1,16 +1,20 @@
+from dataclasses import replace
+
 import pytest
 
 from pvx.consensus import NodeConfig, SafetyViolation, World, block_digest
 from pvx.group import STANDARD_GROUP as G
 from pvx.ledger import LedgerState, transaction_digest
-from pvx.txbuild import build_transparent_transfer
+from pvx.pedersen import Commitment
+from pvx.txbuild import build_shielded_transfer, build_transparent_transfer
+from conftest import Harness
 
 
 def make_world(n, f, seed=1, drop=0.0, faults=None, timeout=60_000):
     genesis = LedgerState.genesis(G, {"a": 100_000, "b": 0}, range_bits=12)
     ids = [f"n{i}" for i in range(n)]
-    return World(G, ids, {i: i for i in ids}, f, genesis, None, seed=seed,
-                 drop=drop, fault_scripts=faults or {}, base_timeout=timeout)
+    return World(G, ids, f, genesis, None, seed=seed, drop=drop,
+                 fault_scripts=faults or {}, base_timeout=timeout)
 
 
 def transfer(i):
@@ -19,7 +23,7 @@ def transfer(i):
 
 def test_replica_bound_enforced():
     with pytest.raises(ValueError, match="3f\\+1"):
-        NodeConfig("n0", "i0", ("n0", "n1", "n2"), f=1)
+        NodeConfig("n0", ("n0", "n1", "n2"), f=1)
 
 
 def test_single_node_commits_immediately():
@@ -161,9 +165,33 @@ def test_safety_checker_detects_divergence():
     w.submit_client_tx("n0", tx)
     w.run_until(lambda: w.tx_final_everywhere(tx), 10_000_000)
     # forge divergence by hand to prove the checker bites
-    from dataclasses import replace
     node = w.nodes["n1"]
     forged = replace(node.chain[0], proposer="evil")
     node.chain[0] = forged
     with pytest.raises(SafetyViolation):
         w.check_safety()
+
+
+@pytest.mark.parametrize("n,f", [(1, 0), (4, 1)])
+def test_undigestible_client_tx_is_dropped(n, f):
+    # a pseudo-commitment of -p has no fixed-width encoding, so no replica
+    # can take the txid: each drops the tx instead of crashing the world
+    h = Harness().fund()
+    tx = build_shielded_transfer(G, h.state, h.wallets["alice"], "bob",
+                                 h.wallets["bob"].address, 50, 3, h.sampler,
+                                 h.rng, h.stream).tx
+    bad = replace(tx, sin=(replace(tx.sin[0],
+                                   pseudo_commitment=Commitment(-G.p)),
+                           *tx.sin[1:]))
+    genesis = replace(h.state, height=0)  # the harness's blocks as genesis
+    w = World(G, [f"n{i}" for i in range(n)], f, genesis, None, seed=5)
+    for nid in w.nodes:
+        w.submit_client_tx(nid, bad)
+    w.step()
+    for node in w.nodes.values():
+        assert not node.mempool and node.stats.rejected_byzantine == 1
+    good = build_transparent_transfer(G, "alice.acct", "bob.acct", "bob",
+                                      25).tx
+    w.submit_client_tx("n0", good)
+    assert w.run_until(lambda: w.tx_final_everywhere(good), 60_000_000)
+    w.check_safety()

@@ -95,7 +95,7 @@ def test_cleartext_sum_cannot_wrap_the_group_order(small_harness, paid):
     h.land(build_shield(group, h.state, wallet, "alice.acct", 10, h.stream))
     note = next(n for n in wallet.notes if n.value == 10)
     plans = _plan_spends(h.state, [note], h.sampler, 3, h.rng, h.stream)
-    change, opening = _make_note(group, "alice", wallet.address, 0, 0,
+    change, opening = _make_note(group, "alice", wallet.address, 0,
                                  h.state.range_bits, h.stream)
     tx = Transaction(
         TxKind.UNSHIELD, tout=(TransparentOutput("acme.acct", paid, "acme"),),
@@ -127,9 +127,20 @@ def _with_bit(tx, **fields):
     return _with_output(tx, range_proof=replace(proof, bits=bits))
 
 
-def _with_credential(tx, serial, signature):
+def _with_signature(tx, **fields):
+    return _with_input(tx, signature=replace(tx.sin[0].signature, **fields))
+
+
+def _with_credential(tx, serial, signature, attribute="eligible"):
     from pvx.blindsig import Credential
-    return replace(tx, credentials=(Credential("eligible", serial, signature),))
+    return replace(tx, credentials=(Credential(attribute, serial, signature),))
+
+
+def _transparent(**fields):
+    # digested by its builder, then replaced: the copy carries no digest
+    tx = build_transparent_transfer(TEST_GROUP, "alice.acct", "bob.acct",
+                                    "bob", 10).tx
+    return replace(tx, **fields)
 
 
 UNENCODABLE = {
@@ -153,13 +164,27 @@ UNENCODABLE = {
     "serial=-1": lambda tx, p: _with_credential(tx, -1, 1),
     "serial=2^256": lambda tx, p: _with_credential(tx, 2 ** 256, 1),
     "signature=-1": lambda tx, p: _with_credential(tx, 1, -1),
+    # wrongly typed fields
+    "key-image=str": lambda tx, p: _with_signature(tx, key_image="x"),
+    "c0=str": lambda tx, p: _with_signature(tx, c0="x"),
+    "responses=None": lambda tx, p: _with_signature(tx, responses=None),
+    "signature=None": lambda tx, p: _with_input(tx, signature=None),
+    "ring-refs=str": lambda tx, p: _with_input(tx, ring_refs="abc"),
+    "nonce-point=str": lambda tx, p: replace(
+        tx, excess=replace(tx.excess, nonce_point="a")),
+    "fee=str": lambda tx, p: replace(tx, fee="1"),
+    "attribute=int": lambda tx, p: _with_credential(tx, 1, 1, attribute=7),
+    "sponsor-id=int": lambda tx, p: replace(tx, sponsor_id=5),
+    "owner-id=int": lambda tx, p: _transparent(
+        tout=(TransparentOutput("bob.acct", 10, 5),)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNENCODABLE))
 def test_fields_the_digest_cannot_encode_are_malformed(small_harness, case):
-    # a group element outside [0, p) or a count wider than its fixed
-    # encoding must get a code, not escape from transaction_digest
+    # a group element outside [0, p), a count wider than its fixed
+    # encoding or a field of the wrong type must get a code, not escape
+    # from transaction_digest or a verifier
     h = small_harness
     tx = build_shielded_transfer(h.group, h.state, h.wallets["alice"], "bob",
                                  h.wallets["bob"].address, 20, 3, h.sampler,
@@ -216,7 +241,7 @@ def test_validation_clause_codes(harness):
     plans = _plan_spends(state, [note, note], harness.sampler, 3,
                          harness.rng, harness.stream)
     out, created = _make_note(G, "alice", wallet.address, 2 * note.value - 9,
-                              0, state.range_bits, harness.stream)
+                              state.range_bits, harness.stream)
     skeleton = tuple(ShieldedInput(
         p.ring_refs, commit(G, p.note.value, p.pseudo_blinding), None)
         for p in plans)

@@ -378,6 +378,66 @@ def test_corpus_covers_every_policy_rule():
             "IssuerNotAuthorized"} <= seen_deny
 
 
+def _with_consensus(**fields):
+    return lambda doc: doc["consensus"].update(fields)
+
+
+def _with_entity(index, **fields):
+    return lambda doc: doc["entities"][index].update(fields)
+
+
+# (mutation of minimal_doc(), path of the expected ScenarioError): a bad
+# document must fail to parse, naming the field, never raise anything else
+# at parse or run time and never be read as something it does not say
+DOC_CASES = {
+    "fault-unknown-op": (
+        _with_consensus(faults={"node0": ["explode@5"]}),
+        r"^consensus\.faults\.node0: "),
+    "fault-time-not-a-number": (
+        _with_consensus(faults={"node0": ["crash@abc"]}),
+        r"^consensus\.faults\.node0: "),
+    "fault-specs-not-a-list": (
+        _with_consensus(faults={"node0": "mute@1..2"}),
+        r"^consensus\.faults\.node0: "),
+    "fault-for-an-unknown-node": (
+        _with_consensus(faults={"node4": ["crash@5"]}),
+        r"^consensus\.faults\.node4: "),
+    "every-node-crashes": (
+        _with_consensus(faults={"node0": ["crash@5"]}),
+        r"^consensus\.faults: "),
+    "delay-not-a-list": (_with_consensus(delay=5), r"^consensus\.delay: "),
+    "delay-of-strings": (
+        _with_consensus(delay=["a", "b"]), r"^consensus\.delay\[0\]: "),
+    "drop-not-a-number": (_with_consensus(drop="x"), r"^consensus\.drop: "),
+    "drop-above-one": (_with_consensus(drop=2.0), r"^consensus\.drop: "),
+    "consensus-not-an-object": (
+        lambda doc: doc.update(consensus=[1]), r"^consensus: "),
+    "entity-not-an-object": (
+        lambda doc: doc["entities"].append(5), r"^entities\[4\]: "),
+    "entity-fee-not-an-int": (
+        _with_entity(0, fee="x"), r"^entities\[0\]\.fee: "),
+    "blacklisted-as-a-string": (
+        _with_entity(3, blacklisted="false"),
+        r"^entities\[3\]\.blacklisted: "),
+    "blacklist-flag-as-a-string": (
+        lambda doc: doc["steps"].append(
+            {"op": "blacklist", "entity": "bob", "flag": "false"}),
+        r"^steps\[2\]\.flag: "),
+    "steps-as-an-object": (
+        lambda doc: doc.update(steps={"first": doc["steps"][0]}),
+        r"^steps: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOC_CASES))
+def test_malformed_documents_are_scenario_errors(case):
+    mutate, path = DOC_CASES[case]
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError, match=path):
+        parse_scenario(json.dumps(doc))
+
+
 def test_random_scenario_is_valid(tmp_path):
     scenario = random_scenario(5, steps=25)
     result = run_scenario(scenario)
@@ -421,6 +481,15 @@ def test_cli_run_exits_2_on_an_unknown_heuristic(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli_main(["run", str(path)]) == 2
     assert r"steps[2].heuristics" in capsys.readouterr().err
+
+
+def test_cli_run_exits_2_on_a_bad_fault_spec(tmp_path, capsys):
+    doc = minimal_doc(consensus={"n": 1, "f": 0, "seed": 1,
+                                 "faults": {"node0": ["explode@5"]}})
+    path = tmp_path / "explode.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["run", str(path)]) == 2
+    assert "consensus.faults.node0" in capsys.readouterr().err
 
 
 def test_cli_report_file_and_seed(tmp_path, capsys):

@@ -57,17 +57,6 @@ def test_delay_bounds_respected():
         assert 100 <= at <= 200
 
 
-def test_partition_blocks_cross_group_traffic():
-    groups = (frozenset({"a"}), frozenset({"b"}))
-    net = SimNetwork(["a", "b"], seed=1, partitions=((0, 10_000, groups),))
-    net.send("a", "b", "blocked")
-    assert net.stats.dropped == 1
-    net.time = 20_000
-    net.send("a", "b", "allowed")
-    assert net.stats.dropped == 1
-    assert len(drain(net)) == 1
-
-
 def test_event_ordering_ties_broken_by_insertion():
     net = SimNetwork(["a"], seed=1)
     net.schedule(100, "first")
