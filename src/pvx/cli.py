@@ -79,6 +79,19 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for a count that must be 1 or more, as the scenario
+    parser requires of `ring_size` and `trials`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_attack(args) -> int:
     corpus = make_spend_corpus(get_profile("test"), args.trials,
                                args.ring_size, make_sampler(args.sampler),
@@ -119,8 +132,8 @@ def main(argv=None) -> int:
     p_attack = sub.add_parser("attack", help="run the linkability experiment")
     p_attack.add_argument("--sampler", choices=tuple(SAMPLERS),
                           default="uniform")
-    p_attack.add_argument("--ring-size", type=int, default=11)
-    p_attack.add_argument("--trials", type=int, default=10_000)
+    p_attack.add_argument("--ring-size", type=_at_least_one, default=11)
+    p_attack.add_argument("--trials", type=_at_least_one, default=10_000)
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.set_defaults(func=_cmd_attack)
 

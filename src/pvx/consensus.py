@@ -736,10 +736,10 @@ class World:
                 msg = self._sealed(node, action[1])
                 for dst in node.cfg.replicas:
                     if dst != node.node_id:
-                        self.net.send(node.node_id, dst, msg)
+                        self.net.send(dst, msg)
             elif action[0] == "send":
                 _, dst, msg = action
-                self.net.send(node.node_id, dst, self._sealed(node, msg))
+                self.net.send(dst, self._sealed(node, msg))
 
     def _sealed(self, node: PBFTNode, msg):
         if isinstance(msg, CatchUp):

@@ -11,6 +11,10 @@ Group elements are integers in the order-q subgroup of Z_p^*; scalars are
 integers mod q.  H is derived by hashing the fixed domain tag ``pvx/H`` so
 that nobody knows log_G(H).
 
+``power`` raises G and H through fixed-base tables on a profile whose q is
+wider than a machine word, and calls builtin ``pow`` otherwise; both give
+the same integer.
+
 Serialization is unsigned big-endian with a fixed byte length per profile
 (``element_bytes`` / ``scalar_bytes``).  Domain-separation tags are ASCII
 and part of the external interface: "pvx/H", "pvx/ring", "pvx/range",
@@ -21,11 +25,20 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 TAG_H = "pvx/H"
 TAG_RING = "pvx/ring"
 TAG_RANGE = "pvx/range"
 TAG_CRED = "pvx/cred"
+
+# Fixed-base exponentiation for G and H (Brickell-Gordon-McCurley-Wilson
+# 1992): one table row per WINDOW_BITS-bit digit of the exponent.  `power`
+# reads the digits as the exponent's bytes, hence 8.  The tables pay only
+# when q is wider than a machine word; on a smaller q builtin pow beats a
+# Python-level walk.
+WINDOW_BITS = 8
+WORD_MAX = 2**64 - 1
 
 
 def tagged_hash(tag: str, *items: bytes) -> bytes:
@@ -58,13 +71,30 @@ class GroupParams:
     h: int
     range_bits: int  # default bit width for range proofs on this profile
 
-    @property
+    def __hash__(self) -> int:
+        # equal profiles have equal p; hashing all six fields made most of
+        # the cost of a cache lookup keyed by a profile
+        return hash(self.p)
+
+    # Derived once per profile object and kept in its __dict__, which a
+    # frozen dataclass leaves writable.  A dataclasses.replace copy is a
+    # new object and derives its own, from its own g and h.
+
+    @cached_property
     def element_bytes(self) -> int:
         return (self.p.bit_length() + 7) // 8
 
-    @property
+    @cached_property
     def scalar_bytes(self) -> int:
         return (self.q.bit_length() + 7) // 8
+
+    @cached_property
+    def _g_table(self) -> list[list[int]]:
+        return _fixed_base_table(self.g, self.p, self.q)
+
+    @cached_property
+    def _h_table(self) -> list[list[int]]:
+        return _fixed_base_table(self.h, self.p, self.q)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -77,7 +107,21 @@ class GroupParams:
         return pow(a, -1, self.p) if a % self.p else 0
 
     def power(self, base: int, exp: int) -> int:
+        if self.q > WORD_MAX:
+            if base == self.g:
+                return self._fixed_power(self._g_table, exp)
+            if base == self.h:
+                return self._fixed_power(self._h_table, exp)
         return pow(base, exp % self.q, self.p)
+
+    def _fixed_power(self, table: list[list[int]], exp: int) -> int:
+        # one entry per row: row i holds base^(d * 256^i) at digit d
+        digits = (exp % self.q).to_bytes(len(table), "little")
+        p = self.p
+        acc = 1
+        for row, digit in zip(table, digits):
+            acc = acc * row[digit] % p
+        return acc
 
     def is_element(self, a: int) -> bool:
         """Membership in the order-q subgroup (excludes 0; includes 1)."""
@@ -123,6 +167,20 @@ class GroupParams:
             if e not in (0, 1):
                 return e
             ctr += 1
+
+
+def _fixed_base_table(base: int, p: int, q: int) -> list[list[int]]:
+    """One row per WINDOW_BITS-bit digit of an exponent below q, with
+    row[i][d] = base^(d * 2^(WINDOW_BITS * i)) mod p."""
+    width = 1 << WINDOW_BITS
+    table = []
+    for _ in range(-(-q.bit_length() // WINDOW_BITS)):
+        row = [1] * width
+        for d in range(1, width):
+            row[d] = row[d - 1] * base % p
+        table.append(row)
+        base = row[-1] * base % p
+    return table
 
 
 def _build(name: str, p: int, q: int, g: int, range_bits: int) -> GroupParams:

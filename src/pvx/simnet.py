@@ -113,7 +113,7 @@ class SimNetwork:
         self._counter += 1
         heapq.heappush(self._queue, (at, self._counter, event))
 
-    def send(self, src: str, dst: str, message: object) -> None:
+    def send(self, dst: str, message: object) -> None:
         self.stats.sent += 1
         self.stats.count_type(message)
         if self.drop > 0 and self.rng.random() < self.drop:

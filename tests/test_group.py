@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -104,3 +105,25 @@ def test_nonzero_scalar_never_zero():
 def test_unknown_profile_rejected():
     with pytest.raises(ValueError):
         get_profile("p256")
+
+
+# 9 = 3^2 is a quadratic residue other than 1, so it generates the order-q
+# subgroup of the standard profile as well as 4 does
+_OTHER_G = dataclasses.replace(STANDARD_GROUP, g=9)
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, STANDARD_GROUP, _OTHER_G],
+                         ids=["test", "standard", "standard-g9"])
+def test_fixed_base_power_matches_builtin(group):
+    # the original profile first, so its tables exist before the copy's
+    STANDARD_GROUP.power(STANDARD_GROUP.g, 5)
+    STANDARD_GROUP.power(STANDARD_GROUP.h, 5)
+    p, q = group.p, group.q
+    rnd = random.Random(0xF1B)
+    exps = [0, 1, q - 1, q, q + 1, -1, 2**200 + 3]
+    exps += [rnd.randrange(q) for _ in range(40)]
+    exps += [rnd.randrange(-2**256, 2**256) for _ in range(10)]
+    variable = group.hash_to_group("pvx/test-base", b"var")
+    for base in (group.g, group.h, variable, STANDARD_GROUP.g):
+        for e in exps:
+            assert group.power(base, e) == pow(base, e % q, p), (base, e)

@@ -516,3 +516,18 @@ def test_cli_attack(capsys):
                      "--trials", "600"]) == 0
     out = capsys.readouterr().out
     assert "newest-member" in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--ring-size", "0", "--trials", "10"], "--ring-size"),
+    (["--ring-size", "-2", "--trials", "10"], "--ring-size"),
+    (["--ring-size", "3", "--trials", "0"], "--trials"),
+    (["--ring-size", "3", "--trials", "-3"], "--trials"),
+    (["--ring-size", "3", "--trials", "ten"], "--trials"),
+])
+def test_cli_attack_rejects_counts_below_one(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["attack"] + argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert flag in err and out == ""

@@ -22,8 +22,8 @@ def test_same_seed_same_trace():
     def run():
         net = SimNetwork(["a", "b", "c"], seed=42, drop=0.2)
         for i in range(50):
-            net.send("a", "b", ("msg", i))
-            net.send("b", "c", ("msg", i))
+            net.send("b", ("msg", i))
+            net.send("c", ("msg", i))
         return drain(net)
 
     assert run() == run()
@@ -33,7 +33,7 @@ def test_different_seed_different_trace():
     def run(seed):
         net = SimNetwork(["a", "b"], seed=seed)
         for i in range(20):
-            net.send("a", "b", ("msg", i))
+            net.send("b", ("msg", i))
         return drain(net)
 
     assert run(1) != run(2)
@@ -41,7 +41,7 @@ def test_different_seed_different_trace():
 
 def test_full_drop_delivers_nothing_but_timers_fire():
     net = SimNetwork(["a", "b"], seed=1, drop=1.0)
-    net.send("a", "b", "hello")
+    net.send("b", "hello")
     net.set_timer("a", "tick", 500)
     events = drain(net)
     assert all(isinstance(e, TimerFire) for _, e in events)
@@ -51,7 +51,7 @@ def test_full_drop_delivers_nothing_but_timers_fire():
 def test_delay_bounds_respected():
     net = SimNetwork(["a", "b"], seed=3, delay=(100, 200))
     for _ in range(100):
-        net.send("a", "b", "x")
+        net.send("b", "x")
     for at, event in drain(net):
         assert isinstance(event, Deliver)
         assert 100 <= at <= 200
