@@ -72,8 +72,8 @@ class GroupParams:
     range_bits: int  # default bit width for range proofs on this profile
 
     def __hash__(self) -> int:
-        # equal profiles have equal p; hashing all six fields made most of
-        # the cost of a cache lookup keyed by a profile
+        # equal profiles have equal p, so p alone agrees with ==; profiles
+        # key hot caches (ringsig._image_base), so the hash must be cheap
         return hash(self.p)
 
     # Derived once per profile object and kept in its __dict__, which a
