@@ -24,7 +24,7 @@ from .group import get_profile
 from .observer import HEURISTICS, make_spend_corpus, run_link_attack
 from .policy import Mode, RuleSet, authorize_matrix
 from .scenario import ScenarioError, emit_report, load_scenario, run_scenario
-from .txbuild import SAMPLERS, make_sampler
+from .txbuild import MAX_RING_SIZE, SAMPLERS, make_sampler
 
 
 def _cmd_run(args) -> int:
@@ -81,7 +81,7 @@ def _cmd_matrix(args) -> int:
 
 def _at_least_one(text: str) -> int:
     """argparse type for a count that must be 1 or more, as the scenario
-    parser requires of `ring_size` and `trials`."""
+    parser requires of `trials`."""
     try:
         value = int(text)
     except ValueError:
@@ -89,6 +89,15 @@ def _at_least_one(text: str) -> int:
             f"{text!r} is not an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _ring_size(text: str) -> int:
+    """argparse type for a ring size, bounded as in the scenario parser."""
+    value = _at_least_one(text)
+    if value > MAX_RING_SIZE:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_RING_SIZE}, got {value}")
     return value
 
 
@@ -132,7 +141,7 @@ def main(argv=None) -> int:
     p_attack = sub.add_parser("attack", help="run the linkability experiment")
     p_attack.add_argument("--sampler", choices=tuple(SAMPLERS),
                           default="uniform")
-    p_attack.add_argument("--ring-size", type=_at_least_one, default=11)
+    p_attack.add_argument("--ring-size", type=_ring_size, default=11)
     p_attack.add_argument("--trials", type=_at_least_one, default=10_000)
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.set_defaults(func=_cmd_attack)

@@ -4,12 +4,12 @@ the deterministic simulated network.
 Three-phase flow per sequence number: the view's leader (round-robin,
 view mod n) sends PrePrepare carrying a block; replicas validate the block
 and broadcast Prepare; a node is *prepared* once it holds the pre-prepare
-plus 2f matching prepares, after which it broadcasts Commit; 2f+1 matching
-commits finalize the block, executed strictly in sequence order.  Timeouts
-trigger view changes with exponential backoff; ViewChange messages carry
-prepared certificates (block included) so the next leader re-proposes
-anything that may have committed somewhere.  Checkpointing is omitted:
-logs are desk-scale.
+plus 2f matching prepares from backups, after which it broadcasts Commit;
+2f+1 matching commits finalize the block, executed strictly in sequence
+order.  Timeouts trigger view changes with exponential backoff; ViewChange
+messages carry prepared certificates (block included) so the next leader
+re-proposes anything that may have committed somewhere.  Checkpointing is
+omitted: logs are desk-scale.
 
 Authentication is a simulation-level node-keyed MAC, deliberately separate
 from the privacy layer's signatures.  Scripted faults: crash@t (stop),
@@ -230,7 +230,8 @@ class PBFTNode:
         self.fault = fault
         self.view = 0
         self.chain: list[Block] = []
-        self.mempool: dict[str, Transaction] = {}
+        # txid -> (tx, chain height it was validated at on admission)
+        self.mempool: dict[str, tuple[Transaction, int]] = {}
         self.slots: dict[int, Slot] = {}
         self.buffered_commits: dict[int, Block] = {}
         self.view_votes: dict[int, dict[str, ViewChange]] = {}
@@ -244,7 +245,6 @@ class PBFTNode:
         self.rejections: dict[str, str] = {}  # txid -> latest ledger code
         self.equivocated: set[int] = set()
         self.committed_at: dict[str, int] = {}  # txid -> height
-        self._valid_at: dict[str, int] = {}  # txid -> height when validated
         self._proven: set[Transaction] = set()  # proofs passed, not yet final
 
     # -- helpers -------------------------------------------------------------
@@ -321,8 +321,7 @@ class PBFTNode:
                 self.rejections[txid] = verdict.code
                 self._proven.discard(tx)
                 return actions
-            self.mempool[txid] = tx
-            self._valid_at[txid] = self.executed
+            self.mempool[txid] = (tx, self.executed)
         if self.is_leader():
             self._maybe_propose(actions)
         elif from_client:
@@ -338,10 +337,10 @@ class PBFTNode:
         chosen: list[Transaction] = []
         state = self.ledger
         stale: list[str] = []
-        for txid, tx in self.mempool.items():
+        for txid, (tx, valid_at) in self.mempool.items():
             # admission already validated against this exact state for the
             # first pick; later picks see a folded state and re-validate
-            if not chosen and self._valid_at.get(txid) == self.executed:
+            if not chosen and valid_at == self.executed:
                 chosen.append(tx)
                 state = apply_transaction(state, tx)
                 continue
@@ -472,12 +471,11 @@ class PBFTNode:
     def _check_prepared(self, slot: Slot, actions: list) -> None:
         if slot.prepared or slot.digest is None:
             return
-        matching = sum(1 for d in slot.prepares.values() if d == slot.digest)
+        # 2f matching prepares from backups: the leader's pre-prepare
+        # stands in for its prepare
         leader = self.cfg.leader_of(self.view)
-        if self.node_id == leader:
-            # leader's pre-prepare is its prepare; count replica prepares only
-            matching = sum(1 for s, d in slot.prepares.items()
-                           if d == slot.digest and s != leader)
+        matching = sum(1 for s, d in slot.prepares.items()
+                       if d == slot.digest and s != leader)
         if matching >= 2 * self.cfg.f:
             slot.prepared = True
             own = Commit(self.view, slot.seq, slot.digest, self.node_id)
@@ -688,7 +686,7 @@ class PBFTNode:
                 actions.append(("broadcast", vc))
         if self.mempool and not self.is_leader():
             leader = self.cfg.leader_of(self.view)
-            for tx in self.mempool.values():
+            for tx, _ in self.mempool.values():
                 actions.append(("send", leader, TxForward(tx, self.node_id)))
         if self.mempool and self.is_leader():
             self._maybe_propose(actions)

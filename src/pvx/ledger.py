@@ -278,6 +278,12 @@ class LedgerState:
 PolicyHook = Callable[[Transaction], "object"]
 
 
+# every code a rejecting Verdict carries, besides a policy DenyReason's value
+LEDGER_CODES = ("RingSignature", "DoubleSpend", "RangeProof", "BalanceProof",
+                "InsufficientFunds", "UnknownAccount", "MalformedTransaction",
+                "DuplicateOnetime")
+
+
 @dataclass(frozen=True)
 class Verdict:
     accepted: bool

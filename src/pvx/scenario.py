@@ -7,10 +7,9 @@ A scenario is a JSON document with explicit key names:
       "profile": "standard" | "test",          (default standard)
       "range_bits": 12,                        (default: profile's width)
       "consensus": {"n": 4, "f": 1, "seed": 7, "delay": [1000, 5000],
-                    "drop": 0.0, "faults": {"node1": ["crash@5000000"]},
-                    "base_timeout": 60000, "step_deadline": 120000000},
+                    "drop": 0.0, "faults": {"node1": ["crash@5000000"]}},
       "entities": [{"id": "...", "kind": "Individual", "stealth": true,
-                    "blacklisted": false, "issuer": false, "fee": 2,
+                    "issuer": false, "fee": 2,
                     "accounts": [{"id": "...", "institution": "..."}]}],
       "ruleset": {"threshold": null, "mediation_fee": 2},
       "genesis": [{"account": "...", "amount": 1000}],
@@ -18,13 +17,16 @@ A scenario is a JSON document with explicit key names:
       "steps": [{"op": "...", ..., "expect": {"outcome": "accept"}}]
     }
 
-Step ops: transfer, shield, unshield, shielded_transfer, mediated_exchange,
-issue, blacklist, issue_credential, attack_probe, tax_report.  Every step's
-outcome lands in the run result; optional per-step expectations make a
-scenario an executable regression test.
+Every object is closed: a key the parser does not know is an error.  Step
+ops and their fields are listed in `STEP_FIELDS`.  Every step's outcome
+lands in the run result; optional per-step expectations make a scenario
+an executable regression test.
 
-The run is a pure function of (scenario bytes, seed): wallets, ephemerals,
-blindings, serials and network jitter all derive from the scenario seed.
+Parsing builds the `Registry` (entities, accounts, fees) and the
+`RuleSet` (mode, threshold, mediation fee) that own the document's facts,
+and checks every reference against them.  The run is a pure function of
+(scenario bytes, seed): wallets, issuer keys, ephemerals, blindings,
+serials and network jitter all derive from the scenario seed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .blindsig import (
     credential_finalize,
@@ -44,6 +46,7 @@ from .consensus import World
 from .entityreg import Account, Entity, Registry
 from .group import GroupParams, get_profile, tagged_hash
 from .ledger import (
+    LEDGER_CODES,
     LedgerState,
     Transaction,
     TransparentInput,
@@ -76,6 +79,7 @@ from .policy import (
 from .simnet import merge_faults
 from .stealth import recover_spend_secret
 from .txbuild import (
+    MAX_RING_SIZE,
     SAMPLERS,
     BuildError,
     MediatedLeg,
@@ -91,32 +95,48 @@ from .txbuild import (
     make_sampler,
 )
 
-# Required fields per step op, and what each must name: a declared account,
-# a declared entity or a positive amount (None: checked when the step runs).
+# Each step op's (required, optional) fields besides "op" and "expect", and
+# what each must be (see `_check_fields`): the fields its `_op_*` reads.
+# A shielded spend's optional fields are also the document's defaults.
+SPEND_FIELDS = {"fee": "natural", "ring_size": "ring size",
+                "sampler": "sampler"}
 STEP_FIELDS = {
-    "transfer": (("from", "account"), ("to", "account"), ("amount", "amount")),
-    "shield": (("entity", "entity"), ("amount", "amount")),
-    "unshield": (("entity", "entity"), ("to", "account"),
-                 ("amount", "amount")),
-    "shielded_transfer": (("from", "entity"), ("to", "entity"),
-                          ("amount", "amount")),
-    "mediated_exchange": (("intermediary", "entity"), ("legs", "legs")),
-    "issue": (("authority", "entity"), ("to", "account"),
-              ("amount", "amount")),
-    "blacklist": (("entity", "entity"),),
-    "issue_credential": (("issuer", None), ("holder", "entity")),
-    "attack_probe": (),
-    "tax_report": (("entity", "entity"),),
+    "transfer": ({"from": "account", "to": "account", "amount": "positive"},
+                 {"fee": "natural"}),
+    "shield": ({"entity": "entity", "amount": "positive"},
+               {"account": "account", "fee": "natural"}),
+    "unshield": ({"entity": "entity", "to": "account", "amount": "positive"},
+                 SPEND_FIELDS),
+    "shielded_transfer": ({"from": "entity", "to": "entity",
+                           "amount": "positive"}, SPEND_FIELDS),
+    "mediated_exchange": ({"intermediary": "entity", "legs": "legs"},
+                          SPEND_FIELDS),
+    "issue": ({"authority": "entity", "to": "account", "amount": "positive"},
+              {}),
+    "blacklist": ({"entity": "entity"}, {"flag": "flag"}),
+    "issue_credential": ({"issuer": "issuer", "holder": "entity"},
+                         {"count": "natural"}),
+    "attack_probe": ({}, {"heuristics": "heuristics", "ring_size": "ring size",
+                          "sampler": "sampler", "trials": "positive"}),
+    "tax_report": ({"entity": "registered business"},
+                   {"from_height": "positive", "to_height": "positive"}),
 }
-LEG_FIELDS = (("payer", "entity"), ("payee", "entity"), ("amount", "amount"))
+LEG_FIELDS = {"payer": "entity", "payee": "entity", "amount": "positive"}
+# the (least, greatest) value of each integer kind of field; a seed must fit
+# the 8 bytes the run's key derivations take
+INT_RANGES = {"positive": (1, None), "natural": (0, None),
+              "ring size": (1, MAX_RING_SIZE), "seed": (0, 2**64 - 1)}
 
-DENY_REASONS = ("MediationRequired", "BusinessToStoreForbidden", "Blacklisted",
-                "CredentialRequired", "CredentialReused",
-                "ThresholdIdentificationRequired", "IssuerNotAuthorized")
+DENY_REASONS = tuple(reason.value for reason in DenyReason)
+# the values a field of each closed kind may take; parsing adds the
+# declared accounts, entities, issuers and registered businesses
+NAMES = {"mode": ("supported", "mediated"), "profile": ("standard", "test"),
+         "entity kind": tuple(kind.value for kind in EntityKind),
+         "sampler": tuple(SAMPLERS), "outcome": ("accept", "deny"),
+         "reason": DENY_REASONS + LEDGER_CODES}
 
-LEDGER_CODES = ("RingSignature", "DoubleSpend", "RangeProof", "BalanceProof",
-                "InsufficientFunds", "UnknownAccount", "MalformedTransaction",
-                "DuplicateOnetime")
+# simulated microseconds a step may take before it is an error
+STEP_DEADLINE = 120_000_000
 
 
 class ScenarioError(ValueError):
@@ -135,35 +155,23 @@ class ConsensusParams:
     delay: tuple[int, int] = (1_000, 5_000)
     drop: float = 0.0
     faults: dict[str, list[str]] = field(default_factory=dict)
-    base_timeout: int = 60_000
-    step_deadline: int = 120_000_000
-
-
-@dataclass(frozen=True)
-class EntityDecl:
-    entity_id: str
-    kind: EntityKind
-    accounts: tuple[tuple[str, str], ...] = ()  # (account id, institution)
-    stealth: bool = False
-    blacklisted: bool = False
-    issuer: bool = False
-    fee: int | None = None
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed document.  The registry owns entities, accounts and fees;
+    the ruleset owns the mode, threshold and mediation fee, and gets its
+    trusted issuer keys when a run derives them from its seed."""
     name: str
-    mode: Mode
     profile: str
     range_bits: int | None
     consensus: ConsensusParams
-    entities: tuple[EntityDecl, ...]
+    registry: Registry
+    ruleset: RuleSet
+    wallet_holders: tuple[str, ...]   # entity ids, in declaration order
+    issuers: tuple[str, ...]          # entity ids, in declaration order
     genesis: tuple[tuple[str, int], ...]
-    threshold: int | None
-    mediation_fee: int
-    default_ring_size: int
-    default_sampler: str
-    default_fee: int
+    defaults: dict  # a step's default fee, ring_size and sampler
     steps: tuple[dict, ...]
 
 
@@ -177,11 +185,14 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
+def _as_int(value, path: str, minimum: int | None = None,
+            maximum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScenarioError(path, f"expected integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ScenarioError(path, f"must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ScenarioError(path, f"must be <= {maximum}")
     return value
 
 
@@ -197,29 +208,49 @@ def _list(value, path: str) -> list:
     return value
 
 
-def _flag(obj: dict, key: str, path: str, default: bool) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{path}.{key}", f"expected true or false, "
-                                             f"got {value!r}")
-    return value
-
-
-def _check_fields(obj, fields, path: str, names: dict) -> None:
-    """Each (key, what) field is present and names a declared `what`."""
-    _object(obj, path)
-    for key, what in fields:
-        value = _need(obj, key, path)
-        if what == "amount":
-            _as_int(value, f"{path}.{key}", 1)
+def _check_fields(obj, required: dict, optional: dict, path: str,
+                  names: dict) -> None:
+    """`obj` is an object with every `required` field and none outside
+    `required` and `optional`, which map each field to the kind of value it
+    holds: an integer kind of `INT_RANGES`, a flag, a list of heuristics or
+    of legs, an expectation, a member of `names[kind]`, or (None) anything
+    the caller checks."""
+    for key in _object(obj, path):
+        if key not in required and key not in optional:
+            raise ScenarioError(f"{path}.{key}", "unknown field")
+    for key in required:
+        _need(obj, key, path)
+    for key, value in obj.items():
+        what, vpath = required.get(key) or optional.get(key), f"{path}.{key}"
+        if what in INT_RANGES:
+            _as_int(value, vpath, *INT_RANGES[what])
+        elif what == "flag":
+            if not isinstance(value, bool):
+                raise ScenarioError(vpath, f"expected true or false, "
+                                           f"got {value!r}")
         elif what == "legs":
-            if not isinstance(value, list):
-                raise ScenarioError(f"{path}.{key}", "expected a list of legs")
-            for j, leg in enumerate(value):
-                _check_fields(leg, LEG_FIELDS, f"{path}.{key}[{j}]", names)
+            for j, leg in enumerate(_list(value, vpath)):
+                _check_fields(leg, LEG_FIELDS, {}, f"{vpath}[{j}]", names)
+        elif what == "expect":
+            _check_fields(value, {"outcome": "outcome"}, {"reason": "reason"},
+                          vpath, names)
+            if value["outcome"] == "deny":
+                _need(value, "reason", vpath)
+        elif what == "heuristics":
+            if not isinstance(value, list) or not all(
+                    isinstance(h, str) and h in HEURISTICS for h in value):
+                raise ScenarioError(vpath, f"unknown heuristic in {value!r}")
         elif what is not None and (not isinstance(value, str)
                                    or value not in names[what]):
-            raise ScenarioError(f"{path}.{key}", f"unknown {what} {value!r}")
+            raise ScenarioError(vpath, f"unknown {what} {value!r}")
+
+
+def _registered(register, item, path: str) -> Registry:
+    """`register(item)`, with the registry's refusal as a ScenarioError."""
+    try:
+        return register(item)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from None
 
 
 def parse_scenario(text: str | bytes | dict) -> Scenario:
@@ -230,28 +261,17 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError("$", f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ScenarioError("$", "scenario must be an object")
+    _check_fields(doc, {"mode": "mode"},
+                  {"profile": "profile", "range_bits": "positive",
+                   "name": None, "consensus": None, "entities": None,
+                   "ruleset": None, "genesis": None, "defaults": None,
+                   "steps": None}, "$", NAMES)
 
-    known_top = {"name", "mode", "profile", "range_bits", "consensus",
-                 "entities", "ruleset", "genesis", "defaults", "steps"}
-    for key in doc:
-        if key not in known_top:
-            raise ScenarioError(key, "unknown field")
-
-    mode_raw = _need(doc, "mode", "$")
-    try:
-        mode = Mode(str(mode_raw).capitalize())
-    except ValueError:
-        raise ScenarioError("mode", f"unknown mode {mode_raw!r}") from None
-
-    profile = doc.get("profile", "standard")
-    if profile not in ("standard", "test"):
-        raise ScenarioError("profile", f"unknown profile {profile!r}")
-
-    cons_doc = _object(doc.get("consensus", {}), "consensus")
-    n = _as_int(cons_doc.get("n", 1), "consensus.n", 1)
-    f = _as_int(cons_doc.get("f", 0), "consensus.f", 0)
+    cons_doc = doc.get("consensus", {})
+    _check_fields(cons_doc, {}, {"n": "positive", "f": "natural",
+                                 "seed": "seed", "delay": None, "drop": None,
+                                 "faults": None}, "consensus", NAMES)
+    n, f = cons_doc.get("n", 1), cons_doc.get("f", 0)
     if n < 3 * f + 1:
         raise ScenarioError("consensus.n",
                             f"n={n} violates the n >= 3f+1 bound for f={f}")
@@ -285,123 +305,95 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
         raise ScenarioError("consensus.faults",
                             "every node crashes or equivocates")
     consensus = ConsensusParams(
-        n=n, f=f, seed=_as_int(cons_doc.get("seed", 0), "consensus.seed"),
+        n=n, f=f, seed=cons_doc.get("seed", 0),
         delay=(delay_min, delay_max), drop=float(drop),
-        faults={node: list(specs) for node, specs in faults.items()},
-        base_timeout=_as_int(cons_doc.get("base_timeout", 60_000),
-                             "consensus.base_timeout", 1),
-        step_deadline=_as_int(cons_doc.get("step_deadline", 120_000_000),
-                              "consensus.step_deadline", 1))
+        faults={node: list(specs) for node, specs in faults.items()})
 
-    entities = []
-    ids = set()
-    owners: dict[str, str] = {}  # account id -> owning entity id
-    for i, edoc in enumerate(_list(doc.get("entities", []), "entities")):
+    # every entity first: an institution may be declared after its customer
+    registry = Registry()
+    fees: dict[str, int] = {}
+    wallet_holders = []
+    issuers = []
+    entity_docs = _list(doc.get("entities", []), "entities")
+    for i, edoc in enumerate(entity_docs):
         path = f"entities[{i}]"
-        eid = str(_need(_object(edoc, path), "id", path))
-        if eid in ids:
-            raise ScenarioError(f"{path}.id", f"duplicate entity id {eid!r}")
-        ids.add(eid)
-        kind_raw = _need(edoc, "kind", path)
-        try:
-            kind = EntityKind(kind_raw)
-        except ValueError:
-            raise ScenarioError(f"{path}.kind",
-                                f"unknown entity kind {kind_raw!r}") from None
-        accounts = []
-        for j, adoc in enumerate(_list(edoc.get("accounts", []),
-                                       f"{path}.accounts")):
-            apath = f"{path}.accounts[{j}]"
-            acct_id = str(_need(_object(adoc, apath), "id", apath))
-            if acct_id in owners:
-                raise ScenarioError(f"{apath}.id",
-                                    f"duplicate account id {acct_id!r}")
-            owners[acct_id] = eid
-            accounts.append((acct_id, str(_need(adoc, "institution", apath))))
-        fee = edoc.get("fee")
-        entities.append(EntityDecl(
-            eid, kind, tuple(accounts),
-            stealth=_flag(edoc, "stealth", path, False),
-            blacklisted=_flag(edoc, "blacklisted", path, False),
-            issuer=_flag(edoc, "issuer", path, False),
-            fee=None if fee is None else _as_int(fee, f"{path}.fee", 0)))
+        _check_fields(edoc, {"id": None, "kind": "entity kind"},
+                      {"stealth": "flag", "issuer": "flag", "fee": "natural",
+                       "accounts": None}, path, NAMES)
+        eid, kind = str(edoc["id"]), EntityKind(edoc["kind"])
+        registry = _registered(registry.register_entity, Entity(eid, kind),
+                               f"{path}.id")
+        if "fee" in edoc:
+            fees[eid] = edoc["fee"]
+        if kind is EntityKind.INDIVIDUAL or edoc.get("stealth", False):
+            wallet_holders.append(eid)
+        if edoc.get("issuer", False):
+            issuers.append(eid)
+    for i, edoc in enumerate(entity_docs):
+        path = f"entities[{i}].accounts"
+        for j, adoc in enumerate(_list(edoc.get("accounts", []), path)):
+            apath = f"{path}[{j}]"
+            _check_fields(adoc, {"id": None, "institution": None}, {},
+                          apath, NAMES)
+            account = Account(str(adoc["id"]), str(adoc["institution"]),
+                              str(edoc["id"]))
+            field_path = f"{apath}.id" \
+                if account.account_id in registry.accounts \
+                else f"{apath}.institution"
+            registry = _registered(registry.register_account, account,
+                                   field_path)
+    registry = replace(registry, fee_schedule=fees)
+    names = {**NAMES, "account": registry.accounts,
+             "entity": registry.entities, "issuer": issuers,
+             "registered business": {
+                 eid for eid, e in registry.entities.items()
+                 if e.kind is EntityKind.REGISTERED_BUSINESS}}
 
     genesis = []
     for i, gdoc in enumerate(_list(doc.get("genesis", []), "genesis")):
-        path = f"genesis[{i}]"
-        _check_fields(gdoc, (("account", "account"), ("amount", "amount")),
-                      path, {"account": owners})
+        _check_fields(gdoc, {"account": "account", "amount": "positive"}, {},
+                      f"genesis[{i}]", names)
         genesis.append((gdoc["account"], gdoc["amount"]))
 
-    rules_doc = _object(doc.get("ruleset", {}), "ruleset")
+    rules_doc = doc.get("ruleset", {})
+    _check_fields(rules_doc, {},
+                  {"threshold": None, "mediation_fee": "natural"}, "ruleset",
+                  names)
     threshold = rules_doc.get("threshold")
     if threshold is not None:
-        threshold = _as_int(threshold, "ruleset.threshold", 0)
+        _as_int(threshold, "ruleset.threshold", 0)
+    ruleset = RuleSet(Mode(doc["mode"].capitalize()), frozenset(), threshold,
+                      (), rules_doc.get("mediation_fee", 0))
 
-    defaults = _object(doc.get("defaults", {}), "defaults")
-    sampler = defaults.get("sampler", "uniform")
-    if sampler not in tuple(SAMPLERS):
-        raise ScenarioError("defaults.sampler", f"unknown sampler {sampler!r}")
+    defaults = doc.get("defaults", {})
+    _check_fields(defaults, {}, SPEND_FIELDS, "defaults", names)
 
-    names = {"account": owners, "entity": ids}
     steps = []
     for i, sdoc in enumerate(_list(doc.get("steps", []), "steps")):
         path = f"steps[{i}]"
         op = _need(_object(sdoc, path), "op", path)
-        if op not in STEP_FIELDS:
+        if not isinstance(op, str) or op not in STEP_FIELDS:
             raise ScenarioError(f"{path}.op", f"unknown step op {op!r}")
-        _check_fields(sdoc, STEP_FIELDS[op], path, names)
-        if op == "shield" and "account" in sdoc and (
-                not isinstance(sdoc["account"], str)
-                or owners.get(sdoc["account"]) != sdoc["entity"]):
+        required, optional = STEP_FIELDS[op]
+        _check_fields(sdoc, {"op": None, **required},
+                      {"expect": "expect", **optional}, path, names)
+        if op == "shield" and "account" in sdoc and registry.accounts[
+                sdoc["account"]].owner_id != sdoc["entity"]:
             raise ScenarioError(f"{path}.account",
                                 f"not an account of {sdoc['entity']!r}")
-        for key, minimum in (("fee", 0), ("ring_size", 1), ("count", 0),
-                             ("trials", 1)):
-            if key in sdoc:
-                _as_int(sdoc[key], f"{path}.{key}", minimum)
-        heuristics = sdoc.get("heuristics", [])
-        if not isinstance(heuristics, list) or not all(
-                isinstance(h, str) and h in HEURISTICS for h in heuristics):
-            raise ScenarioError(f"{path}.heuristics",
-                                f"unknown heuristic in {heuristics!r}")
-        _flag(sdoc, "flag", path, True)
-        if sdoc.get("sampler", "uniform") not in tuple(SAMPLERS):
-            raise ScenarioError(f"{path}.sampler",
-                                f"unknown sampler {sdoc['sampler']!r}")
-        expect = sdoc.get("expect")
-        if expect is not None:
-            outcome = _need(_object(expect, f"{path}.expect"), "outcome",
-                            f"{path}.expect")
-            if outcome not in ("accept", "deny"):
-                raise ScenarioError(f"{path}.expect.outcome",
-                                    f"expected accept|deny, got {outcome!r}")
-            if outcome == "deny":
-                reason = _need(expect, "reason", f"{path}.expect")
-                if reason not in DENY_REASONS + LEDGER_CODES:
-                    raise ScenarioError(f"{path}.expect.reason",
-                                        f"unknown reason {reason!r}")
         steps.append(dict(sdoc))
-
-    range_bits = doc.get("range_bits")
-    if range_bits is not None:
-        range_bits = _as_int(range_bits, "range_bits", 1)
 
     return Scenario(
         name=str(doc.get("name", "unnamed")),
-        mode=mode,
-        profile=profile,
-        range_bits=range_bits,
+        profile=doc.get("profile", "standard"),
+        range_bits=doc.get("range_bits"),
         consensus=consensus,
-        entities=tuple(entities),
+        registry=registry,
+        ruleset=ruleset,
+        wallet_holders=tuple(wallet_holders),
+        issuers=tuple(issuers),
         genesis=tuple(genesis),
-        threshold=threshold,
-        mediation_fee=_as_int(rules_doc.get("mediation_fee", 0),
-                              "ruleset.mediation_fee", 0),
-        default_ring_size=_as_int(defaults.get("ring_size", 4),
-                                  "defaults.ring_size", 1),
-        default_sampler=sampler,
-        default_fee=_as_int(defaults.get("fee", 0), "defaults.fee", 0),
+        defaults={"fee": 0, "ring_size": 4, "sampler": "uniform", **defaults},
         steps=tuple(steps))
 
 
@@ -517,43 +509,29 @@ class _Runner:
         self.expect_checked = 0
         self.probes = ScenarioProbes()
         self.reports: dict = {"tax": [], "attacks": []}
-        self.openings: dict[int, tuple[int, int]] = {}
         self.credentials: dict[str, list] = {}
         self._setup()
 
     # -- world construction ---------------------------------------------------
 
     def _setup(self) -> None:
-        """The registry owns entities, accounts and fees; the ruleset owns
-        the mode, blacklist, threshold and trusted issuer keys."""
+        """What depends on the run seed: wallet and issuer keys, which the
+        ruleset trusts, genesis and the replicas."""
         sc = self.sc
         seed = self.seed.to_bytes(8, "big")
-        registry = Registry(fee_schedule={
-            e.entity_id: e.fee for e in sc.entities if e.fee is not None})
-        for decl in sc.entities:
-            registry = registry.register_entity(
-                Entity(decl.entity_id, decl.kind))
-        for decl in sc.entities:
-            for acct_id, inst in decl.accounts:
-                registry = registry.register_account(
-                    Account(acct_id, inst, decl.entity_id))
-        self.registry = registry
+        self.registry = sc.registry
         self.wallets = {
-            e.entity_id: Wallet.create(self.group, e.entity_id, tagged_hash(
+            eid: Wallet.create(self.group, eid, tagged_hash(
                 "pvx/scenario/wallet", seed))
-            for e in sc.entities
-            if e.kind is EntityKind.INDIVIDUAL or e.stealth}
+            for eid in sc.wallet_holders}
         self.issuers = {
-            e.entity_id: issuer_keygen(tagged_hash(
-                "pvx/scenario/issuer", seed, e.entity_id.encode()))
-            for e in sc.entities if e.issuer}
-        self.ruleset = RuleSet(
-            sc.mode, frozenset(e.entity_id for e in sc.entities
-                               if e.blacklisted),
-            sc.threshold, tuple(k.public for k in self.issuers.values()),
-            sc.mediation_fee)
+            eid: issuer_keygen(tagged_hash(
+                "pvx/scenario/issuer", seed, eid.encode()))
+            for eid in sc.issuers}
+        self.ruleset = replace(sc.ruleset, credential_issuers=tuple(
+            k.public for k in self.issuers.values()))
 
-        balances = {acct: 0 for acct in registry.accounts}
+        balances = {acct: 0 for acct in sc.registry.accounts}
         for account, amount in sc.genesis:
             balances[account] += amount
         genesis = LedgerState.genesis(self.group, balances, self.range_bits)
@@ -562,8 +540,7 @@ class _Runner:
             self.group, [f"node{i}" for i in range(sc.consensus.n)],
             sc.consensus.f, genesis, policy_hook=self._decide, seed=self.seed,
             delay=sc.consensus.delay, drop=sc.consensus.drop,
-            fault_scripts=sc.consensus.faults,
-            base_timeout=sc.consensus.base_timeout)
+            fault_scripts=sc.consensus.faults)
         self._live_honest = [
             nid for nid in self.world.honest_ids()
             if self.world.nodes[nid].fault.crash_at is None]
@@ -667,7 +644,7 @@ class _Runner:
         world = self.world
         live = self._live_honest
         txid = transaction_digest(self.group, tx).hex()
-        deadline = world.net.time + self.sc.consensus.step_deadline
+        deadline = world.net.time + STEP_DEADLINE
         world.submit_client_tx(live[len(self.outcomes) % len(live)], tx)
         attempt = 0
         while not world.run_until(lambda: world.tx_final_everywhere(tx),
@@ -685,13 +662,12 @@ class _Runner:
         return "accept", self.reference.committed_at[txid]
 
     def _deliver_notes(self, result) -> None:
+        """Builders pay only wallet holders, so the wallets' unspent notes
+        open every unspent output for the conservation audit."""
         state = self.reference.ledger
         for note in result.created:
             oid = state.onetime_index[note.onetime_address]
-            self.openings[oid] = (note.value, note.blinding)
-            wallet = self.wallets.get(note.recipient_id)
-            if wallet is None:
-                continue
+            wallet = self.wallets[note.recipient_id]
             secret = recover_spend_secret(
                 self.group, wallet.keypair, note.ephemeral_public,
                 note.onetime_address)
@@ -699,11 +675,11 @@ class _Runner:
                 raise RuntimeError("recipient cannot scan its own note")
             wallet.add_note(WalletNote(oid, note.onetime_address, note.value,
                                        note.blinding, secret))
-        for oid in result.consumed:
-            self.openings.pop(oid, None)
         for wallet in self.wallets.values():
             wallet.remove_notes(set(result.consumed))
-        if not conservation_audit(state, self.openings):
+        openings = {n.output_id: (n.value, n.blinding)
+                    for wallet in self.wallets.values() for n in wallet.notes}
+        if not conservation_audit(state, openings):
             raise RuntimeError("conservation audit failed after commit")
 
     def _blacklist_probe(self, dest_entity: str, accepted: bool) -> None:
@@ -722,13 +698,13 @@ class _Runner:
                 self.probes.credentialless = True
 
     def _sampler_for(self, step: dict):
-        return make_sampler(step.get("sampler", self.sc.default_sampler))
+        return make_sampler(step.get("sampler", self.sc.defaults["sampler"]))
 
     def _ring_size(self, step: dict) -> int:
-        return step.get("ring_size", self.sc.default_ring_size)
+        return step.get("ring_size", self.sc.defaults["ring_size"])
 
     def _fee(self, step: dict) -> int:
-        return step.get("fee", self.sc.default_fee)
+        return step.get("fee", self.sc.defaults["fee"])
 
     # -- the step interpreter ----------------------------------------------------
 
@@ -743,7 +719,7 @@ class _Runner:
             self._record(index, step, outcome)
 
         self.world.check_safety()
-        desiderata = desiderata_report(self.sc.mode, self.probes)
+        desiderata = desiderata_report(self.ruleset.mode, self.probes)
         self.reports["desiderata"] = desiderata.to_dict()
         self.reports["institution_shares"] = institution_shares(
             self.registry, self.reference.chain)
@@ -753,7 +729,7 @@ class _Runner:
              for code in node.rejections.values()})
         return RunResult(
             scenario=self.sc.name,
-            mode=self.sc.mode.value,
+            mode=self.ruleset.mode.value,
             seed=self.seed,
             final_digest=self.reference.ledger.digest(),
             outcomes=self.outcomes,
@@ -877,7 +853,7 @@ class _Runner:
                 self.group, self.reference.ledger, intermediary, legs,
                 self._ring_size(step), self._sampler_for(step), self.rng,
                 self.stream, fee, credential_pools=pools
-                if self.sc.mode is Mode.MEDIATED else None)
+                if self.ruleset.mode is Mode.MEDIATED else None)
 
         outcome = self._payment_common(index, step, draft, build)
         accepted = outcome.outcome == "accept"
@@ -902,15 +878,9 @@ class _Runner:
         return StepOutcome(index, step["op"], "accept")
 
     def _op_issue_credential(self, index, step):
-        issuer_id = step["issuer"]
-        holder = step["holder"]
-        count = step.get("count", 1)
-        keypair = self.issuers.get(issuer_id)
-        if keypair is None:
-            return StepOutcome(index, step["op"], "error",
-                               detail=f"{issuer_id!r} is not an issuer")
-        pouch = self.credentials.setdefault(holder, [])
-        for i in range(count):
+        keypair = self.issuers[step["issuer"]]
+        pouch = self.credentials.setdefault(step["holder"], [])
+        for i in range(step.get("count", 1)):
             serial = self.stream.next()
             unblinder = self.stream.next() % (keypair.public.n - 3) + 2
             while math.gcd(unblinder, keypair.public.n) != 1:

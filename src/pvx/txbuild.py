@@ -160,6 +160,11 @@ class AgeBiasedSampler:
 
 SAMPLERS = {"uniform": UniformSampler, "age-biased": AgeBiasedSampler}
 
+# Largest ring a scenario or `pvx attack` may ask for.  The shipped scenarios
+# and the benchmark use at most 11; a link-attack corpus mints 50 outputs
+# per ring member, so the bound also caps its memory.
+MAX_RING_SIZE = 64
+
 
 def make_sampler(name: str):
     try:

@@ -98,6 +98,24 @@ def test_rejections_hold_one_entry_per_transaction():
         transaction_digest(G, bad).hex(): "InsufficientFunds"}
 
 
+def test_committed_transactions_leave_no_per_transaction_state():
+    # only committed_at may still name a transaction once it is final
+    w = make_world(4, 1)
+    txs = [transfer(i) for i in range(4)]
+    for i, tx in enumerate(txs):
+        w.submit_client_tx(f"n{i}", tx, at=i * 5_000)
+    assert w.run_until(lambda: all(w.tx_final_everywhere(tx) for tx in txs),
+                       30_000_000)
+    w.check_safety()
+    txids = {transaction_digest(G, tx).hex() for tx in txs}
+    for node in w.nodes.values():
+        assert txids <= set(node.committed_at)
+        for name, table in vars(node).items():
+            if isinstance(table, (dict, set)) and name != "committed_at":
+                assert not (txids | set(txs)) & set(table), (node.node_id,
+                                                               name)
+
+
 def test_liveness_under_message_drop():
     w = make_world(7, 2, seed=9, drop=0.3, timeout=80_000)
     tx = transfer(0)

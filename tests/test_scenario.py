@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -19,7 +20,7 @@ from pvx.scenario import (
     random_scenario,
     run_scenario,
 )
-from pvx.txbuild import build_issue
+from pvx.txbuild import MAX_RING_SIZE, build_issue
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "pvx",
                             "scenarios")
@@ -386,6 +387,22 @@ def _with_entity(index, **fields):
     return lambda doc: doc["entities"][index].update(fields)
 
 
+def _with_account(entity_index, **fields):
+    return lambda doc: doc["entities"][entity_index]["accounts"][0].update(
+        fields)
+
+
+def _with_step(**step):
+    return lambda doc: doc["steps"].append(step)
+
+
+def _with_tax_report(**fields):
+    def mutate(doc):
+        doc["entities"].append({"id": "acme", "kind": "RegisteredBusiness"})
+        doc["steps"].append({"op": "tax_report", "entity": "acme", **fields})
+    return mutate
+
+
 # (mutation of minimal_doc(), path of the expected ScenarioError): a bad
 # document must fail to parse, naming the field, never raise anything else
 # at parse or run time and never be read as something it does not say
@@ -426,6 +443,38 @@ DOC_CASES = {
     "steps-as-an-object": (
         lambda doc: doc.update(steps={"first": doc["steps"][0]}),
         r"^steps: "),
+    "negative-seed": (_with_consensus(seed=-1), r"^consensus\.seed: "),
+    "account-at-an-unknown-institution": (
+        _with_account(2, institution="nobank"),
+        r"^entities\[2\]\.accounts\[0\]\.institution: "),
+    "account-at-a-business": (
+        _with_entity(0, kind="RegisteredBusiness"),
+        r"^entities\[2\]\.accounts\[0\]\.institution: "),
+    "tax-report-height-a-string": (
+        _with_tax_report(from_height="x"), r"^steps\[2\]\.from_height: "),
+    "tax-report-height-a-list": (
+        _with_tax_report(to_height=[1]), r"^steps\[2\]\.to_height: "),
+    "tax-report-on-an-individual": (
+        _with_tax_report(entity="alice"), r"^steps\[2\]\.entity: "),
+    "unknown-consensus-key": (
+        _with_consensus(dorp=0.5), r"^consensus\.dorp: "),
+    "unknown-step-key": (
+        lambda doc: doc["steps"][1].update(ammount=40),
+        r"^steps\[1\]\.ammount: "),
+    "unknown-account-key": (
+        _with_account(2, bank="bank"),
+        r"^entities\[2\]\.accounts\[0\]\.bank: "),
+    "op-not-a-string": (_with_step(op={}), r"^steps\[2\]\.op: "),
+    "credential-from-a-non-issuer": (
+        _with_step(op="issue_credential", issuer="bank", holder="alice"),
+        r"^steps\[2\]\.issuer: "),
+    "ring-size-over-the-ceiling": (
+        _with_step(op="unshield", entity="alice", to="bob.acct", amount=5,
+                   ring_size=MAX_RING_SIZE + 1),
+        r"^steps\[2\]\.ring_size: "),
+    "default-ring-size-over-the-ceiling": (
+        lambda doc: doc.update(defaults={"ring_size": MAX_RING_SIZE + 1}),
+        r"^defaults\.ring_size: "),
 }
 
 
@@ -436,6 +485,17 @@ def test_malformed_documents_are_scenario_errors(case):
     mutate(doc)
     with pytest.raises(ScenarioError, match=path):
         parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("case", sorted(DOC_CASES))
+def test_cli_run_exits_2_on_a_malformed_document(case, tmp_path, capsys):
+    mutate, path = DOC_CASES[case]
+    doc = minimal_doc()
+    mutate(doc)
+    scenario = tmp_path / "malformed.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli_main(["run", str(scenario)]) == 2
+    assert re.search(path, capsys.readouterr().err.removeprefix("error: "))
 
 
 def test_random_scenario_is_valid(tmp_path):
@@ -509,6 +569,13 @@ def test_cli_matrix(capsys):
     assert "MediationRequired" in out
     assert "864 cells" in out
     assert cli_main(["matrix", "--mode", "supported", "--credentialed"]) == 0
+
+
+def test_cli_attack_bounds_the_ring_size(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["attack", "--ring-size", str(MAX_RING_SIZE + 1)])
+    assert exit_.value.code == 2
+    assert f"must be at most {MAX_RING_SIZE}" in capsys.readouterr().err
 
 
 def test_cli_attack(capsys):
