@@ -23,8 +23,14 @@ from .consensus import SafetyViolation
 from .group import get_profile
 from .observer import HEURISTICS, make_spend_corpus, run_link_attack
 from .policy import Mode, RuleSet, authorize_matrix
-from .scenario import ScenarioError, emit_report, load_scenario, run_scenario
-from .txbuild import MAX_RING_SIZE, SAMPLERS, make_sampler
+from .scenario import (
+    INT_RANGES,
+    ScenarioError,
+    emit_report,
+    load_scenario,
+    run_scenario,
+)
+from .txbuild import SAMPLERS, make_sampler
 
 
 def _cmd_run(args) -> int:
@@ -79,26 +85,26 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type for a count that must be 1 or more, as the scenario
-    parser requires of `trials`."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_of(kind: str):
+    """argparse type for an integer in the scenario parser's range for
+    `kind`, so the command line accepts what a document does."""
+    lo, hi = INT_RANGES[kind]
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {hi}, got {value}")
+        return value
 
-def _ring_size(text: str) -> int:
-    """argparse type for a ring size, bounded as in the scenario parser."""
-    value = _at_least_one(text)
-    if value > MAX_RING_SIZE:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_RING_SIZE}, got {value}")
-    return value
+    return parse
 
 
 def _cmd_attack(args) -> int:
@@ -124,7 +130,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("scenario")
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", type=_int_of("seed"), default=None,
                        help="override the scenario's consensus seed")
     p_run.add_argument("--format", choices=("text", "structured"),
                        default="text")
@@ -141,8 +147,9 @@ def main(argv=None) -> int:
     p_attack = sub.add_parser("attack", help="run the linkability experiment")
     p_attack.add_argument("--sampler", choices=tuple(SAMPLERS),
                           default="uniform")
-    p_attack.add_argument("--ring-size", type=_ring_size, default=11)
-    p_attack.add_argument("--trials", type=_at_least_one, default=10_000)
+    p_attack.add_argument("--ring-size", type=_int_of("ring size"),
+                          default=11)
+    p_attack.add_argument("--trials", type=_int_of("positive"), default=10_000)
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.set_defaults(func=_cmd_attack)
 

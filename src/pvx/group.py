@@ -11,9 +11,15 @@ Group elements are integers in the order-q subgroup of Z_p^*; scalars are
 integers mod q.  H is derived by hashing the fixed domain tag ``pvx/H`` so
 that nobody knows log_G(H).
 
-``power`` raises G and H through fixed-base tables on a profile whose q is
-wider than a machine word, and calls builtin ``pow`` otherwise; both give
-the same integer.
+On a profile whose q is wider than a machine word, ``power`` raises G and
+H through fixed-base tables and ``is_element`` decides membership by the
+Jacobi symbol; otherwise both call builtin ``pow``.  Either way gives the
+same answer.
+
+``is_element`` is the check against small-subgroup attacks (Lim and Lee,
+CRYPTO 1997).  Callers apply it once per element, where the element
+enters; an element derived from checked ones is not checked again (see
+``ledger.validate_transaction``).
 
 Serialization is unsigned big-endian with a fixed byte length per profile
 (``element_bytes`` / ``scalar_bytes``).  Domain-separation tags are ASCII
@@ -34,9 +40,9 @@ TAG_CRED = "pvx/cred"
 
 # Fixed-base exponentiation for G and H (Brickell-Gordon-McCurley-Wilson
 # 1992): one table row per WINDOW_BITS-bit digit of the exponent.  `power`
-# reads the digits as the exponent's bytes, hence 8.  The tables pay only
-# when q is wider than a machine word; on a smaller q builtin pow beats a
-# Python-level walk.
+# reads the digits as the exponent's bytes, hence 8.  The tables, like the
+# Jacobi-symbol membership test, pay only when q is wider than a machine
+# word; on a smaller q builtin pow beats a Python-level loop.
 WINDOW_BITS = 8
 WORD_MAX = 2**64 - 1
 
@@ -125,7 +131,11 @@ class GroupParams:
 
     def is_element(self, a: int) -> bool:
         """Membership in the order-q subgroup (excludes 0; includes 1)."""
-        return 0 < a < self.p and pow(a, self.q, self.p) == 1
+        if not 0 < a < self.p:
+            return False
+        if self.q > WORD_MAX:
+            return _is_residue(a, self.p)
+        return pow(a, self.q, self.p) == 1
 
     @property
     def identity(self) -> int:
@@ -167,6 +177,27 @@ class GroupParams:
             if e not in (0, 1):
                 return e
             ctr += 1
+
+
+def _is_residue(a: int, p: int) -> bool:
+    """Whether the Jacobi symbol (a / p) is 1, for odd p > a > 0.
+
+    For a safe prime p = 2q + 1 the order-q subgroup is exactly the
+    quadratic residues, so this equals pow(a, q, p) == 1.  Binary
+    algorithm: strip a's factors of 2, then swap by quadratic reciprocity.
+    Bit 1 of `sign` is the running parity of sign flips: (2 / n) is -1 when
+    n = 3, 5 (mod 8), that is when bits 1 and 2 of n differ, and swapping a
+    and n flips the sign when both are 3 (mod 4).
+    """
+    n, sign = p, 0
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1:
+            sign ^= n ^ n >> 1
+        sign ^= a & n
+        a, n = n % a, a
+    return n == 1 and not sign & 2
 
 
 def _fixed_base_table(base: int, p: int, q: int) -> list[list[int]]:

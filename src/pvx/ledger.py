@@ -440,11 +440,19 @@ def validate_transaction(state: LedgerState, tx: Transaction,
                          proven: set[Transaction] | None = None) -> Verdict:
     """Full acceptance check; each failing clause maps to a distinct code.
 
-    `proven` holds transactions whose range proofs and excess signature
-    already passed (clauses (c) and (d)); they read no ledger state, so a
-    transaction in it skips them, and one that passes them is added.  The
-    key is the whole transaction: the digest covers neither its ring
-    signatures nor its excess signature.  Every other clause always runs.
+    `proven` holds transactions whose output-key checks, range proofs and
+    excess signature already passed (clauses (c) and (d)); they read no
+    ledger state, so a transaction in it skips them, and one that passes
+    them is added.  The key is the whole transaction: the digest covers
+    neither its ring signatures nor its excess signature.  Every other
+    clause always runs.
+
+    Subgroup membership is checked once per element, where it enters: an
+    output's keys and commitment (through its range proof) on admission,
+    an input's pseudo-commitment and key image on every call.  Ring rows
+    (P_i, C_i / C_pseudo) are built from those, so the ring check skips
+    them; a block applied on catch-up carries 2f+1 commits, so f+1 honest
+    replicas admitted its outputs.
     """
     group = state.group
 
@@ -479,8 +487,11 @@ def validate_transaction(state: LedgerState, tx: Transaction,
         if unknown:
             return Verdict.reject("MalformedTransaction",
                                   f"unknown ring member {unknown[0]}")
+        # a row (P_i, C_i / C_pseudo) is in the subgroup iff C_pseudo is
         rows = ring_rows(state, si.ring_refs, si.pseudo_commitment)
-        if not dual_ring_verify(group, digest, rows, si.signature):
+        if not (group.is_element(si.pseudo_commitment.value)
+                and dual_ring_verify(group, digest, rows, si.signature,
+                                     rows_checked=True)):
             return Verdict.reject("RingSignature")
 
     # (b) key images fresh and unique in-tx
@@ -493,10 +504,11 @@ def validate_transaction(state: LedgerState, tx: Transaction,
 
     # one-time addresses are single-use ledger-wide (checked after key
     # images so a full replay reads as the double spend it is)
+    checked = proven is not None and tx in proven
     seen_onetime = set()
     for so in tx.sout:
-        if not (group.is_element(so.onetime_address)
-                and group.is_element(so.ephemeral_public)):
+        if not checked and not (group.is_element(so.onetime_address)
+                                and group.is_element(so.ephemeral_public)):
             return Verdict.reject("MalformedTransaction",
                                   "output key outside the subgroup")
         if so.onetime_address in seen_onetime or so.onetime_address in state.onetime_index:
@@ -504,7 +516,6 @@ def validate_transaction(state: LedgerState, tx: Transaction,
         seen_onetime.add(so.onetime_address)
 
     # (c) range proofs at the ledger's fixed bit width
-    checked = proven is not None and tx in proven
     for so in tx.sout:
         if so.range_proof.k != state.range_bits:
             return Verdict.reject("RangeProof", "wrong proof width")

@@ -212,9 +212,9 @@ def _check_fields(obj, required: dict, optional: dict, path: str,
                   names: dict) -> None:
     """`obj` is an object with every `required` field and none outside
     `required` and `optional`, which map each field to the kind of value it
-    holds: an integer kind of `INT_RANGES`, a flag, a list of heuristics or
-    of legs, an expectation, a member of `names[kind]`, or (None) anything
-    the caller checks."""
+    holds: an integer kind of `INT_RANGES`, a flag, a string, a list of
+    heuristics or of legs, an expectation, a member of `names[kind]`, or
+    (None) anything the caller checks."""
     for key in _object(obj, path):
         if key not in required and key not in optional:
             raise ScenarioError(f"{path}.{key}", "unknown field")
@@ -228,6 +228,9 @@ def _check_fields(obj, required: dict, optional: dict, path: str,
             if not isinstance(value, bool):
                 raise ScenarioError(vpath, f"expected true or false, "
                                            f"got {value!r}")
+        elif what == "string":
+            if not isinstance(value, str):
+                raise ScenarioError(vpath, f"expected a string, got {value!r}")
         elif what == "legs":
             for j, leg in enumerate(_list(value, vpath)):
                 _check_fields(leg, LEG_FIELDS, {}, f"{vpath}[{j}]", names)
@@ -263,7 +266,7 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
             raise ScenarioError("$", f"invalid JSON: {exc}") from None
     _check_fields(doc, {"mode": "mode"},
                   {"profile": "profile", "range_bits": "positive",
-                   "name": None, "consensus": None, "entities": None,
+                   "name": "string", "consensus": None, "entities": None,
                    "ruleset": None, "genesis": None, "defaults": None,
                    "steps": None}, "$", NAMES)
 
@@ -317,10 +320,10 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
     entity_docs = _list(doc.get("entities", []), "entities")
     for i, edoc in enumerate(entity_docs):
         path = f"entities[{i}]"
-        _check_fields(edoc, {"id": None, "kind": "entity kind"},
+        _check_fields(edoc, {"id": "string", "kind": "entity kind"},
                       {"stealth": "flag", "issuer": "flag", "fee": "natural",
                        "accounts": None}, path, NAMES)
-        eid, kind = str(edoc["id"]), EntityKind(edoc["kind"])
+        eid, kind = edoc["id"], EntityKind(edoc["kind"])
         registry = _registered(registry.register_entity, Entity(eid, kind),
                                f"{path}.id")
         if "fee" in edoc:
@@ -333,10 +336,9 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
         path = f"entities[{i}].accounts"
         for j, adoc in enumerate(_list(edoc.get("accounts", []), path)):
             apath = f"{path}[{j}]"
-            _check_fields(adoc, {"id": None, "institution": None}, {},
+            _check_fields(adoc, {"id": "string", "institution": "string"}, {},
                           apath, NAMES)
-            account = Account(str(adoc["id"]), str(adoc["institution"]),
-                              str(edoc["id"]))
+            account = Account(adoc["id"], adoc["institution"], edoc["id"])
             field_path = f"{apath}.id" \
                 if account.account_id in registry.accounts \
                 else f"{apath}.institution"
@@ -384,7 +386,7 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
         steps.append(dict(sdoc))
 
     return Scenario(
-        name=str(doc.get("name", "unnamed")),
+        name=doc.get("name", "unnamed"),
         profile=doc.get("profile", "standard"),
         range_bits=doc.get("range_bits"),
         consensus=consensus,

@@ -127,3 +127,18 @@ def test_fixed_base_power_matches_builtin(group):
     for base in (group.g, group.h, variable, STANDARD_GROUP.g):
         for e in exps:
             assert group.power(base, e) == pow(base, e % q, p), (base, e)
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, STANDARD_GROUP, _OTHER_G],
+                         ids=["test", "standard", "standard-g9"])
+def test_is_element_matches_euler_criterion(group):
+    # the standard profiles decide by the Jacobi symbol, the test profile
+    # by pow; both must agree with Euler's criterion on every input
+    p, q = group.p, group.q
+    rnd = random.Random(0x1E7)
+    values = [0, 1, p - 1, p, p + 1, -1, group.g, group.h]
+    values += [rnd.randrange(p) for _ in range(200)]
+    values += [rnd.randrange(p) ** 2 % p for _ in range(50)]
+    values += [rnd.randrange(-2 * p, 3 * p) for _ in range(20)]
+    for a in values:
+        assert group.is_element(a) == (0 < a < p and pow(a, q, p) == 1), a

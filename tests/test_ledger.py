@@ -4,9 +4,10 @@ from dataclasses import replace
 import pytest
 
 from pvx.group import STANDARD_GROUP as G
-from pvx.group import TEST_GROUP
+from pvx.group import TAG_RING, TEST_GROUP
 from pvx.ledger import (
     LedgerState,
+    ShieldedInput,
     Transaction,
     TransparentInput,
     TransparentOutput,
@@ -14,12 +15,13 @@ from pvx.ledger import (
     apply_block,
     apply_transaction,
     conservation_audit,
+    ring_rows,
     transaction_digest,
     validate_transaction,
 )
 from pvx.pedersen import Commitment, commit
 from pvx.rangeproof import RangeProof, prove_range
-from pvx.ringsig import RingSignature
+from pvx.ringsig import RingSignature, dual_ring_verify, key_image_for
 from pvx.txbuild import (
     build_issue,
     build_shield,
@@ -58,6 +60,63 @@ def test_output_key_outside_subgroup_rejected(harness, monkeypatch, field, bad):
     assert getattr(res.tx.sout[0], field) == bad
     assert validate_transaction(harness.state, res.tx).code \
         == "MalformedTransaction"
+
+
+def _order_two_pseudo_spend(h, tx):
+    """`tx`'s only input re-signed as a ring of one whose pseudo-commitment
+    carries the order-2 factor -1.  Its offset key is then -G^z instead of
+    G^z, and the signer grinds the nonce until the challenge is even, which
+    erases the sign: the chain closes, and only the subgroup check on the
+    pseudo-commitment refuses it."""
+    group = h.group
+    note = next(n for n in h.wallets["alice"].notes
+                if n.output_id in tx.sin[0].ring_refs)
+    r = 345  # the re-blinding; below q on both profiles
+    pseudo = Commitment(group.p - commit(group, note.value, r).value)
+    draft = replace(tx, sin=(ShieldedInput((note.output_id,), pseudo, None),))
+    digest = transaction_digest(group, draft)
+    row = ring_rows(h.state, (note.output_id,), pseudo)[0]
+    x, z = note.spend_secret, (note.blinding - r) % group.q
+    image = key_image_for(group, x, row[0])
+    hp = key_image_for(group, 1, row[0])
+    enc = group.element_to_bytes
+    for alpha in range(1, 100):
+        g_a = enc(group.power(group.g, alpha))
+        c = group.hash_to_scalar(TAG_RING, enc(row[0]) + enc(row[1]),
+                                 enc(image), digest, g_a,
+                                 enc(group.power(hp, alpha)), g_a)
+        if c % 2 == 0:
+            break
+    sig = RingSignature(c, ((alpha - c * x) % group.q,
+                            (alpha - c * z) % group.q), image)
+    assert dual_ring_verify(group, digest, [row], sig, rows_checked=True)
+    assert not dual_ring_verify(group, digest, [row], sig)
+    return replace(draft, sin=(ShieldedInput((note.output_id,), pseudo, sig),))
+
+
+@pytest.mark.parametrize("fixture", ["small_harness", "harness"])
+def test_pseudo_commitment_outside_subgroup_rejected(request, fixture):
+    # The ring check skips its rows, which are built from admitted outputs
+    # and the pseudo-commitment, so the pseudo-commitment's own check is
+    # what refuses these, on every call: the shared `proven` set holds
+    # the honest transaction, and none of these can enter it.
+    h = request.getfixturevalue(fixture)
+    group = h.group
+    tx = build_shielded_transfer(group, h.state, h.wallets["alice"], "bob",
+                                 h.wallets["bob"].address, 30, 3, h.sampler,
+                                 h.rng, h.stream).tx
+    assert len(tx.sin) == 1
+    proven = set()
+    assert validate_transaction(h.state, tx, proven=proven).accepted
+    assert tx in proven
+    bad = [replace(tx, sin=(replace(tx.sin[0], pseudo_commitment=Commitment(v)),))
+           for v in (group.p - 1, 0)]
+    bad.append(_order_two_pseudo_spend(h, tx))
+    for _ in range(2):
+        for mutated in bad:
+            assert validate_transaction(h.state, mutated, proven=proven).code \
+                == "RingSignature"
+    assert proven == {tx}
 
 
 def test_digest_changes_with_any_field(harness):

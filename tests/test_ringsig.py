@@ -30,8 +30,8 @@ def member(i: int, m: int, group=G):
     return tuple(x for x, _ in pairs), tuple(pub for _, pub in pairs)
 
 
-def build_ring(n: int, true_index: int, m: int, offset: int = 0):
-    members = [member(offset + i, m) for i in range(n)]
+def build_ring(n: int, true_index: int, m: int, offset: int = 0, group=G):
+    members = [member(offset + i, m, group) for i in range(n)]
     return [row for _, row in members], members[true_index][0]
 
 
@@ -189,31 +189,36 @@ def test_unforgeability_fuzz():
         assert rejected == trials, m
 
 
-def test_key_image_outside_subgroup_rejected():
-    enc = G.element_to_bytes
+@pytest.mark.parametrize("group", [G, STANDARD_GROUP], ids=["test", "standard"])
+def test_key_image_outside_subgroup_rejected(group):
+    enc = group.element_to_bytes
     for m in COLUMNS:
-        rows, secrets = build_ring(3, 0, m)
-        sig = sign(m, b"m", rows, 0, secrets)
-        forged = RingSignature(sig.c0, sig.responses, 7)  # 7 is a non-residue
-        assert not verify(m, b"m", rows, forged), m
+        rows, secrets = build_ring(3, 0, m, group=group)
+        sig = sign(m, b"m", rows, 0, secrets, group)
+        # 7 is a non-residue on both profiles
+        forged = RingSignature(sig.c0, sig.responses, 7)
+        assert not verify(m, b"m", rows, forged, group), m
 
         # -I has order 2q.  Signing a ring of one with it closes the chain
         # whenever the challenge is even, which would give one key a second
         # image; only the subgroup check stops it.
-        secrets, row = member(0, m)
-        twisted = G.p - key_image_for(G, secrets[0], row[0])
-        hp = key_image_for(G, 1, row[0])
+        secrets, row = member(0, m, group)
+        twisted = group.p - key_image_for(group, secrets[0], row[0])
+        hp = key_image_for(group, 1, row[0])
         for alpha in range(1, 100):
-            points = [G.power(G.g, alpha)] * m
-            points.insert(1, G.power(hp, alpha))
-            c = G.hash_to_scalar(TAG_RING, b"".join(map(enc, row)),
-                                 enc(twisted), b"m", *map(enc, points))
+            points = [group.power(group.g, alpha)] * m
+            points.insert(1, group.power(hp, alpha))
+            c = group.hash_to_scalar(TAG_RING, b"".join(map(enc, row)),
+                                     enc(twisted), b"m", *map(enc, points))
             if c % 2 == 0:
                 break
         assert c % 2 == 0
         forged = RingSignature(
-            c, tuple((alpha - c * x) % G.q for x in secrets), twisted)
-        assert not verify(m, b"m", [row], forged), m
+            c, tuple((alpha - c * x) % group.q for x in secrets), twisted)
+        assert not verify(m, b"m", [row], forged, group), m
+        if m == 2:  # the ledger's entry skips the row checks, not this one
+            assert not dual_ring_verify(group, b"m", [row], forged,
+                                        rows_checked=True)
 
 
 def test_wrong_length_responses_rejected():
@@ -251,15 +256,16 @@ def test_single_column_signature_is_not_a_dual_one():
         dual.c0, dual.responses[::2], dual.key_image))
 
 
-def test_ring_key_outside_subgroup_rejected():
+@pytest.mark.parametrize("group", [G, STANDARD_GROUP], ids=["test", "standard"])
+def test_ring_key_outside_subgroup_rejected(group):
     # The signer closes the chain over any keys; verification must still
     # refuse a row key outside the subgroup, in either column.
     for m in COLUMNS:
         for column in range(m):
-            for bad in (G.p - 1, 7):  # outside the subgroup
-                rows, secrets = build_ring(3, 0, m)
+            for bad in (group.p - 1, 7):  # outside the subgroup
+                rows, secrets = build_ring(3, 0, m, group=group)
                 row = list(rows[1])
                 row[column] = bad
                 rows[1] = tuple(row)
-                sig = sign(m, b"m", rows, 0, secrets)
-                assert not verify(m, b"m", rows, sig), (m, column, bad)
+                sig = sign(m, b"m", rows, 0, secrets, group)
+                assert not verify(m, b"m", rows, sig, group), (m, column, bad)

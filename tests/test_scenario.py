@@ -477,6 +477,20 @@ DOC_CASES = {
         r"^defaults\.ring_size: "),
 }
 
+# ids and institutions are JSON strings, never values read through str()
+DOC_CASES.update({
+    f"{field}-{label}": (mutate(value), path)
+    for label, value in (("an-int", 5), ("a-list", [1]), ("null", None))
+    for field, mutate, path in (
+        ("entity-id", lambda v: _with_entity(1, id=v),
+         r"^entities\[1\]\.id: expected a string"),
+        ("account-id", lambda v: _with_account(2, id=v),
+         r"^entities\[2\]\.accounts\[0\]\.id: expected a string"),
+        ("institution", lambda v: _with_account(3, institution=v),
+         r"^entities\[3\]\.accounts\[0\]\.institution: expected a string"),
+    )
+})
+
 
 @pytest.mark.parametrize("case", sorted(DOC_CASES))
 def test_malformed_documents_are_scenario_errors(case):
@@ -561,6 +575,17 @@ def test_cli_report_file_and_seed(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(report.read_text())
     assert doc["seed"] == 7
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_cli_run_rejects_a_seed_outside_64_bits(seed, tmp_path, capsys):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(minimal_doc()))
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["run", str(path), f"--seed={seed}"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert "--seed" in err and out == ""
 
 
 def test_cli_matrix(capsys):
