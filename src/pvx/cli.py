@@ -150,7 +150,7 @@ def main(argv=None) -> int:
     p_attack.add_argument("--ring-size", type=_int_of("ring size"),
                           default=11)
     p_attack.add_argument("--trials", type=_int_of("positive"), default=10_000)
-    p_attack.add_argument("--seed", type=int, default=0)
+    p_attack.add_argument("--seed", type=_int_of("seed"), default=0)
     p_attack.set_defaults(func=_cmd_attack)
 
     args = parser.parse_args(argv)

@@ -98,8 +98,9 @@ def _order_two_pseudo_spend(h, tx):
 def test_pseudo_commitment_outside_subgroup_rejected(request, fixture):
     # The ring check skips its rows, which are built from admitted outputs
     # and the pseudo-commitment, so the pseudo-commitment's own check is
-    # what refuses these, on every call: the shared `proven` set holds
-    # the honest transaction, and none of these can enter it.
+    # what refuses the forged spend (replacing the value alone also breaks
+    # the signature), on every call: the shared `proven` set holds the
+    # honest transaction, and none of these can enter it.
     h = request.getfixturevalue(fixture)
     group = h.group
     tx = build_shielded_transfer(group, h.state, h.wallets["alice"], "bob",

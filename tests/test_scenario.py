@@ -577,12 +577,14 @@ def test_cli_report_file_and_seed(tmp_path, capsys):
     assert doc["seed"] == 7
 
 
+@pytest.mark.parametrize("command", ["run", "attack"])
 @pytest.mark.parametrize("seed", [-1, 2**64])
-def test_cli_run_rejects_a_seed_outside_64_bits(seed, tmp_path, capsys):
+def test_cli_rejects_a_seed_outside_64_bits(command, seed, tmp_path, capsys):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(minimal_doc()))
+    argv = ["run", str(path)] if command == "run" else ["attack", "--trials=5"]
     with pytest.raises(SystemExit) as exit_:
-        cli_main(["run", str(path), f"--seed={seed}"])
+        cli_main(argv + [f"--seed={seed}"])
     assert exit_.value.code == 2
     out, err = capsys.readouterr()
     assert "--seed" in err and out == ""
