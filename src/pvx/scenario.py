@@ -17,10 +17,10 @@ A scenario is a JSON document with explicit key names:
       "steps": [{"op": "...", ..., "expect": {"outcome": "accept"}}]
     }
 
-Every object is closed: a key the parser does not know is an error.  Step
-ops and their fields are listed in `STEP_FIELDS`.  Every step's outcome
-lands in the run result; optional per-step expectations make a scenario
-an executable regression test.
+`SCHEMA` describes every object once, and its steps part `STEP_FIELDS`
+each step op's fields.  Every object is closed: a key the schema does not
+list is an error.  Every step's outcome lands in the run result; optional
+per-step expectations make a scenario an executable regression test.
 
 Parsing builds the `Registry` (entities, accounts, fees) and the
 `RuleSet` (mode, threshold, mediation fee) that own the document's facts,
@@ -95,12 +95,21 @@ from .txbuild import (
     make_sampler,
 )
 
-# Each step op's (required, optional) fields besides "op" and "expect", and
-# what each must be (see `_check_fields`): the fields its `_op_*` reads.
-# A shielded spend's optional fields are also the document's defaults.
+# The document schema.  Each object is a (required, optional) pair mapping
+# each of its fields to the kind of value the field holds: an integer kind
+# of `INT_RANGES`, "flag", "string", a closed name set of `NAMES`, a nested
+# object, [kind] for a list of that kind, or None for a field that only
+# cross-field rules in `parse_scenario` check.  A step is an object whose
+# "op" picks its (required, optional) pair from `STEP_FIELDS`.
 SPEND_FIELDS = {"fee": "natural", "ring_size": "ring size",
                 "sampler": "sampler"}
-STEP_FIELDS = {
+EXPECT = ({"outcome": "outcome"}, {"reason": "reason"})
+LEG = ({"payer": "entity", "payee": "entity", "amount": "positive"}, {})
+# each op's fields besides "op" and "expect" are the fields its `_op_*`
+# reads; a shielded spend's optional fields are also the document's defaults
+STEP_FIELDS = {op: ({"op": "step op", **required},
+                    {"expect": EXPECT, **optional})
+               for op, (required, optional) in {
     "transfer": ({"from": "account", "to": "account", "amount": "positive"},
                  {"fee": "natural"}),
     "shield": ({"entity": "entity", "amount": "positive"},
@@ -109,19 +118,32 @@ STEP_FIELDS = {
                  SPEND_FIELDS),
     "shielded_transfer": ({"from": "entity", "to": "entity",
                            "amount": "positive"}, SPEND_FIELDS),
-    "mediated_exchange": ({"intermediary": "entity", "legs": "legs"},
+    "mediated_exchange": ({"intermediary": "entity", "legs": [LEG]},
                           SPEND_FIELDS),
     "issue": ({"authority": "entity", "to": "account", "amount": "positive"},
               {}),
     "blacklist": ({"entity": "entity"}, {"flag": "flag"}),
     "issue_credential": ({"issuer": "issuer", "holder": "entity"},
                          {"count": "natural"}),
-    "attack_probe": ({}, {"heuristics": "heuristics", "ring_size": "ring size",
-                          "sampler": "sampler", "trials": "positive"}),
+    "attack_probe": ({}, {"heuristics": ["heuristic"],
+                          "ring_size": "ring size", "sampler": "sampler",
+                          "trials": "positive"}),
     "tax_report": ({"entity": "registered business"},
                    {"from_height": "positive", "to_height": "positive"}),
-}
-LEG_FIELDS = {"payer": "entity", "payee": "entity", "amount": "positive"}
+}.items()}
+ACCOUNT = ({"id": "string", "institution": "string"}, {})
+ENTITY = ({"id": "string", "kind": "entity kind"},
+          {"stealth": "flag", "issuer": "flag", "fee": "natural",
+           "accounts": [ACCOUNT]})
+SCHEMA = ({"mode": "mode"}, {
+    "name": "string", "profile": "profile", "range_bits": "positive",
+    "consensus": ({}, {"n": "positive", "f": "natural", "seed": "seed",
+                       "delay": ["natural"], "drop": None, "faults": None}),
+    "entities": [ENTITY],
+    "ruleset": ({}, {"threshold": None, "mediation_fee": "natural"}),
+    "genesis": [({"account": "account", "amount": "positive"}, {})],
+    "defaults": ({}, SPEND_FIELDS),
+    "steps": [STEP_FIELDS]})
 # the (least, greatest) value of each integer kind of field; a seed must fit
 # the 8 bytes the run's key derivations take
 INT_RANGES = {"positive": (1, None), "natural": (0, None),
@@ -132,7 +154,8 @@ DENY_REASONS = tuple(reason.value for reason in DenyReason)
 # declared accounts, entities, issuers and registered businesses
 NAMES = {"mode": ("supported", "mediated"), "profile": ("standard", "test"),
          "entity kind": tuple(kind.value for kind in EntityKind),
-         "sampler": tuple(SAMPLERS), "outcome": ("accept", "deny"),
+         "sampler": tuple(SAMPLERS), "heuristic": tuple(HEURISTICS),
+         "step op": tuple(STEP_FIELDS), "outcome": ("accept", "deny"),
          "reason": DENY_REASONS + LEDGER_CODES}
 
 # simulated microseconds a step may take before it is an error
@@ -179,73 +202,53 @@ class Scenario:
 # parsing
 
 
-def _need(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ScenarioError(f"{path}.{key}", "missing required field")
-    return obj[key]
-
-
-def _as_int(value, path: str, minimum: int | None = None,
-            maximum: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(path, f"expected integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(path, f"must be >= {minimum}")
-    if maximum is not None and value > maximum:
-        raise ScenarioError(path, f"must be <= {maximum}")
-    return value
-
-
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(path, "expected an object")
-    return value
-
-
-def _list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(path, "expected a list")
-    return value
-
-
-def _check_fields(obj, required: dict, optional: dict, path: str,
-                  names: dict) -> None:
-    """`obj` is an object with every `required` field and none outside
-    `required` and `optional`, which map each field to the kind of value it
-    holds: an integer kind of `INT_RANGES`, a flag, a string, a list of
-    heuristics or of legs, an expectation, a member of `names[kind]`, or
-    (None) anything the caller checks."""
-    for key in _object(obj, path):
-        if key not in required and key not in optional:
-            raise ScenarioError(f"{path}.{key}", "unknown field")
-    for key in required:
-        _need(obj, key, path)
-    for key, value in obj.items():
-        what, vpath = required.get(key) or optional.get(key), f"{path}.{key}"
-        if what in INT_RANGES:
-            _as_int(value, vpath, *INT_RANGES[what])
-        elif what == "flag":
+def _walk(value, kind, path: str, names: dict) -> None:
+    """`value` is of `kind` (see `SCHEMA`), or a ScenarioError names the
+    first field that is not; `names` maps each name set to its members."""
+    if isinstance(kind, str):
+        if kind in INT_RANGES:
+            least, greatest = INT_RANGES[kind]
+            if type(value) is not int:  # bool is an int subclass
+                raise ScenarioError(path, f"expected integer, got {value!r}")
+            if value < least:
+                raise ScenarioError(path, f"must be >= {least}")
+            if greatest is not None and value > greatest:
+                raise ScenarioError(path, f"must be <= {greatest}")
+        elif kind == "flag":
             if not isinstance(value, bool):
-                raise ScenarioError(vpath, f"expected true or false, "
-                                           f"got {value!r}")
-        elif what == "string":
+                raise ScenarioError(path, f"expected true or false, "
+                                          f"got {value!r}")
+        elif kind == "string":
             if not isinstance(value, str):
-                raise ScenarioError(vpath, f"expected a string, got {value!r}")
-        elif what == "legs":
-            for j, leg in enumerate(_list(value, vpath)):
-                _check_fields(leg, LEG_FIELDS, {}, f"{vpath}[{j}]", names)
-        elif what == "expect":
-            _check_fields(value, {"outcome": "outcome"}, {"reason": "reason"},
-                          vpath, names)
-            if value["outcome"] == "deny":
-                _need(value, "reason", vpath)
-        elif what == "heuristics":
-            if not isinstance(value, list) or not all(
-                    isinstance(h, str) and h in HEURISTICS for h in value):
-                raise ScenarioError(vpath, f"unknown heuristic in {value!r}")
-        elif what is not None and (not isinstance(value, str)
-                                   or value not in names[what]):
-            raise ScenarioError(vpath, f"unknown {what} {value!r}")
+                raise ScenarioError(path, f"expected a string, got {value!r}")
+        elif not isinstance(value, str) or value not in names[kind]:
+            raise ScenarioError(path, f"unknown {kind} {value!r}")
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ScenarioError(path, "expected a list")
+        for i, item in enumerate(value):
+            _walk(item, kind[0], f"{path}[{i}]", names)
+    elif kind is not None:
+        if not isinstance(value, dict):
+            raise ScenarioError(path, "expected an object")
+        prefix = "" if path == "$" else path + "."
+        if isinstance(kind, dict):  # a step: its op picks its fields
+            if "op" not in value:
+                raise ScenarioError(prefix + "op", "missing required field")
+            _walk(value["op"], "step op", prefix + "op", names)
+            kind = kind[value["op"]]
+        required, optional = kind
+        for key in value:
+            if key not in required and key not in optional:
+                known = ", ".join(sorted({**required, **optional}))
+                raise ScenarioError(prefix + key,
+                                    f"unknown field; known: {known}")
+        for key in required:
+            if key not in value:
+                raise ScenarioError(prefix + key, "missing required field")
+        for key, item in value.items():
+            _walk(item, required[key] if key in required else optional[key],
+                  prefix + key, names)
 
 
 def _registered(register, item, path: str) -> Registry:
@@ -264,126 +267,92 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError("$", f"invalid JSON: {exc}") from None
-    _check_fields(doc, {"mode": "mode"},
-                  {"profile": "profile", "range_bits": "positive",
-                   "name": "string", "consensus": None, "entities": None,
-                   "ruleset": None, "genesis": None, "defaults": None,
-                   "steps": None}, "$", NAMES)
+    # genesis and steps name accounts and entities, so they are walked once
+    # the registry holds those
+    required, optional = SCHEMA
+    _walk(doc, (required, {**optional, "genesis": None, "steps": None}), "$",
+          NAMES)
 
     cons_doc = doc.get("consensus", {})
-    _check_fields(cons_doc, {}, {"n": "positive", "f": "natural",
-                                 "seed": "seed", "delay": None, "drop": None,
-                                 "faults": None}, "consensus", NAMES)
     n, f = cons_doc.get("n", 1), cons_doc.get("f", 0)
     if n < 3 * f + 1:
         raise ScenarioError("consensus.n",
                             f"n={n} violates the n >= 3f+1 bound for f={f}")
-    delay = _list(cons_doc.get("delay", [1_000, 5_000]), "consensus.delay")
+    delay = cons_doc.get("delay", [1_000, 5_000])
     if len(delay) != 2:
         raise ScenarioError("consensus.delay", "expected [min, max]")
-    delay_min = _as_int(delay[0], "consensus.delay[0]", 0)
-    delay_max = _as_int(delay[1], "consensus.delay[1]", delay_min)
+    if delay[1] < delay[0]:
+        raise ScenarioError("consensus.delay[1]", f"must be >= {delay[0]}")
     drop = cons_doc.get("drop", 0.0)
     if isinstance(drop, bool) or not isinstance(drop, (int, float)) \
             or not 0 <= drop <= 1:
         raise ScenarioError("consensus.drop",
                             f"expected a probability, got {drop!r}")
-    faults = _object(cons_doc.get("faults", {}), "consensus.faults")
+    faults = cons_doc.get("faults", {})
     node_ids = [f"node{i}" for i in range(n)]
+    _walk(faults, ({}, dict.fromkeys(node_ids, ["string"])),
+          "consensus.faults", NAMES)
     live = set(node_ids)  # neither crashes nor equivocates
     for node, specs in faults.items():
-        path = f"consensus.faults.{node}"
-        if node not in node_ids:
-            raise ScenarioError(path, f"no node {node!r} among "
-                                      f"node0..node{n - 1}")
-        if not all(isinstance(spec, str) for spec in _list(specs, path)):
-            raise ScenarioError(path, "expected a list of fault specs")
         try:
             script = merge_faults(specs)
         except ValueError as exc:
-            raise ScenarioError(path, f"bad fault spec: {exc}") from None
+            raise ScenarioError(f"consensus.faults.{node}",
+                                f"bad fault spec: {exc}") from None
         if script.crash_at is not None or script.equivocate_heights:
             live.discard(node)
     if not live:
         raise ScenarioError("consensus.faults",
                             "every node crashes or equivocates")
     consensus = ConsensusParams(
-        n=n, f=f, seed=cons_doc.get("seed", 0),
-        delay=(delay_min, delay_max), drop=float(drop),
+        n=n, f=f, seed=cons_doc.get("seed", 0), delay=tuple(delay),
+        drop=float(drop),
         faults={node: list(specs) for node, specs in faults.items()})
 
     # every entity first: an institution may be declared after its customer
     registry = Registry()
-    fees: dict[str, int] = {}
-    wallet_holders = []
-    issuers = []
-    entity_docs = _list(doc.get("entities", []), "entities")
+    entity_docs = doc.get("entities", [])
     for i, edoc in enumerate(entity_docs):
-        path = f"entities[{i}]"
-        _check_fields(edoc, {"id": "string", "kind": "entity kind"},
-                      {"stealth": "flag", "issuer": "flag", "fee": "natural",
-                       "accounts": None}, path, NAMES)
-        eid, kind = edoc["id"], EntityKind(edoc["kind"])
-        registry = _registered(registry.register_entity, Entity(eid, kind),
-                               f"{path}.id")
-        if "fee" in edoc:
-            fees[eid] = edoc["fee"]
-        if kind is EntityKind.INDIVIDUAL or edoc.get("stealth", False):
-            wallet_holders.append(eid)
-        if edoc.get("issuer", False):
-            issuers.append(eid)
+        registry = _registered(
+            registry.register_entity,
+            Entity(edoc["id"], EntityKind(edoc["kind"])), f"entities[{i}].id")
     for i, edoc in enumerate(entity_docs):
-        path = f"entities[{i}].accounts"
-        for j, adoc in enumerate(_list(edoc.get("accounts", []), path)):
-            apath = f"{path}[{j}]"
-            _check_fields(adoc, {"id": "string", "institution": "string"}, {},
-                          apath, NAMES)
+        for j, adoc in enumerate(edoc.get("accounts", [])):
             account = Account(adoc["id"], adoc["institution"], edoc["id"])
-            field_path = f"{apath}.id" \
-                if account.account_id in registry.accounts \
-                else f"{apath}.institution"
+            field_path = f"entities[{i}].accounts[{j}]." + (
+                "id" if account.account_id in registry.accounts
+                else "institution")
             registry = _registered(registry.register_account, account,
                                    field_path)
-    registry = replace(registry, fee_schedule=fees)
+    registry = replace(registry, fee_schedule={
+        edoc["id"]: edoc["fee"] for edoc in entity_docs if "fee" in edoc})
+    issuers = tuple(edoc["id"] for edoc in entity_docs
+                    if edoc.get("issuer", False))
     names = {**NAMES, "account": registry.accounts,
              "entity": registry.entities, "issuer": issuers,
              "registered business": {
                  eid for eid, e in registry.entities.items()
                  if e.kind is EntityKind.REGISTERED_BUSINESS}}
-
-    genesis = []
-    for i, gdoc in enumerate(_list(doc.get("genesis", []), "genesis")):
-        _check_fields(gdoc, {"account": "account", "amount": "positive"}, {},
-                      f"genesis[{i}]", names)
-        genesis.append((gdoc["account"], gdoc["amount"]))
+    for key in ("genesis", "steps"):
+        _walk(doc.get(key, []), optional[key], key, names)
 
     rules_doc = doc.get("ruleset", {})
-    _check_fields(rules_doc, {},
-                  {"threshold": None, "mediation_fee": "natural"}, "ruleset",
-                  names)
     threshold = rules_doc.get("threshold")
     if threshold is not None:
-        _as_int(threshold, "ruleset.threshold", 0)
+        _walk(threshold, "natural", "ruleset.threshold", NAMES)
     ruleset = RuleSet(Mode(doc["mode"].capitalize()), frozenset(), threshold,
                       (), rules_doc.get("mediation_fee", 0))
 
-    defaults = doc.get("defaults", {})
-    _check_fields(defaults, {}, SPEND_FIELDS, "defaults", names)
-
-    steps = []
-    for i, sdoc in enumerate(_list(doc.get("steps", []), "steps")):
-        path = f"steps[{i}]"
-        op = _need(_object(sdoc, path), "op", path)
-        if not isinstance(op, str) or op not in STEP_FIELDS:
-            raise ScenarioError(f"{path}.op", f"unknown step op {op!r}")
-        required, optional = STEP_FIELDS[op]
-        _check_fields(sdoc, {"op": None, **required},
-                      {"expect": "expect", **optional}, path, names)
-        if op == "shield" and "account" in sdoc and registry.accounts[
-                sdoc["account"]].owner_id != sdoc["entity"]:
-            raise ScenarioError(f"{path}.account",
-                                f"not an account of {sdoc['entity']!r}")
-        steps.append(dict(sdoc))
+    steps = doc.get("steps", [])
+    for i, step in enumerate(steps):
+        expect = step.get("expect", {})
+        if expect.get("outcome") == "deny" and "reason" not in expect:
+            raise ScenarioError(f"steps[{i}].expect.reason",
+                                "missing required field")
+        if step["op"] == "shield" and "account" in step and registry.accounts[
+                step["account"]].owner_id != step["entity"]:
+            raise ScenarioError(f"steps[{i}].account",
+                                f"not an account of {step['entity']!r}")
 
     return Scenario(
         name=doc.get("name", "unnamed"),
@@ -392,11 +361,15 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
         consensus=consensus,
         registry=registry,
         ruleset=ruleset,
-        wallet_holders=tuple(wallet_holders),
-        issuers=tuple(issuers),
-        genesis=tuple(genesis),
-        defaults={"fee": 0, "ring_size": 4, "sampler": "uniform", **defaults},
-        steps=tuple(steps))
+        wallet_holders=tuple(
+            edoc["id"] for edoc in entity_docs if edoc.get("stealth", False)
+            or edoc["kind"] == EntityKind.INDIVIDUAL.value),
+        issuers=issuers,
+        genesis=tuple((g["account"], g["amount"])
+                      for g in doc.get("genesis", [])),
+        defaults={"fee": 0, "ring_size": 4, "sampler": "uniform",
+                  **doc.get("defaults", {})},
+        steps=tuple(dict(step) for step in steps))
 
 
 def load_scenario(path) -> Scenario:
