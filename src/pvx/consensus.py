@@ -34,11 +34,19 @@ from .ledger import (
     transaction_digest,
     validate_transaction,
 )
-from .simnet import ClientSubmit, Deliver, FaultScript, SimNetwork, TimerFire
+from .simnet import (
+    ClientSubmit,
+    Deliver,
+    FaultScript,
+    SimNetwork,
+    TimerFire,
+    merge_faults,
+)
 
 TAG_MAC = "pvx/mac"
 TAG_BLOCK = "pvx/block"
 
+BASE_TIMEOUT = 60_000      # view-change timeout before any backoff (us)
 BACKOFF = 2                # view-change timeout multiplier
 MAX_TIMEOUT = 960_000      # backoff ceiling keeps churn bounded (us)
 RETRANSMIT_EVERY = 25_000  # us
@@ -179,7 +187,6 @@ class NodeConfig:
     node_id: str
     replicas: tuple[str, ...]
     f: int
-    base_timeout: int = 60_000      # microseconds
 
     def __post_init__(self):
         if len(self.replicas) < 3 * self.f + 1:
@@ -236,7 +243,7 @@ class PBFTNode:
         self.buffered_commits: dict[int, Block] = {}
         self.view_votes: dict[int, dict[str, ViewChange]] = {}
         self.vc_target = 0
-        self.timeout = config.base_timeout
+        self.timeout = BASE_TIMEOUT
         self.progress_token: int | None = None  # armed-timer identity
         self.next_token = 0
         self.retransmit_armed = False
@@ -512,7 +519,7 @@ class PBFTNode:
                 self.committed_at.setdefault(txid, block.height)
                 self.mempool.pop(txid, None)
                 self._proven.discard(tx)
-            self.timeout = self.cfg.base_timeout  # progress resets backoff
+            self.timeout = BASE_TIMEOUT  # progress resets backoff
             self.progress_token = None
             self._maybe_propose(actions)
         self._arm_progress(actions)
@@ -702,10 +709,7 @@ class World:
     def __init__(self, group: GroupParams, node_ids: list[str], f: int,
                  genesis: LedgerState, policy_hook=None, seed: int = 0,
                  delay: tuple[int, int] = (1_000, 5_000), drop: float = 0.0,
-                 fault_scripts: dict[str, list[str]] | None = None,
-                 base_timeout: int = 60_000):
-        from .simnet import merge_faults
-
+                 fault_scripts: dict[str, list[str]] | None = None):
         self.group = group
         self.net = SimNetwork(node_ids, seed, delay, drop)
         self.secret = tagged_hash(TAG_MAC + "/secret", seed.to_bytes(8, "big"))
@@ -714,7 +718,7 @@ class World:
         scripts = fault_scripts or {}
         for node_id in replicas:
             fault = merge_faults(scripts.get(node_id, []))
-            cfg = NodeConfig(node_id, replicas, f, base_timeout=base_timeout)
+            cfg = NodeConfig(node_id, replicas, f)
             self.nodes[node_id] = PBFTNode(cfg, genesis, policy_hook, fault)
         self.byzantine = {nid for nid, node in self.nodes.items()
                           if node.fault.equivocate_heights}

@@ -40,19 +40,14 @@ from pvx.observer import make_spend_corpus, run_link_attack
 from pvx.pedersen import commit
 from pvx.policy import DenyReason, EntityKind, LegClass, Mode, RuleSet, authorize_matrix
 from pvx.rangeproof import BitProof, RangeProof, prove_range
-from pvx.scenario import (
-    emit_report,
-    load_scenario,
-    random_scenario,
-    run_scenario,
-)
+from pvx.scenario import emit_report, load_scenario, run_scenario
 from pvx.txbuild import (
     AgeBiasedSampler,
     UniformSampler,
     build_shield,
     build_transparent_transfer,
 )
-from conftest import Harness
+from conftest import Harness, random_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "pvx",
                             "scenarios")
@@ -156,7 +151,7 @@ def _bft_world(n, f, seed, drop, faults):
                                   {"a": 10 ** 6, "b": 0}, range_bits=12)
     ids = [f"n{i}" for i in range(n)]
     return World(get_profile("standard"), ids, f, genesis, None, seed=seed,
-                 drop=drop, fault_scripts=faults, base_timeout=60_000)
+                 drop=drop, fault_scripts=faults)
 
 
 def test_acceptance_4_bft_safety_and_liveness():

@@ -10,11 +10,11 @@ from pvx.txbuild import build_shielded_transfer, build_transparent_transfer
 from conftest import Harness
 
 
-def make_world(n, f, seed=1, drop=0.0, faults=None, timeout=60_000):
+def make_world(n, f, seed=1, drop=0.0, faults=None):
     genesis = LedgerState.genesis(G, {"a": 100_000, "b": 0}, range_bits=12)
     ids = [f"n{i}" for i in range(n)]
     return World(G, ids, f, genesis, None, seed=seed, drop=drop,
-                 fault_scripts=faults or {}, base_timeout=timeout)
+                 fault_scripts=faults or {})
 
 
 def transfer(i):
@@ -117,7 +117,7 @@ def test_committed_transactions_leave_no_per_transaction_state():
 
 
 def test_liveness_under_message_drop():
-    w = make_world(7, 2, seed=9, drop=0.3, timeout=80_000)
+    w = make_world(7, 2, seed=9, drop=0.3)
     tx = transfer(0)
     w.submit_client_tx("n1", tx)
     for retry in range(60):

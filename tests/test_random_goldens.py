@@ -9,7 +9,8 @@ import os
 
 import pytest
 
-from pvx.scenario import random_scenario, run_scenario
+from conftest import random_scenario
+from pvx.scenario import run_scenario
 from test_acceptance import golden_entry
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__),

@@ -1,3 +1,4 @@
+import copy
 import glob
 import json
 import os
@@ -5,6 +6,8 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -12,15 +15,18 @@ from pvx import ledger
 from pvx.cli import main as cli_main
 from pvx.policy import DenyReason
 from pvx.scenario import (
+    INT_RANGES,
+    SCHEMA,
+    STEP_FIELDS,
     ScenarioError,
     _Runner,
     emit_report,
     load_scenario,
     parse_scenario,
-    random_scenario,
     run_scenario,
 )
 from pvx.txbuild import MAX_RING_SIZE, build_issue
+from conftest import random_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "pvx",
                             "scenarios")
@@ -475,6 +481,13 @@ DOC_CASES = {
     "default-ring-size-over-the-ceiling": (
         lambda doc: doc.update(defaults={"ring_size": MAX_RING_SIZE + 1}),
         r"^defaults\.ring_size: "),
+    # 2**12 > q = 1019: the proof would no longer bound amounts below q
+    "range-bits-past-the-test-group": (
+        lambda doc: doc.update(profile="test", range_bits=12),
+        r"^range_bits: "),
+    # wider than the ledger's 63-bit amounts, and minutes per proof
+    "range-bits-past-63": (
+        lambda doc: doc.update(range_bits=1_000_000), r"^range_bits: "),
 }
 
 # ids and institutions are JSON strings, never values read through str()
@@ -510,6 +523,134 @@ def test_cli_run_exits_2_on_a_malformed_document(case, tmp_path, capsys):
     scenario.write_text(json.dumps(doc))
     assert cli_main(["run", str(scenario)]) == 2
     assert re.search(path, capsys.readouterr().err.removeprefix("error: "))
+
+
+def every_field_doc():
+    """A document that parses and sets every field the schema lists, in
+    one step of each op."""
+    spend = {"fee": 0, "ring_size": 2, "sampler": "uniform"}
+    doc = minimal_doc(
+        name="every-field", profile="standard", range_bits=12,
+        consensus={"n": 4, "f": 1, "seed": 1, "delay": [1, 2], "drop": 0.1,
+                   "faults": {"node1": ["mute@1..2"]}},
+        ruleset={"threshold": 50, "mediation_fee": 1},
+        genesis=[{"account": "alice.acct", "amount": 100}], defaults=spend)
+    doc["entities"] += [
+        {"id": "mix", "kind": "Intermediary", "stealth": True, "issuer": True,
+         "fee": 1},
+        {"id": "acme", "kind": "RegisteredBusiness"}]
+    doc["steps"] += [
+        {"op": "shield", "entity": "alice", "account": "alice.acct",
+         "amount": 5, "fee": 0},
+        {"op": "unshield", "entity": "alice", "to": "bob.acct", "amount": 1,
+         **spend},
+        {"op": "shielded_transfer", "from": "alice", "to": "bob",
+         "amount": 1, **spend},
+        {"op": "mediated_exchange", "intermediary": "mix",
+         "legs": [{"payer": "alice", "payee": "bob", "amount": 1}], **spend},
+        {"op": "blacklist", "entity": "bob", "flag": False},
+        {"op": "issue_credential", "issuer": "mix", "holder": "alice",
+         "count": 1},
+        {"op": "attack_probe", "heuristics": ["newest-member"],
+         "ring_size": 3, "sampler": "uniform", "trials": 5},
+        {"op": "tax_report", "entity": "acme", "from_height": 1,
+         "to_height": 2}]
+    doc["steps"][1]["fee"] = 0  # the transfer's optional fee
+    for step in doc["steps"]:
+        step["expect"] = {"outcome": "deny", "reason": "Blacklisted"}
+    return doc
+
+
+def _schema_fields(kind):
+    """(id of an object's (required, optional) pair, field) for every field
+    of every object that `kind` reaches."""
+    if isinstance(kind, list):
+        yield from _schema_fields(kind[0])
+    elif isinstance(kind, dict):
+        for fields in kind.values():
+            yield from _schema_fields(fields)
+    elif isinstance(kind, tuple):
+        for key, sub in {**kind[0], **kind[1]}.items():
+            yield id(kind), key
+            yield from _schema_fields(sub)
+
+
+def _fields(value, kind, keys=(), parent=None):
+    """(keys, kind, parent) for `value`, found at `keys` in a document, and
+    for every value inside it that `kind` reaches: parent is the
+    (required, optional) pair that lists the field, None for a list item."""
+    if isinstance(kind, dict):
+        kind = kind[value["op"]]
+    yield keys, kind, parent
+    if isinstance(kind, list):
+        for i, item in enumerate(value):
+            yield from _fields(item, kind[0], keys + (i,))
+    elif isinstance(kind, tuple):
+        for key, item in value.items():
+            yield from _fields(item, {**kind[0], **kind[1]}[key],
+                               keys + (key,), kind)
+
+
+def _path(keys):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in keys).lstrip(".") or "$"
+
+
+DELETE = object()
+
+
+def _mutants(fields):
+    """(what, keys, new value or DELETE) for each of `fields`: a wrong
+    type, an integer out of its range, an undeclared name, and for an
+    object each missing required field and an unknown one."""
+    for keys, kind, _ in fields:
+        if isinstance(kind, list):
+            yield "wrong type", keys, {}
+        elif isinstance(kind, tuple):
+            yield "wrong type", keys, []
+            for key in kind[0]:
+                yield "missing", keys + (key,), DELETE
+            yield "unknown", keys + ("bogus",), 1
+        elif kind in INT_RANGES:
+            least, greatest = INT_RANGES[kind]
+            yield "wrong type", keys, "1"
+            yield "too small", keys, least - 1
+            if greatest is not None:
+                yield "too large", keys, greatest + 1
+        elif kind in ("flag", "string", None):
+            yield "wrong type", keys, 1 if kind == "string" else "x"
+        else:
+            yield "wrong type", keys, 1
+            yield "undeclared", keys, "undeclared"
+
+
+def test_every_schema_field_mutant_fails_at_its_path():
+    """Generated from the schema: each mutant of each field of a document
+    that sets every field fails as a ScenarioError at that field's path."""
+    doc = every_field_doc()
+    parse_scenario(json.dumps(doc))
+    assert {step["op"] for step in doc["steps"]} == set(STEP_FIELDS)
+    fields = list(_fields(doc, SCHEMA))
+    assert {(id(parent), keys[-1]) for keys, _, parent in fields
+            if parent} == set(_schema_fields(SCHEMA))
+    wrong = []
+    mutants = list(_mutants(fields))
+    for what, keys, value in mutants:
+        mutant = copy.deepcopy(doc)
+        if not keys:
+            mutant = value
+        elif value is DELETE:
+            del reduce(getitem, keys[:-1], mutant)[keys[-1]]
+        else:
+            reduce(getitem, keys[:-1], mutant)[keys[-1]] = value
+        try:
+            parse_scenario(json.dumps(mutant))
+            wrong.append((what, _path(keys), "parsed"))
+        except ScenarioError as exc:
+            if exc.path != _path(keys):
+                wrong.append((what, _path(keys), str(exc)))
+    assert not wrong, wrong
+    assert len(mutants) > 200
 
 
 def test_random_scenario_is_valid(tmp_path):
