@@ -47,19 +47,30 @@ WINDOW_BITS = 8
 WORD_MAX = 2**64 - 1
 
 
-def tagged_hash(tag: str, *items: bytes) -> bytes:
-    """SHA-256 over an ASCII tag plus length-prefixed items.
-
-    Each item is prefixed with its 4-byte big-endian length, so the
-    encoding is injective for a fixed tag.
-    """
-    h = hashlib.sha256()
-    h.update(tag.encode("ascii"))
-    h.update(b"\x00")
+def absorb(h, items):
+    """Feed `items` to the hash state `h`, each after its 4-byte big-endian
+    length, and return `h`.  The length prefixes make the encoding
+    injective for a fixed tag."""
     for item in items:
         h.update(len(item).to_bytes(4, "big"))
         h.update(item)
-    return h.digest()
+    return h
+
+
+def tagged_prefix(tag: str, *items: bytes):
+    """The SHA-256 state of `tagged_hash(tag, *items)` before its digest.
+
+    `absorb(tagged_prefix(tag, *a).copy(), b).digest()` equals
+    `tagged_hash(tag, *a, *b)`, so many hashes that share a prefix can
+    absorb it once (see ``ringsig._chain``)."""
+    return absorb(hashlib.sha256(tag.encode("ascii") + b"\x00"), items)
+
+
+def tagged_hash(tag: str, *items: bytes) -> bytes:
+    """SHA-256 over an ASCII tag, a zero byte and the items, each prefixed
+    by its length (`absorb`)."""
+    # tagged_prefix(tag, *items).digest(), without a call that re-packs items
+    return absorb(hashlib.sha256(tag.encode("ascii") + b"\x00"), items).digest()
 
 
 @dataclass(frozen=True)

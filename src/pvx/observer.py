@@ -10,6 +10,7 @@ amount.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import zlib
@@ -228,20 +229,18 @@ def make_spend_corpus(group: GroupParams, trials: int, ring_size: int,
     sampler every ring member is exchangeable and all position heuristics
     sit at the 1/ring-size baseline; a skewed sampler breaks the symmetry.
     """
-    import bisect
-
     rng = random.Random(seed)
-    secrets: dict[int, int] = {}
+    secrets: list[int] = []  # by output id
+    publics: list[int] = []  # G^secret, computed once at mint
     unspent: list[int] = []  # ascending ids == ascending age
-    minted = 0
 
     def mint(count: int) -> None:
-        nonlocal minted
         for _ in range(count):
-            oid = minted
-            minted += 1
-            secrets[oid] = group.nonzero_scalar(
+            oid = len(secrets)
+            secret = group.nonzero_scalar(
                 "pvx/corpus", seed.to_bytes(8, "big"), oid.to_bytes(8, "big"))
+            secrets.append(secret)
+            publics.append(group.power(group.g, secret))
             unspent.append(oid)
 
     mint(max(ring_size * 50, 500))
@@ -251,7 +250,7 @@ def make_spend_corpus(group: GroupParams, trials: int, ring_size: int,
         decoys = sampler.sample(unspent, true_id, ring_size, rng)
         ring_ids = tuple(sorted(decoys + [true_id]))
         true_pos = ring_ids.index(true_id)
-        ring_pubs = [group.power(group.g, secrets[oid]) for oid in ring_ids]
+        ring_pubs = [publics[oid] for oid in ring_ids]
         sig = ring_sign(group, trial.to_bytes(8, "big"), ring_pubs,
                         true_pos, secrets[true_id])
         spends.append(SpendRecord(ring_ids, true_pos, sig.key_image))

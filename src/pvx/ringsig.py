@@ -18,9 +18,10 @@ Challenge chain, for each row i with responses s_i,0 .. s_i,m-1:
     R_i   = Hp(K_i,0)^{s_i,0} * I^{c_i}
     c_{i+1} = H("pvx/ring", ring, I, msg, L_i,0, R_i, L_i,1 .. L_i,m-1)
 closing back to c_0.  `tagged_hash` length-prefixes every item, so the
-item count alone separates column counts.  Nonces are derived from one
-hash of the signing keys, message and ring, making signing a pure function
-of its inputs.
+item count alone separates column counts.  Every challenge shares the
+prefix (tag, ring, I, msg), which a walk absorbs into one hash state and
+copies for each row.  Nonces are derived from one hash of the signing
+keys, message and ring, making signing a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .group import GroupParams, TAG_RING, tagged_hash
+from .group import GroupParams, TAG_RING, absorb, tagged_hash, tagged_prefix
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,11 @@ def _chain(group: GroupParams, message: bytes, rows: tuple[tuple[int, ...], ...]
     """Walk the challenge chain once round the ring, entering row `start`
     with challenge `c_start`.  Returns each row's challenge; the entry for
     `start` is the one that closes the ring."""
-    power, mul, enc, g = group.power, group.mul, group.element_to_bytes, group.g
-    hash_to_scalar = group.hash_to_scalar
+    power, mul, enc, g, q = (group.power, group.mul, group.element_to_bytes,
+                             group.g, group.q)
     n, m = len(rows), len(rows[0])
     later_columns = range(1, m)
-    image_b = enc(image)
+    prefix = tagged_prefix(TAG_RING, ring_b, enc(image), message)
     c = [0] * n
     c[start] = c_start
     for step in range(n):
@@ -76,8 +77,9 @@ def _chain(group: GroupParams, message: bytes, rows: tuple[tuple[int, ...], ...]
         for j in later_columns:
             points.append(enc(mul(power(g, responses[k + j]),
                                   power(row[j], c_i))))
-        c[(i + 1) % n] = hash_to_scalar(TAG_RING, ring_b, image_b, message,
-                                        *points)
+        # as group.hash_to_scalar(TAG_RING, ring_b, enc(image), message, *points)
+        c[(i + 1) % n] = int.from_bytes(
+            absorb(prefix.copy(), points).digest(), "big") % q
     return c
 
 

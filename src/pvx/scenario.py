@@ -115,9 +115,9 @@ STEP_FIELDS = {op: ({"op": "step op", **required},
                  {"fee": "natural"}),
     "shield": ({"entity": "entity", "amount": "positive"},
                {"account": "account", "fee": "natural"}),
-    "unshield": ({"entity": "entity", "to": "account", "amount": "positive"},
-                 SPEND_FIELDS),
-    "shielded_transfer": ({"from": "entity", "to": "entity",
+    "unshield": ({"entity": "wallet holder", "to": "account",
+                  "amount": "positive"}, SPEND_FIELDS),
+    "shielded_transfer": ({"from": "wallet holder", "to": "wallet holder",
                            "amount": "positive"}, SPEND_FIELDS),
     "mediated_exchange": ({"intermediary": "entity", "legs": [LEG]},
                           SPEND_FIELDS),
@@ -152,7 +152,11 @@ INT_RANGES = {"positive": (1, None), "natural": (0, None),
 
 DENY_REASONS = tuple(reason.value for reason in DenyReason)
 # the values a field of each closed kind may take; parsing adds the
-# declared accounts, entities, issuers and registered businesses
+# declared accounts, entities, wallet holders, issuers and registered
+# businesses.  A wallet holder is an Individual or a stealth entity: the
+# fields of that kind are the ones whose wallet the runner needs before the
+# policy decides, while a shield's entity or a leg's party may be any
+# entity, for the policy to deny
 NAMES = {"mode": ("supported", "mediated"), "profile": ("standard", "test"),
          "entity kind": tuple(kind.value for kind in EntityKind),
          "sampler": tuple(SAMPLERS), "heuristic": tuple(HEURISTICS),
@@ -336,8 +340,12 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
         edoc["id"]: edoc["fee"] for edoc in entity_docs if "fee" in edoc})
     issuers = tuple(edoc["id"] for edoc in entity_docs
                     if edoc.get("issuer", False))
+    wallet_holders = tuple(
+        edoc["id"] for edoc in entity_docs if edoc.get("stealth", False)
+        or edoc["kind"] == EntityKind.INDIVIDUAL.value)
     names = {**NAMES, "account": registry.accounts,
-             "entity": registry.entities, "issuer": issuers,
+             "entity": registry.entities, "wallet holder": wallet_holders,
+             "issuer": issuers,
              "registered business": {
                  eid for eid, e in registry.entities.items()
                  if e.kind is EntityKind.REGISTERED_BUSINESS}}
@@ -369,9 +377,7 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
         consensus=consensus,
         registry=registry,
         ruleset=ruleset,
-        wallet_holders=tuple(
-            edoc["id"] for edoc in entity_docs if edoc.get("stealth", False)
-            or edoc["kind"] == EntityKind.INDIVIDUAL.value),
+        wallet_holders=wallet_holders,
         issuers=issuers,
         genesis=tuple((g["account"], g["amount"])
                       for g in doc.get("genesis", [])),
@@ -786,7 +792,7 @@ class _Runner:
         draft = Transaction(
             TxKind.UNSHIELD, tout=(TransparentOutput(dst, amount, dst_owner),),
             fee=fee, credentials=creds)
-        wallet = self._wallet(entity)
+        wallet = self.wallets[entity]
         outcome = self._payment_common(
             index, step, draft,
             lambda: build_unshield(
@@ -801,8 +807,8 @@ class _Runner:
         dst = step["to"]
         amount = step["amount"]
         fee = self._fee(step)
-        wallet = self._wallet(src)
-        dst_wallet = self._wallet(dst)
+        wallet = self.wallets[src]
+        dst_wallet = self.wallets[dst]
         # the runner knows both parties' kinds; the replicas do not
         outcome = self._payment_common(
             index, step, Transaction(TxKind.SHIELDED_TRANSFER, fee=fee),

@@ -10,6 +10,7 @@ policy mode.  Shielded spends always add a change output back to the payer
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from .group import GroupParams, tagged_hash
@@ -110,17 +111,28 @@ class Wallet:
 # decoy samplers
 
 
+def _check_population(population: list[int], true_id: int,
+                      ring_size: int) -> None:
+    """Raise unless `population`, less `true_id`, holds ring_size - 1
+    decoys.  `population` must ascend, so membership is a binary search:
+    a linear scan would make a corpus of growing pools quadratic."""
+    i = bisect_left(population, true_id)
+    inside = i < len(population) and population[i] == true_id
+    if len(population) - inside < ring_size - 1:
+        raise BuildError("ring population smaller than requested ring size")
+
+
 class UniformSampler:
     """Every candidate output is an equally likely decoy.
 
-    `population` must be ascending by output id (creation order)."""
+    `population` must be ascending by output id (creation order); the size
+    check relies on it."""
 
     name = "uniform"
 
     def sample(self, population: list[int], true_id: int, ring_size: int,
                rng: random.Random) -> list[int]:
-        if len(population) - (true_id in population) < ring_size - 1:
-            raise BuildError("ring population smaller than requested ring size")
+        _check_population(population, true_id, ring_size)
         chosen: list[int] = []
         taken = {true_id}
         while len(chosen) < ring_size - 1:
@@ -135,16 +147,18 @@ class AgeBiasedSampler:
     """Prefers old outputs, mimicking flawed mixing where decoy selection
     probability is skewed across the anonymity set while real spends are
     not.  Index drawn by inverse transform of weight (n - i)^exponent over
-    the ascending-by-age population, so draws are O(1)."""
+    the ascending-by-age population, so draws are O(1).
+
+    `population` must be ascending by output id (creation order): the
+    weights read it as age order and the size check relies on it."""
 
     name = "age-biased"
     exponent = 2.0
 
     def sample(self, population: list[int], true_id: int, ring_size: int,
                rng: random.Random) -> list[int]:
+        _check_population(population, true_id, ring_size)
         n = len(population)
-        if n - (true_id in population) < ring_size - 1:
-            raise BuildError("ring population smaller than requested ring size")
         chosen: list[int] = []
         taken = {true_id}
         while len(chosen) < ring_size - 1:
@@ -198,6 +212,9 @@ class BuildResult:
 def _make_note(group: GroupParams, recipient_id: str,
                address: tuple[int, int], value: int, range_bits: int,
                stream: ScalarStream) -> tuple[ShieldedOutput, CreatedNote]:
+    if not 0 <= value < 1 << range_bits:
+        raise BuildError(f"shielded output {value} outside the "
+                         f"{range_bits}-bit range proof")
     keys = make_onetime_output(group, address, stream.next())
     blinding = keys.shared_blinding
     out = ShieldedOutput(

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from pvx.group import PROFILES, STANDARD_GROUP, TEST_GROUP, get_profile, tagged_hash
+from pvx.group import (
+    PROFILES,
+    STANDARD_GROUP,
+    TEST_GROUP,
+    absorb,
+    get_profile,
+    tagged_hash,
+    tagged_prefix,
+)
 
 
 def miller_rabin(n: int, rounds: int = 64) -> bool:
@@ -64,6 +72,36 @@ def test_tagged_hash_domain_separation():
     # length prefixing keeps item boundaries unambiguous
     assert tagged_hash("t", b"ab", b"c") != tagged_hash("t", b"a", b"bc")
     assert tagged_hash("t", b"x") == tagged_hash("t", b"x")
+
+
+# SHA-256 of the tag, a zero byte and each item after its 4-byte length
+TAGGED_HASH_VECTORS = [
+    (("pvx/ring",),
+     "dd6b7949aed4f872e7bdf9f0c44bd03d85a6683996f5a18b8f2eb1c723d12293"),
+    (("pvx/ring", b""),
+     "edd160aa49c8a16f6d38fe7d1728711565ae5f6f50be23bd17d3f0340424a564"),
+    (("pvx/test", b"a", b"", b"\x00\x01\x02", b"xyz" * 50),
+     "1ca42c714684f76fb2a0b1d96af01981897c94e552537bb41771536882ffdd12"),
+]
+
+
+@pytest.mark.parametrize("args,digest", TAGGED_HASH_VECTORS,
+                         ids=["no-items", "empty-item", "many-items"])
+def test_tagged_hash_known_answers(args, digest):
+    assert tagged_hash(*args).hex() == digest
+
+
+def test_tagged_prefix_copies_extend_to_tagged_hash():
+    rnd = random.Random(0x7A6)
+    for _ in range(200):
+        items = [rnd.randbytes(rnd.choice((0, 1, 2, 21, 64, 300)))
+                 for _ in range(rnd.randrange(6))]
+        tag = rnd.choice(("pvx/ring", "t", ""))
+        cut = rnd.randrange(len(items) + 1)
+        prefix = tagged_prefix(tag, *items[:cut])
+        for _ in range(2):  # a copy leaves the prefix state as it was
+            extended = absorb(prefix.copy(), items[cut:])
+            assert extended.digest() == tagged_hash(tag, *items)
 
 
 @pytest.mark.parametrize("profile", PROFILES)

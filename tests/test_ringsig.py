@@ -269,3 +269,47 @@ def test_ring_key_outside_subgroup_rejected(group):
                 rows[1] = tuple(row)
                 sig = sign(m, b"m", rows, 0, secrets, group)
                 assert not verify(m, b"m", rows, sig, group), (m, column, bad)
+
+
+# Pinned signatures: members 0..4 of `keypair`, the ring signed by member 2
+# over b"kat"; the dual ring pairs members 0..3 with members 100..103 and
+# is signed by row 1 over b"kat-dual".
+KNOWN_SIGNATURES = {
+    "test": (
+        RingSignature(958, (181, 473, 974, 314, 348), 1720),
+        RingSignature(269, (294, 55, 48, 340, 280, 249, 486, 936), 768)),
+    "standard": (
+        RingSignature(
+            72146464626167691035957999045821566417925261057,
+            (278784285137652367821549633352607909705899661751,
+             669835300453046999748206519649379311471860547143,
+             182062181324918046516677927113360630933646735280,
+             407335539541606955384902649154585299403721643250,
+             173223250351798213246367162215166498723450539082),
+            1188312102355430675001509794718871783549587902319),
+        RingSignature(
+            167610944295615291788398742971160192146589058362,
+            (468048160106214690637563762945735456536130574589,
+             725165227935478852790747883529592695666568893986,
+             392963221084981528129555764502043192886272648187,
+             698462048707201454983762294065389260784658604209,
+             552701120512838342181177799450037378040807204432,
+             438140556547179628694728861397758942126748629666,
+             577350860621647820003945588115455798885860521139,
+             351229203275318506606564756084461814929691071428),
+            720395025829686130509105289437855787331466459662)),
+}
+
+
+@pytest.mark.parametrize("group", [G, STANDARD_GROUP], ids=["test", "standard"])
+def test_signatures_known_answers(group):
+    keys = [keypair(i, group) for i in range(5)]
+    offsets = [keypair(100 + i, group) for i in range(4)]
+    ring = [pub for _, pub in keys]
+    rows = [(keys[i][1], offsets[i][1]) for i in range(4)]
+    sig = ring_sign(group, b"kat", ring, 2, keys[2][0])
+    dual = dual_ring_sign(group, b"kat-dual", rows, 1, keys[1][0],
+                          offsets[1][0])
+    assert (sig, dual) == KNOWN_SIGNATURES[group.name]
+    assert ring_verify(group, b"kat", ring, sig)
+    assert dual_ring_verify(group, b"kat-dual", rows, dual)

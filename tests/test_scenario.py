@@ -192,6 +192,57 @@ def test_store_kind_check_is_the_runners():
     assert [b.height for b in runner.reference.chain] == [1, 2]
 
 
+def test_wallet_holders_are_individuals_and_stealth_entities():
+    doc = minimal_doc()
+    doc["entities"].append({"id": "shop", "kind": "RegisteredBusiness",
+                            "stealth": True})
+    doc["steps"] += [
+        {"op": "shielded_transfer", "from": "alice", "to": "shop",
+         "amount": 5},
+        {"op": "unshield", "entity": "shop", "to": "bob.acct", "amount": 5},
+        # a shield's entity and a leg's parties may lack a wallet: the
+        # policy decides on them before anything is built
+        {"op": "shield", "entity": "bank", "amount": 5},
+        {"op": "mediated_exchange", "intermediary": "bank",
+         "legs": [{"payer": "cb", "payee": "bank", "amount": 5}]}]
+    assert parse_scenario(json.dumps(doc)).wallet_holders == (
+        "alice", "bob", "shop")
+
+
+# a shield of 256 on 8-bit range proofs, once as a document and once with
+# a shielded transfer whose payment output is out of range
+RANGE_DOC = {
+    "mode": "supported", "profile": "test", "range_bits": 8,
+    "entities": [{"id": "bank", "kind": "RegulatedInstitution"},
+                 {"id": "alice", "kind": "Individual",
+                  "accounts": [{"id": "alice.acct", "institution": "bank"}]},
+                 {"id": "bob", "kind": "Individual"}],
+    "genesis": [{"account": "alice.acct", "amount": 600}],
+    "steps": [{"op": "shield", "entity": "alice", "amount": 256}]}
+
+
+def test_shielded_output_past_its_range_proof_is_an_error_outcome(
+        tmp_path, capsys):
+    scenario = tmp_path / "range.json"
+    scenario.write_text(json.dumps(RANGE_DOC))
+    assert cli_main(["run", str(scenario)]) == 0
+    assert re.search(r"step +0 shield +error", capsys.readouterr().out)
+
+    doc = copy.deepcopy(RANGE_DOC)
+    doc["steps"] = [
+        {"op": "shield", "entity": "alice", "amount": 200,
+         "expect": {"outcome": "accept"}},
+        {"op": "shield", "entity": "alice", "amount": 200,
+         "expect": {"outcome": "accept"}},
+        {"op": "shielded_transfer", "from": "alice", "to": "bob",
+         "amount": 256, "ring_size": 2}]
+    result = run_scenario(parse_scenario(json.dumps(doc)))
+    assert not result.mismatches, result.mismatches
+    outcome = result.outcomes[2]
+    assert outcome.outcome == "error"
+    assert outcome.detail == "shielded output 256 outside the 8-bit range proof"
+
+
 def test_unregistered_issuer_is_a_coded_denial():
     # the replicas' policy hook answers any client, not only the runner
     runner = _Runner(parse_scenario(json.dumps(minimal_doc())))
@@ -488,6 +539,18 @@ DOC_CASES = {
     # wider than the ledger's 63-bit amounts, and minutes per proof
     "range-bits-past-63": (
         lambda doc: doc.update(range_bits=1_000_000), r"^range_bits: "),
+    # the runner needs these parties' wallets before the policy decides
+    "unshield-by-an-entity-without-a-wallet": (
+        _with_step(op="unshield", entity="bank", to="bob.acct", amount=5),
+        r"^steps\[2\]\.entity: unknown wallet holder 'bank'"),
+    "shielded-transfer-from-an-entity-without-a-wallet": (
+        _with_step(op="shielded_transfer", **{"from": "cb"}, to="bob",
+                   amount=5),
+        r"^steps\[2\]\.from: unknown wallet holder 'cb'"),
+    "shielded-transfer-to-an-entity-without-a-wallet": (
+        _with_step(op="shielded_transfer", **{"from": "alice"}, to="bank",
+                   amount=5),
+        r"^steps\[2\]\.to: unknown wallet holder 'bank'"),
 }
 
 # ids and institutions are JSON strings, never values read through str()

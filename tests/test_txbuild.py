@@ -182,6 +182,52 @@ def test_age_biased_sampler_prefers_old():
     assert old > 3 * new
 
 
+@pytest.mark.parametrize("sampler", [UniformSampler(), AgeBiasedSampler()],
+                         ids=["uniform", "age-biased"])
+def test_sampler_population_guard(sampler):
+    # ring 11 needs 10 decoys besides the true member.  Populations of 10
+    # and 11 ascending ids; true ids inside are the first, a middle and the
+    # last member, ids outside lie before the start, in a gap and past the end
+    for size in (10, 11):
+        population = list(range(2, 2 * size + 2, 2))
+        inside = (population[0], population[size // 2], population[-1])
+        for true_id in inside + (0, 3, 2 * size + 2):
+            rng = random.Random(0)
+            if size == 10 and true_id in inside:
+                with pytest.raises(BuildError, match="ring population"):
+                    sampler.sample(population, true_id, 11, rng)
+                continue
+            decoys = sampler.sample(population, true_id, 11, rng)
+            assert len(set(decoys)) == 10
+            assert true_id not in decoys
+            assert set(decoys) <= set(population)
+
+
+# both samplers' draws from one seeded stream, pinned when population
+# membership was a linear scan; the true ids are the first, a middle and
+# the last member and one id outside the population
+SAMPLER_DRAWS = {
+    "uniform": [[297, 168, 42, 33, 222, 12, 255, 264, 30, 36],
+                [294, 135, 90, 6, 9, 132, 246, 237, 183, 234],
+                [177, 57, 33, 69, 273, 42, 3, 192, 186, 93],
+                [24, 255, 207, 177, 228, 258, 33, 195, 222, 15]],
+    "age-biased": [[3, 69, 240, 9, 6, 48, 36, 168, 24, 114],
+                [204, 21, 87, 42, 141, 129, 153, 225, 63, 3],
+                [177, 54, 66, 45, 165, 48, 105, 51, 39, 63],
+                [87, 111, 6, 69, 57, 219, 60, 246, 141, 66]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_DRAWS))
+def test_sampler_draws_are_pinned(name):
+    rng = random.Random(1234)
+    population = list(range(0, 300, 3))
+    sampler = make_sampler(name)
+    draws = [sampler.sample(population, true_id, 11, rng)
+             for true_id in (0, 150, 297, 1)]
+    assert draws == SAMPLER_DRAWS[name]
+
+
 def test_make_sampler():
     assert make_sampler("uniform").name == "uniform"
     assert make_sampler("age-biased").name == "age-biased"
