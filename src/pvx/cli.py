@@ -46,8 +46,12 @@ def _cmd_run(args) -> int:
         return 3
     report = emit_report(result, args.format)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(emit_report(result, "structured"))
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(emit_report(result, "structured"))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print(report, end="")
     return 1 if result.mismatches else 0
 

@@ -28,6 +28,10 @@ writes it.  It cannot go stale: every nested field is frozen,
 ``dataclasses.replace`` builds a fresh object without it, and dataclass
 equality and hashing ignore it.
 
+Group elements, commitments included, are plain ints.  The ledger keeps
+each shielded output as its transaction carried it: output id i, which
+ring references name, is the i-th ever created, `LedgerState.outputs[i]`.
+
 Balance rule: with netflow = (transparent out + fee - transparent in), the
 point  prod(pseudo commitments) * prod(output commitments)^-1 *
 commit(netflow, 0)^-1  must equal G^z for a z the excess signature proves
@@ -44,7 +48,7 @@ from typing import Callable
 
 from .blindsig import Credential
 from .group import GroupParams, tagged_hash
-from .pedersen import Commitment, commit, negate_commitment, product
+from .pedersen import commit, product
 from .rangeproof import BitProof, RangeProof, verify_range
 from .ringsig import RingSignature, dual_ring_verify
 
@@ -84,14 +88,14 @@ class TransparentOutput:
 class ShieldedOutput:
     onetime_address: int
     ephemeral_public: int
-    commitment: Commitment
+    commitment: int
     range_proof: RangeProof
 
 
 @dataclass(frozen=True)
 class ShieldedInput:
     ring_refs: tuple[int, ...]  # ledger output ids forming the anonymity set
-    pseudo_commitment: Commitment
+    pseudo_commitment: int
     signature: RingSignature
 
 
@@ -159,12 +163,12 @@ def transaction_digest(group: GroupParams, tx: Transaction) -> bytes:
         parts.append(len(si.ring_refs).to_bytes(4, "big"))
         for ref in si.ring_refs:
             parts.append(_enc_u64(ref))
-        parts.append(si.pseudo_commitment.to_bytes(group))
+        parts.append(group.element_to_bytes(si.pseudo_commitment))
     parts.append(len(tx.sout).to_bytes(4, "big"))
     for so in tx.sout:
         parts.append(group.element_to_bytes(so.onetime_address))
         parts.append(group.element_to_bytes(so.ephemeral_public))
-        parts.append(so.commitment.to_bytes(group))
+        parts.append(group.element_to_bytes(so.commitment))
         parts.append(_enc_rangeproof(group, so.range_proof))
     parts.append(_enc_u64(tx.fee))
     parts.append(len(tx.credentials).to_bytes(4, "big"))
@@ -208,21 +212,11 @@ def verify_excess(group: GroupParams, excess_point: int, digest: bytes,
 
 
 @dataclass(frozen=True)
-class OutputRecord:
-    output_id: int
-    onetime_address: int
-    ephemeral_public: int
-    commitment: Commitment
-    range_proof: RangeProof
-    height: int
-
-
-@dataclass(frozen=True)
 class LedgerState:
     group: GroupParams
     range_bits: int
     balances: dict[str, int]
-    outputs: dict[int, OutputRecord]   # every shielded output ever created
+    outputs: tuple[ShieldedOutput, ...]  # output id i is outputs[i]
     onetime_index: dict[int, int]      # one-time address -> output id
     key_images: frozenset[int]
     credential_serials: frozenset[int]
@@ -232,7 +226,7 @@ class LedgerState:
 
     @classmethod
     def genesis(cls, group: GroupParams, accounts: dict[str, int],
-                range_bits: int | None = None) -> "LedgerState":
+                range_bits: int) -> "LedgerState":
         """Initial state: provisioned accounts, optional genesis balances.
 
         Genesis balances count as issued supply; later supply changes come
@@ -241,9 +235,9 @@ class LedgerState:
         balances = dict(accounts)
         return cls(
             group=group,
-            range_bits=group.range_bits if range_bits is None else range_bits,
+            range_bits=range_bits,
             balances=balances,
-            outputs={},
+            outputs=(),
             onetime_index={},
             key_images=frozenset(),
             credential_serials=frozenset(),
@@ -259,12 +253,11 @@ class LedgerState:
         for acct in sorted(self.balances):
             parts.append(_enc_str(acct))
             parts.append(_enc_u64(self.balances[acct]))
-        for oid in sorted(self.outputs):
-            rec = self.outputs[oid]
+        for oid, out in enumerate(self.outputs):
             parts.append(_enc_u64(oid))
-            parts.append(g.element_to_bytes(rec.onetime_address))
-            parts.append(g.element_to_bytes(rec.ephemeral_public))
-            parts.append(rec.commitment.to_bytes(g))
+            parts.append(g.element_to_bytes(out.onetime_address))
+            parts.append(g.element_to_bytes(out.ephemeral_public))
+            parts.append(g.element_to_bytes(out.commitment))
         for img in sorted(self.key_images):
             parts.append(g.element_to_bytes(img))
         for serial in sorted(self.credential_serials):
@@ -341,18 +334,17 @@ def shape_error(group: GroupParams, tx: Transaction) -> str | None:
         if not (type(si) is ShieldedInput and type(si.ring_refs) is tuple
                 and all(_int_in(ref, 0, 2 ** 64) for ref in si.ring_refs)):
             return "ring reference out of range"
-        if not (type(si.pseudo_commitment) is Commitment
-                and _int_in(si.pseudo_commitment.value, 0, p)):
+        if not _int_in(si.pseudo_commitment, 0, p):
             return "pseudo-commitment out of range"
         sig = si.signature
         if not (type(sig) is RingSignature and _ints(sig.c0, sig.key_image)
                 and type(sig.responses) is tuple and _ints(*sig.responses)):
             return "malformed ring signature"
     for so in tx.sout:
-        if not (type(so) is ShieldedOutput and type(so.commitment) is Commitment
+        if not (type(so) is ShieldedOutput
                 and _int_in(so.onetime_address, 0, p)
                 and _int_in(so.ephemeral_public, 0, p)
-                and _int_in(so.commitment.value, 0, p)):
+                and _int_in(so.commitment, 0, p)):
             return "output element out of range"
         proof = so.range_proof
         if not (type(proof) is RangeProof and type(proof.bits) is tuple
@@ -413,26 +405,22 @@ def shape_error(group: GroupParams, tx: Transaction) -> str | None:
 
 def excess_point(group: GroupParams, tx: Transaction) -> int:
     """The balance remainder that must equal G^z."""
-    acc = product(group, (si.pseudo_commitment for si in tx.sin))
-    out = product(group, (so.commitment for so in tx.sout))
     netflow = (sum(to.amount for to in tx.tout) + tx.fee
                - sum(ti.amount for ti in tx.tin)) % group.q
-    acc = Commitment(group.mul(acc.value, negate_commitment(group, out).value))
-    return group.mul(acc.value,
-                     negate_commitment(group, commit(group, netflow, 0)).value)
+    spent = product(group, (si.pseudo_commitment for si in tx.sin))
+    made = product(group, (*(so.commitment for so in tx.sout),
+                           commit(group, netflow, 0)))
+    return group.mul(spent, group.inv(made))
 
 
 def ring_rows(state: LedgerState, ring_refs: tuple[int, ...],
-              pseudo: Commitment) -> list[tuple[int, int]]:
+              pseudo: int) -> list[tuple[int, int]]:
     """An input's ring-signature rows: (P_i, C_i / C_pseudo) per member."""
     group = state.group
-    pseudo_inv = group.inv(pseudo.value)
-    rows = []
-    for ref in ring_refs:
-        rec = state.outputs[ref]
-        rows.append((rec.onetime_address,
-                     group.mul(rec.commitment.value, pseudo_inv)))
-    return rows
+    pseudo_inv = group.inv(pseudo)
+    return [(state.outputs[ref].onetime_address,
+             group.mul(state.outputs[ref].commitment, pseudo_inv))
+            for ref in ring_refs]
 
 
 def validate_transaction(state: LedgerState, tx: Transaction,
@@ -483,13 +471,13 @@ def validate_transaction(state: LedgerState, tx: Transaction,
     for si in tx.sin:
         if len(si.ring_refs) != len(set(si.ring_refs)):
             return Verdict.reject("MalformedTransaction", "duplicate ring member")
-        unknown = [ref for ref in si.ring_refs if ref not in state.outputs]
+        unknown = [ref for ref in si.ring_refs if ref >= len(state.outputs)]
         if unknown:
             return Verdict.reject("MalformedTransaction",
                                   f"unknown ring member {unknown[0]}")
         # a row (P_i, C_i / C_pseudo) is in the subgroup iff C_pseudo is
         rows = ring_rows(state, si.ring_refs, si.pseudo_commitment)
-        if not (group.is_element(si.pseudo_commitment.value)
+        if not (group.is_element(si.pseudo_commitment)
                 and dual_ring_verify(group, digest, rows, si.signature,
                                      rows_checked=True)):
             return Verdict.reject("RingSignature")
@@ -562,13 +550,8 @@ def apply_transaction(state: LedgerState, tx: Transaction) -> LedgerState:
     for to in tx.tout:
         balances[to.account_id] = balances.get(to.account_id, 0) + to.amount
 
-    outputs = dict(state.outputs)
     onetime_index = dict(state.onetime_index)
-    for so in tx.sout:
-        oid = len(outputs)  # output ids are dense, in creation order
-        outputs[oid] = OutputRecord(oid, so.onetime_address,
-                                    so.ephemeral_public, so.commitment,
-                                    so.range_proof, state.height + 1)
+    for oid, so in enumerate(tx.sout, len(state.outputs)):
         onetime_index[so.onetime_address] = oid
 
     issued = state.total_issued
@@ -578,7 +561,7 @@ def apply_transaction(state: LedgerState, tx: Transaction) -> LedgerState:
     return replace(
         state,
         balances=balances,
-        outputs=outputs,
+        outputs=state.outputs + tx.sout,
         onetime_index=onetime_index,
         key_images=state.key_images | {si.signature.key_image for si in tx.sin},
         credential_serials=state.credential_serials | {c.serial for c in tx.credentials},
@@ -601,7 +584,7 @@ def apply_block(state: LedgerState, txs: tuple[Transaction, ...] | list[Transact
 
 
 @lru_cache(maxsize=65536)
-def _commit_opening(group: GroupParams, v: int, r: int) -> Commitment:
+def _commit_opening(group: GroupParams, v: int, r: int) -> int:
     # pure memo: audits re-open the same unspent outputs block after block
     return commit(group, v, r)
 
@@ -617,11 +600,10 @@ def conservation_audit(state: LedgerState,
     """
     shielded_total = 0
     for oid, (v, r) in unspent_openings.items():
-        rec = state.outputs.get(oid)
-        if rec is None:
+        if not 0 <= oid < len(state.outputs):
             return False
         if _commit_opening(state.group, v % state.group.q,
-                           r % state.group.q) != rec.commitment:
+                           r % state.group.q) != state.outputs[oid].commitment:
             return False
         shielded_total += v
     return (sum(state.balances.values()) + shielded_total

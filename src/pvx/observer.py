@@ -69,12 +69,13 @@ def _shielded_fields(group: GroupParams, tx: Transaction) -> dict:
         "shielded_inputs": [{
             "ring": list(si.ring_refs),
             "key_image": group.element_to_bytes(si.signature.key_image).hex(),
-            "pseudo_commitment": si.pseudo_commitment.to_bytes(group).hex(),
+            "pseudo_commitment":
+                group.element_to_bytes(si.pseudo_commitment).hex(),
         } for si in tx.sin],
         "shielded_outputs": [{
             "onetime_address": group.element_to_bytes(so.onetime_address).hex(),
             "ephemeral": group.element_to_bytes(so.ephemeral_public).hex(),
-            "commitment": so.commitment.to_bytes(group).hex(),
+            "commitment": group.element_to_bytes(so.commitment).hex(),
             "range_valid": True,  # committed ledger: re-verified on request
         } for so in tx.sout],
         "credential_serials": [c.serial for c in tx.credentials],
@@ -158,8 +159,9 @@ class TaxReport:
 
 
 def tax_report(group: GroupParams, chain, registry: Registry, entity_id: str,
-               period: tuple[int, int] | None = None) -> TaxReport:
-    """Itemized transparent inflows to a registered business's accounts.
+               period: tuple[int, int]) -> TaxReport:
+    """Itemized transparent inflows to a registered business's accounts
+    in blocks `period` = (from height, to height), both inclusive.
 
     Issuance is monetary supply, not income, and transfers between the
     entity's own accounts do not count as inflows.
@@ -167,7 +169,7 @@ def tax_report(group: GroupParams, chain, registry: Registry, entity_id: str,
     entity = registry.entity(entity_id)
     if entity.kind is not EntityKind.REGISTERED_BUSINESS:
         raise ValueError(f"{entity_id!r} is not a registered business")
-    lo, hi = period if period else (1, len(chain))
+    lo, hi = period
     own_accounts = set(registry.accounts_of(entity_id))
     items = []
     for block in chain:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .group import GroupParams, TAG_RANGE
-from .pedersen import Commitment, commit
+from .pedersen import commit
 
 
 @lru_cache(maxsize=8)
@@ -49,26 +49,26 @@ class RangeProof:
         return len(self.bits)
 
 
-def _bit_challenge(group: GroupParams, c: Commitment, index: int,
+def _bit_challenge(group: GroupParams, c: int, index: int,
                    bit_c: int, a: int) -> int:
     return group.hash_to_scalar(
         TAG_RANGE,
-        c.to_bytes(group),
+        group.element_to_bytes(c),
         index.to_bytes(4, "big"),
         group.element_to_bytes(bit_c),
         group.element_to_bytes(a),
     )
 
 
-def _prove_bit(group: GroupParams, c: Commitment, index: int,
+def _prove_bit(group: GroupParams, c: int, index: int,
                bit: int, blinding: int) -> BitProof:
     """OR-prove that G^blinding * H^bit opens to bit 0 or 1."""
-    bit_c = commit(group, bit, blinding).value
+    bit_c = commit(group, bit, blinding)
     k0 = bit_c
     k1 = group.mul(bit_c, _h_inverse(group))
     keys = (k0, k1)
 
-    seed = (group.scalar_to_bytes(blinding), c.to_bytes(group),
+    seed = (group.scalar_to_bytes(blinding), group.element_to_bytes(c),
             index.to_bytes(4, "big"), bytes([bit]))
     alpha = group.nonzero_scalar(TAG_RANGE + "/nonce", *seed)
     s_decoy = group.nonzero_scalar(TAG_RANGE + "/decoy", *seed)
@@ -87,7 +87,7 @@ def _prove_bit(group: GroupParams, c: Commitment, index: int,
     return BitProof(bit_c, c_vals[0], s0, s1)
 
 
-def _verify_bit(group: GroupParams, c: Commitment, index: int,
+def _verify_bit(group: GroupParams, c: int, index: int,
                 proof: BitProof) -> bool:
     if not group.is_element(proof.bit_commitment):
         return False
@@ -101,10 +101,8 @@ def _verify_bit(group: GroupParams, c: Commitment, index: int,
     return _bit_challenge(group, c, index, proof.bit_commitment, a1) == proof.c0
 
 
-def prove_range(group: GroupParams, v: int, r: int, k: int | None = None) -> RangeProof:
+def prove_range(group: GroupParams, v: int, r: int, k: int) -> RangeProof:
     """Prove commit(v, r) opens inside [0, 2^k).  Fails fast if v >= 2^k."""
-    if k is None:
-        k = group.range_bits
     if k < 1:
         raise ValueError("bit width must be positive")
     if not 0 <= v < (1 << k):
@@ -120,7 +118,7 @@ def prove_range(group: GroupParams, v: int, r: int, k: int | None = None) -> Ran
     for i in range(1, k):
         blindings[i] = group.nonzero_scalar(
             TAG_RANGE + "/blind", group.scalar_to_bytes(r),
-            c.to_bytes(group), i.to_bytes(4, "big"))
+            group.element_to_bytes(c), i.to_bytes(4, "big"))
         acc = (acc + blindings[i] * (1 << i)) % group.q
     blindings[0] = (r - acc) % group.q
 
@@ -129,7 +127,7 @@ def prove_range(group: GroupParams, v: int, r: int, k: int | None = None) -> Ran
     return RangeProof(bits)
 
 
-def verify_range(group: GroupParams, c: Commitment, proof: RangeProof) -> bool:
+def verify_range(group: GroupParams, c: int, proof: RangeProof) -> bool:
     """True iff the proof shows c opens to a value in [0, 2^len(bits))."""
     if proof.k < 1:
         return False
@@ -138,4 +136,4 @@ def verify_range(group: GroupParams, c: Commitment, proof: RangeProof) -> bool:
         if not _verify_bit(group, c, i, bp):
             return False
         acc = group.mul(acc, pow(bp.bit_commitment, 1 << i, group.p))
-    return acc == c.value
+    return acc == c

@@ -192,7 +192,7 @@ class Scenario:
     trusted issuer keys when a run derives them from its seed."""
     name: str
     profile: str
-    range_bits: int | None
+    range_bits: int
     consensus: ConsensusParams
     registry: Registry
     ruleset: RuleSet
@@ -270,7 +270,8 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
     else:
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError: bad bytes or an over-long int; RecursionError: nesting
+        except (ValueError, RecursionError) as exc:
             raise ScenarioError("$", f"invalid JSON: {exc}") from None
     # genesis and steps name accounts and entities, so they are walked once
     # the registry holds those
@@ -281,7 +282,8 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
     # below the group order q and within the ledger's 63-bit amounts
     group = get_profile(doc.get("profile", "standard"))
     widest = min((group.q - 1).bit_length() - 1, MAX_AMOUNT.bit_length())
-    if doc.get("range_bits", 1) > widest:
+    range_bits = doc.get("range_bits", group.range_bits)
+    if range_bits > widest:
         raise ScenarioError("range_bits", f"must be <= {widest} on profile "
                                           f"{group.name!r}")
 
@@ -373,7 +375,7 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
     return Scenario(
         name=doc.get("name", "unnamed"),
         profile=doc.get("profile", "standard"),
-        range_bits=doc.get("range_bits"),
+        range_bits=range_bits,
         consensus=consensus,
         registry=registry,
         ruleset=ruleset,
@@ -489,7 +491,6 @@ class _Runner:
         self.sc = scenario
         self.seed = scenario.consensus.seed if seed is None else seed
         self.group: GroupParams = get_profile(scenario.profile)
-        self.range_bits = scenario.range_bits or self.group.range_bits
         self.rng = random.Random(self.seed ^ 0x5CE0)
         self.stream = ScalarStream(self.group, tagged_hash(
             "pvx/scenario", self.seed.to_bytes(8, "big")))
@@ -523,7 +524,7 @@ class _Runner:
         balances = {acct: 0 for acct in sc.registry.accounts}
         for account, amount in sc.genesis:
             balances[account] += amount
-        genesis = LedgerState.genesis(self.group, balances, self.range_bits)
+        genesis = LedgerState.genesis(self.group, balances, sc.range_bits)
 
         self.world = World(
             self.group, [f"node{i}" for i in range(sc.consensus.n)],

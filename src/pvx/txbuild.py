@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from .group import GroupParams, tagged_hash
@@ -83,8 +84,7 @@ class Wallet:
     def remove_notes(self, output_ids: set[int]) -> None:
         self.notes = [n for n in self.notes if n.output_id not in output_ids]
 
-    def select_notes(self, target: int,
-                     exclude: set[int] = frozenset()) -> list[WalletNote]:
+    def select_notes(self, target: int, exclude: set[int]) -> list[WalletNote]:
         """Oldest-first minimal prefix covering the target.
 
         Keeps the change below the largest single note, so change outputs
@@ -111,7 +111,7 @@ class Wallet:
 # decoy samplers
 
 
-def _check_population(population: list[int], true_id: int,
+def _check_population(population: Sequence[int], true_id: int,
                       ring_size: int) -> None:
     """Raise unless `population`, less `true_id`, holds ring_size - 1
     decoys.  `population` must ascend, so membership is a binary search:
@@ -130,7 +130,7 @@ class UniformSampler:
 
     name = "uniform"
 
-    def sample(self, population: list[int], true_id: int, ring_size: int,
+    def sample(self, population: Sequence[int], true_id: int, ring_size: int,
                rng: random.Random) -> list[int]:
         _check_population(population, true_id, ring_size)
         chosen: list[int] = []
@@ -155,7 +155,7 @@ class AgeBiasedSampler:
     name = "age-biased"
     exponent = 2.0
 
-    def sample(self, population: list[int], true_id: int, ring_size: int,
+    def sample(self, population: Sequence[int], true_id: int, ring_size: int,
                rng: random.Random) -> list[int]:
         _check_population(population, true_id, ring_size)
         n = len(population)
@@ -237,7 +237,7 @@ class _SpendPlan:
 def _plan_spends(state: LedgerState, notes: list[WalletNote], sampler,
                  ring_size: int, rng: random.Random,
                  stream: ScalarStream) -> list[_SpendPlan]:
-    population = sorted(state.outputs)
+    population = range(len(state.outputs))
     plans = []
     for note in notes:
         decoys = sampler.sample(population, note.output_id, ring_size, rng)

@@ -5,7 +5,6 @@ import pytest
 from pvx.consensus import NodeConfig, SafetyViolation, World, block_digest
 from pvx.group import STANDARD_GROUP as G
 from pvx.ledger import LedgerState, transaction_digest
-from pvx.pedersen import Commitment
 from pvx.txbuild import build_shielded_transfer, build_transparent_transfer
 from conftest import Harness
 
@@ -199,7 +198,7 @@ def test_undigestible_client_tx_is_dropped(n, f):
                                  h.wallets["bob"].address, 50, 3, h.sampler,
                                  h.rng, h.stream).tx
     bad = replace(tx, sin=(replace(tx.sin[0],
-                                   pseudo_commitment=Commitment(-G.p)),
+                                   pseudo_commitment=-G.p),
                            *tx.sin[1:]))
     genesis = replace(h.state, height=0)  # the harness's blocks as genesis
     w = World(G, [f"n{i}" for i in range(n)], f, genesis, None, seed=5)

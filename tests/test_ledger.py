@@ -19,7 +19,7 @@ from pvx.ledger import (
     transaction_digest,
     validate_transaction,
 )
-from pvx.pedersen import Commitment, commit
+from pvx.pedersen import commit
 from pvx.rangeproof import RangeProof, prove_range
 from pvx.ringsig import RingSignature, dual_ring_verify, key_image_for
 from pvx.txbuild import (
@@ -72,7 +72,7 @@ def _order_two_pseudo_spend(h, tx):
     note = next(n for n in h.wallets["alice"].notes
                 if n.output_id in tx.sin[0].ring_refs)
     r = 345  # the re-blinding; below q on both profiles
-    pseudo = Commitment(group.p - commit(group, note.value, r).value)
+    pseudo = group.p - commit(group, note.value, r)
     draft = replace(tx, sin=(ShieldedInput((note.output_id,), pseudo, None),))
     digest = transaction_digest(group, draft)
     row = ring_rows(h.state, (note.output_id,), pseudo)[0]
@@ -110,7 +110,7 @@ def test_pseudo_commitment_outside_subgroup_rejected(request, fixture):
     proven = set()
     assert validate_transaction(h.state, tx, proven=proven).accepted
     assert tx in proven
-    bad = [replace(tx, sin=(replace(tx.sin[0], pseudo_commitment=Commitment(v)),))
+    bad = [replace(tx, sin=(replace(tx.sin[0], pseudo_commitment=v),))
            for v in (group.p - 1, 0)]
     bad.append(_order_two_pseudo_spend(h, tx))
     for _ in range(2):
@@ -205,9 +205,9 @@ def _transparent(**fields):
 
 UNENCODABLE = {
     "pseudo-commitment=-p": lambda tx, p: _with_input(
-        tx, pseudo_commitment=Commitment(-p)),
+        tx, pseudo_commitment=-p),
     "pseudo-commitment=p": lambda tx, p: _with_input(
-        tx, pseudo_commitment=Commitment(p)),
+        tx, pseudo_commitment=p),
     "ring-ref=-1": lambda tx, p: _with_input(
         tx, ring_refs=(-1, *tx.sin[0].ring_refs[1:])),
     "ring-ref=2^64": lambda tx, p: _with_input(
@@ -215,8 +215,8 @@ UNENCODABLE = {
     "onetime-address=-1": lambda tx, p: _with_output(tx, onetime_address=-1),
     "ephemeral=-1": lambda tx, p: _with_output(tx, ephemeral_public=-1),
     "commitment=2^200": lambda tx, p: _with_output(
-        tx, commitment=Commitment(2 ** 200)),
-    "commitment=-1": lambda tx, p: _with_output(tx, commitment=Commitment(-1)),
+        tx, commitment=2 ** 200),
+    "commitment=-1": lambda tx, p: _with_output(tx, commitment=-1),
     "bit-commitment=-1": lambda tx, p: _with_bit(tx, bit_commitment=-1),
     "bit-commitment=p": lambda tx, p: _with_bit(tx, bit_commitment=p),
     "proof-width=2^16": lambda tx, p: _with_output(tx, range_proof=RangeProof(
@@ -314,7 +314,7 @@ def test_validation_clause_codes(harness):
     assert validate_transaction(state, dup).code == "DoubleSpend"
 
     # duplicate one-time address (fresh tx reusing an existing output key)
-    existing = next(iter(state.outputs.values()))
+    existing = state.outputs[0]
     res2 = build_shield(G, state, wallet, "alice.acct", 40, harness.stream)
     so = res2.tx.sout[0]
     reused = replace(res2.tx, sout=(replace(
@@ -434,7 +434,7 @@ def test_proven_set_still_checks_ring_rows_against_the_state(harness):
     harness.land(build_shield(G, before, wallet, "alice.acct", 40,
                               harness.stream))
     fork = apply_block(before, [other.tx], before.height + 1)
-    assert fork.outputs.keys() == harness.state.outputs.keys()
+    assert len(fork.outputs) == len(harness.state.outputs)
     # a ring of every output holds the one the two forks disagree on
     res = build_shielded_transfer(
         G, harness.state, wallet, "bob", harness.wallets["bob"].address, 60,
@@ -489,6 +489,29 @@ def test_conservation_audit(harness):
                                   {**harness.openings, oid: (v + 1, r)})
 
 
+@pytest.mark.parametrize("rekey", ["-1", "len(outputs)"])
+def test_conservation_audit_rejects_an_output_id_out_of_range(harness, rekey):
+    # output id -1 would name the last output through negative indexing
+    last = len(harness.state.outputs) - 1
+    openings = dict(harness.openings)
+    opening = openings.pop(last)
+    oid = -1 if rekey == "-1" else last + 1
+    assert not conservation_audit(harness.state, {**openings, oid: opening})
+
+
+def test_ring_member_past_the_last_output_is_unknown(harness):
+    state = harness.state
+    tx = build_shielded_transfer(G, state, harness.wallets["alice"], "bob",
+                                 harness.wallets["bob"].address, 30, 3,
+                                 harness.sampler, harness.rng,
+                                 harness.stream).tx
+    refs = (*tx.sin[0].ring_refs[:-1], len(state.outputs))
+    bad = replace(tx, sin=(replace(tx.sin[0], ring_refs=refs), *tx.sin[1:]))
+    verdict = validate_transaction(state, bad)
+    assert verdict.code == "MalformedTransaction"
+    assert verdict.detail == f"unknown ring member {len(state.outputs)}"
+
+
 def test_conservation_fresh_ledger():
     state = LedgerState.genesis(G, {"a": 1000}, range_bits=12)
     assert conservation_audit(state, {})
@@ -497,8 +520,8 @@ def test_conservation_fresh_ledger():
 
 def test_range_proofs_reverify_later(harness):
     from pvx.rangeproof import verify_range
-    for rec in harness.state.outputs.values():
-        assert verify_range(G, rec.commitment, rec.range_proof)
+    for out in harness.state.outputs:
+        assert verify_range(G, out.commitment, out.range_proof)
 
 
 def test_state_digest_sensitivity(harness):

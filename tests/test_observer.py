@@ -137,7 +137,7 @@ def test_tax_report_sums_transparent_inflows(harness, registry):
                                   h.wallets["bob"].address, 50, 3, h.sampler,
                                   h.rng, h.stream)
     h.land(res)
-    report = tax_report(G, h.chain, registry, "acme")
+    report = tax_report(G, h.chain, registry, "acme", (1, len(h.chain)))
     assert report.total == 350
     assert [i.amount for i in report.items] == [100, 250]
     # independent fold over the raw chain agrees
@@ -151,10 +151,11 @@ def test_tax_report_sums_transparent_inflows(harness, registry):
 
 
 def test_tax_report_empty_and_errors(harness, registry):
-    report = tax_report(G, harness.chain, registry, "acme")
+    report = tax_report(G, harness.chain, registry, "acme",
+                        (1, len(harness.chain)))
     assert report.total == 0 and report.items == ()
     with pytest.raises(ValueError, match="not a registered business"):
-        tax_report(G, harness.chain, registry, "alice")
+        tax_report(G, harness.chain, registry, "alice", (1, 1))
 
 
 def test_link_attack_ring_one_is_fully_traced():

@@ -35,7 +35,7 @@ def test_roundtrip_random_values():
 def test_standard_profile_default_width():
     g = STANDARD_GROUP
     v = 2 ** 31 + 12345
-    proof = prove_range(g, v, 777)
+    proof = prove_range(g, v, 777, k=g.range_bits)
     assert proof.k == 32
     assert verify_range(g, commit(g, v, 777), proof)
 
@@ -69,7 +69,7 @@ def test_negative_encoding_rejected():
     acc_r = 0
     for i in range(8):
         bit = 1 if i < 7 else 0  # 254 = 0b11111110
-        forged_bits.append(commit(g, bit, 1).value)
+        forged_bits.append(commit(g, bit, 1))
         acc_r += 1 << i
     # tack the residue onto bit 0's amount: commitment product now opens to q-1
     forged_bits[0] = g.mul(forged_bits[0], g.power(g.h, residue))

@@ -568,22 +568,37 @@ DOC_CASES.update({
 })
 
 
-@pytest.mark.parametrize("case", sorted(DOC_CASES))
+# scenario bytes that do not decode to a document at all
+RAW_CASES = {
+    "bytes-not-utf8": (b'{"mode": "supported", "name": "\xff"}', r"^\$: "),
+    "nested-too-deeply": (b"[" * 200_000, r"^\$: "),
+    # past Python's limit on decimal digits in one int
+    "integer-of-5000-digits": (b'{"name": ' + b"1" * 5000 + b"}", r"^\$: "),
+}
+
+
+def _malformed(case) -> tuple[bytes, str]:
+    """(scenario bytes, the error path they must be refused with)."""
+    if case in RAW_CASES:
+        return RAW_CASES[case]
+    mutate, path = DOC_CASES[case]
+    doc = minimal_doc()
+    mutate(doc)
+    return json.dumps(doc).encode(), path
+
+
+@pytest.mark.parametrize("case", sorted(DOC_CASES.keys() | RAW_CASES.keys()))
 def test_malformed_documents_are_scenario_errors(case):
-    mutate, path = DOC_CASES[case]
-    doc = minimal_doc()
-    mutate(doc)
+    raw, path = _malformed(case)
     with pytest.raises(ScenarioError, match=path):
-        parse_scenario(json.dumps(doc))
+        parse_scenario(raw)
 
 
-@pytest.mark.parametrize("case", sorted(DOC_CASES))
+@pytest.mark.parametrize("case", sorted(DOC_CASES.keys() | RAW_CASES.keys()))
 def test_cli_run_exits_2_on_a_malformed_document(case, tmp_path, capsys):
-    mutate, path = DOC_CASES[case]
-    doc = minimal_doc()
-    mutate(doc)
+    raw, path = _malformed(case)
     scenario = tmp_path / "malformed.json"
-    scenario.write_text(json.dumps(doc))
+    scenario.write_bytes(raw)
     assert cli_main(["run", str(scenario)]) == 2
     assert re.search(path, capsys.readouterr().err.removeprefix("error: "))
 
@@ -779,6 +794,18 @@ def test_cli_report_file_and_seed(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(report.read_text())
     assert doc["seed"] == 7
+
+
+# a directory where the report file should go, and a missing parent
+@pytest.mark.parametrize("report", [".", "missing/report.json"])
+def test_cli_run_exits_2_when_the_report_cannot_be_written(
+        report, tmp_path, capsys):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(minimal_doc()))
+    assert cli_main(["run", str(path), "--report",
+                     str(tmp_path / report)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and out == ""
 
 
 @pytest.mark.parametrize("command", ["run", "attack"])
