@@ -34,14 +34,7 @@ from .ledger import (
     transaction_digest,
     validate_transaction,
 )
-from .simnet import (
-    ClientSubmit,
-    Deliver,
-    FaultScript,
-    SimNetwork,
-    TimerFire,
-    merge_faults,
-)
+from .simnet import ClientSubmit, Deliver, FaultScript, SimNetwork, TimerFire
 
 TAG_MAC = "pvx/mac"
 TAG_BLOCK = "pvx/block"
@@ -183,24 +176,20 @@ def compute_mac(secret: bytes, sender: str, msg) -> bytes:
 
 
 @dataclass(frozen=True)
-class NodeConfig:
-    node_id: str
-    replicas: tuple[str, ...]
-    f: int
-
-    def __post_init__(self):
-        if len(self.replicas) < 3 * self.f + 1:
-            raise ValueError(
-                f"n={len(self.replicas)} violates n >= 3f+1 for f={self.f}")
-        if self.node_id not in self.replicas:
-            raise ValueError("node id not in replica set")
+class ConsensusParams:
+    """n replicas tolerating f faults, each one's fault script, and the
+    network's seed, per-link delay bounds (us) and drop probability."""
+    n: int = 1
+    f: int = 0
+    seed: int = 0
+    delay: tuple[int, int] = (1_000, 5_000)
+    drop: float = 0.0
+    faults: dict[str, FaultScript] = field(default_factory=dict)
 
     @property
-    def n(self) -> int:
-        return len(self.replicas)
-
-    def leader_of(self, view: int) -> str:
-        return self.replicas[view % self.n]
+    def node_ids(self) -> tuple[str, ...]:
+        # leader rotation and broadcasts follow name order: node10 < node2
+        return tuple(sorted(f"node{i}" for i in range(self.n)))
 
 
 @dataclass
@@ -228,10 +217,13 @@ class PBFTNode:
     ("send", dst, msg) / ("broadcast", msg) / ("timer", kind, delay)
     actions for the world to route."""
 
-    def __init__(self, config: NodeConfig, genesis: LedgerState,
+    def __init__(self, node_id: str, replicas: tuple[str, ...], f: int,
+                 genesis: LedgerState,
                  policy_hook: Callable[[Transaction], object] | None,
-                 fault: FaultScript = FaultScript()):
-        self.cfg = config
+                 fault: FaultScript):
+        self.node_id = node_id
+        self.replicas = replicas
+        self.f = f
         self.ledger = genesis
         self.policy_hook = policy_hook
         self.fault = fault
@@ -247,7 +239,6 @@ class PBFTNode:
         self.progress_token: int | None = None  # armed-timer identity
         self.next_token = 0
         self.retransmit_armed = False
-        self.executed_at_arm = 0
         self.stats = NodeStats()
         self.rejections: dict[str, str] = {}  # txid -> latest ledger code
         self.equivocated: set[int] = set()
@@ -257,15 +248,14 @@ class PBFTNode:
     # -- helpers -------------------------------------------------------------
 
     @property
-    def node_id(self) -> str:
-        return self.cfg.node_id
-
-    @property
     def executed(self) -> int:
         return len(self.chain)
 
+    def leader_of(self, view: int) -> str:
+        return self.replicas[view % len(self.replicas)]
+
     def is_leader(self) -> bool:
-        return self.cfg.leader_of(self.view) == self.node_id
+        return self.leader_of(self.view) == self.node_id
 
     def _slot(self, seq: int) -> Slot:
         slot = self.slots.get(seq)
@@ -298,7 +288,6 @@ class PBFTNode:
         if self.progress_token is None and self._work_pending():
             self.next_token += 1
             self.progress_token = self.next_token
-            self.executed_at_arm = self.executed
             actions.append(("timer", f"progress:{self.progress_token}",
                             self.timeout))
         if not self.retransmit_armed and self._work_pending():
@@ -399,7 +388,7 @@ class PBFTNode:
         self.equivocated.add(seq)
         block_a = Block(seq, txs, self._chain_tip_digest(), self.node_id)
         block_b = Block(seq, txs[:0], self._chain_tip_digest(), self.node_id)
-        others = [r for r in self.cfg.replicas if r != self.node_id]
+        others = [r for r in self.replicas if r != self.node_id]
         half = (len(others) + 1) // 2
         for dst in others[:half]:
             pp = PrePrepare(self.view, seq, block_a,
@@ -436,7 +425,7 @@ class PBFTNode:
     def _on_preprepare(self, msg: PrePrepare, actions: list) -> None:
         if msg.seq in self.equivocated:
             return
-        if msg.view != self.view or msg.sender != self.cfg.leader_of(msg.view):
+        if msg.view != self.view or msg.sender != self.leader_of(msg.view):
             self.stats.rejected_byzantine += 1
             return
         if msg.digest != block_digest(self.ledger.group, msg.block):
@@ -480,10 +469,10 @@ class PBFTNode:
             return
         # 2f matching prepares from backups: the leader's pre-prepare
         # stands in for its prepare
-        leader = self.cfg.leader_of(self.view)
+        leader = self.leader_of(self.view)
         matching = sum(1 for s, d in slot.prepares.items()
                        if d == slot.digest and s != leader)
-        if matching >= 2 * self.cfg.f:
+        if matching >= 2 * self.f:
             slot.prepared = True
             own = Commit(self.view, slot.seq, slot.digest, self.node_id)
             slot.commit_msgs[self.node_id] = own
@@ -500,11 +489,11 @@ class PBFTNode:
         self._check_committed(slot, actions)
 
     def _check_committed(self, slot: Slot, actions: list) -> None:
-        if slot.committed or slot.block is None or slot.digest is None:
+        if slot.committed or slot.digest is None:
             return
         matching = sum(1 for m in slot.commit_msgs.values()
                        if m.digest == slot.digest)
-        if matching >= 2 * self.cfg.f + 1:
+        if matching >= 2 * self.f + 1:
             slot.committed = True
             self.buffered_commits[slot.seq] = slot.block
             self._drain_commits(actions)
@@ -536,7 +525,7 @@ class PBFTNode:
             return None
         certs = tuple(c for c in slot.commit_msgs.values()
                       if c.digest == digest and c.seq == seq)
-        if len({c.sender for c in certs}) < 2 * self.cfg.f + 1:
+        if len({c.sender for c in certs}) < 2 * self.f + 1:
             return None
         return CatchUp(seq, digest, block, certs, self.node_id)
 
@@ -549,8 +538,8 @@ class PBFTNode:
             return
         senders = {c.sender for c in msg.commits
                    if c.seq == msg.seq and c.digest == msg.digest
-                   and c.sender in self.cfg.replicas}
-        if len(senders) < 2 * self.cfg.f + 1:
+                   and c.sender in self.replicas}
+        if len(senders) < 2 * self.f + 1:
             self.stats.rejected_byzantine += 1
             return
         slot = self._slot(msg.seq)
@@ -566,7 +555,7 @@ class PBFTNode:
         certs = []
         for seq in sorted(self.slots):
             slot = self.slots[seq]
-            if slot.prepared and seq > self.executed and slot.block is not None:
+            if slot.prepared and seq > self.executed:
                 certs.append(PreparedCert(seq, slot.view, slot.digest, slot.block))
         return tuple(certs)
 
@@ -600,15 +589,15 @@ class PBFTNode:
         higher_views = sorted(v for v, vs in self.view_votes.items()
                               if v > self.vc_target and vs)
         senders = {s for v in higher_views for s in self.view_votes[v]}
-        if len(senders) >= self.cfg.f + 1:
+        if len(senders) >= self.f + 1:
             self._start_view_change(higher_views[0], actions)
         self._maybe_lead_new_view(msg.new_view, actions)
 
     def _maybe_lead_new_view(self, target: int, actions: list) -> None:
-        if self.cfg.leader_of(target) != self.node_id or target <= self.view:
+        if self.leader_of(target) != self.node_id or target <= self.view:
             return
         votes = self.view_votes.get(target, {})
-        if len(votes) < 2 * self.cfg.f + 1:
+        if len(votes) < 2 * self.f + 1:
             return
         # highest-view prepared certificate per sequence across the quorum
         best: dict[int, PreparedCert] = {}
@@ -634,7 +623,7 @@ class PBFTNode:
         self._arm_progress(actions)
 
     def _on_new_view(self, msg: NewView, actions: list) -> None:
-        if msg.view < self.view or msg.sender != self.cfg.leader_of(msg.view):
+        if msg.view < self.view or msg.sender != self.leader_of(msg.view):
             return
         if msg.view > self.view:
             self._enter_view(msg.view)
@@ -659,11 +648,10 @@ class PBFTNode:
             token = int(kind.split(":", 1)[1])
             if token != self.progress_token:
                 return actions  # superseded arm; ignore the stale fire
+            # _drain_commits drops the token: no block executed since the arm
             self.progress_token = None
-            if self.executed > self.executed_at_arm or not self._work_pending():
-                self._arm_progress(actions)
-            else:
-                self._start_view_change(max(self.view, self.vc_target) + 1, actions)
+            if self._work_pending():
+                self._start_view_change(self.vc_target + 1, actions)
         elif kind == "retransmit":
             self.retransmit_armed = False
             self._retransmit(actions)
@@ -678,7 +666,7 @@ class PBFTNode:
             return
         slot = self.slots.get(seq)
         if slot and slot.view == self.view and slot.digest is not None:
-            if self.is_leader() and slot.block is not None:
+            if self.is_leader():
                 actions.append(("broadcast", PrePrepare(
                     self.view, seq, slot.block, slot.digest, self.node_id)))
             if slot.sent_prepare:
@@ -692,7 +680,7 @@ class PBFTNode:
             if vc is not None:
                 actions.append(("broadcast", vc))
         if self.mempool and not self.is_leader():
-            leader = self.cfg.leader_of(self.view)
+            leader = self.leader_of(self.view)
             for tx, _ in self.mempool.values():
                 actions.append(("send", leader, TxForward(tx, self.node_id)))
         if self.mempool and self.is_leader():
@@ -706,20 +694,18 @@ class PBFTNode:
 class World:
     """Hosts the replica set on a deterministic network."""
 
-    def __init__(self, group: GroupParams, node_ids: list[str], f: int,
-                 genesis: LedgerState, policy_hook=None, seed: int = 0,
-                 delay: tuple[int, int] = (1_000, 5_000), drop: float = 0.0,
-                 fault_scripts: dict[str, list[str]] | None = None):
-        self.group = group
-        self.net = SimNetwork(node_ids, seed, delay, drop)
-        self.secret = tagged_hash(TAG_MAC + "/secret", seed.to_bytes(8, "big"))
-        replicas = tuple(sorted(node_ids))
-        self.nodes: dict[str, PBFTNode] = {}
-        scripts = fault_scripts or {}
-        for node_id in replicas:
-            fault = merge_faults(scripts.get(node_id, []))
-            cfg = NodeConfig(node_id, replicas, f)
-            self.nodes[node_id] = PBFTNode(cfg, genesis, policy_hook, fault)
+    def __init__(self, genesis: LedgerState, params: ConsensusParams,
+                 policy_hook=None):
+        if params.n < 3 * params.f + 1:
+            raise ValueError(f"n={params.n} violates n >= 3f+1 for f={params.f}")
+        self.group = genesis.group
+        self.net = SimNetwork(params.seed, params.delay, params.drop)
+        self.secret = tagged_hash(TAG_MAC + "/secret",
+                                  params.seed.to_bytes(8, "big"))
+        replicas = params.node_ids
+        self.nodes = {nid: PBFTNode(nid, replicas, params.f, genesis, policy_hook,
+                                    params.faults.get(nid, FaultScript()))
+                      for nid in replicas}
         self.byzantine = {nid for nid, node in self.nodes.items()
                           if node.fault.equivocate_heights}
 
@@ -736,7 +722,7 @@ class World:
                 continue
             if action[0] == "broadcast":
                 msg = self._sealed(node, action[1])
-                for dst in node.cfg.replicas:
+                for dst in node.replicas:
                     if dst != node.node_id:
                         self.net.send(dst, msg)
             elif action[0] == "send":

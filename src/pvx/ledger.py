@@ -453,6 +453,11 @@ def validate_transaction(state: LedgerState, tx: Transaction,
             or sum(to.amount for to in tx.tout) + tx.fee >= group.q):
         return Verdict.reject("MalformedTransaction",
                               "cleartext sum reaches the group order")
+    # conservation then bounds every balance and the fees by MAX_AMOUNT
+    if tx.kind is TxKind.ISSUE and state.total_issued + sum(
+            to.amount for to in tx.tout) > MAX_AMOUNT:
+        return Verdict.reject("MalformedTransaction",
+                              "issued supply passes 2^63-1")
 
     for leg in (*tx.tin, *tx.tout):
         if leg.account_id not in state.balances:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .blindsig import (
     credential_finalize,
@@ -42,7 +42,7 @@ from .blindsig import (
     credential_request,
     issuer_keygen,
 )
-from .consensus import World
+from .consensus import ConsensusParams, World
 from .entityreg import Account, Entity, Registry
 from .group import GroupParams, get_profile, tagged_hash
 from .ledger import (
@@ -77,7 +77,7 @@ from .policy import (
     authorize,
     update_blacklist,
 )
-from .simnet import merge_faults
+from .simnet import parse_faults
 from .stealth import recover_spend_secret
 from .txbuild import (
     MAX_RING_SIZE,
@@ -173,16 +173,6 @@ class ScenarioError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
-
-
-@dataclass(frozen=True)
-class ConsensusParams:
-    n: int = 1
-    f: int = 0
-    seed: int = 0
-    delay: tuple[int, int] = (1_000, 5_000)
-    drop: float = 0.0
-    faults: dict[str, list[str]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -287,29 +277,29 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
         raise ScenarioError("range_bits", f"must be <= {widest} on profile "
                                           f"{group.name!r}")
 
-    cons_doc = doc.get("consensus", {})
-    n, f = cons_doc.get("n", 1), cons_doc.get("f", 0)
+    # from the keys the document gives, checked once the defaults fill in
+    consensus = ConsensusParams(**doc.get("consensus", {}))
+    n, f = consensus.n, consensus.f
     if n < 3 * f + 1:
         raise ScenarioError("consensus.n",
                             f"n={n} violates the n >= 3f+1 bound for f={f}")
-    delay = cons_doc.get("delay", [1_000, 5_000])
+    delay = consensus.delay
     if len(delay) != 2:
         raise ScenarioError("consensus.delay", "expected [min, max]")
     if delay[1] < delay[0]:
         raise ScenarioError("consensus.delay[1]", f"must be >= {delay[0]}")
-    drop = cons_doc.get("drop", 0.0)
+    drop = consensus.drop
     if isinstance(drop, bool) or not isinstance(drop, (int, float)) \
             or not 0 <= drop <= 1:
         raise ScenarioError("consensus.drop",
                             f"expected a probability, got {drop!r}")
-    faults = cons_doc.get("faults", {})
-    node_ids = [f"node{i}" for i in range(n)]
-    _walk(faults, ({}, dict.fromkeys(node_ids, ["string"])),
+    _walk(consensus.faults, ({}, dict.fromkeys(consensus.node_ids, ["string"])),
           "consensus.faults", NAMES)
-    live = set(node_ids)  # neither crashes nor equivocates
-    for node, specs in faults.items():
+    scripts = {}
+    live = set(consensus.node_ids)  # neither crashes nor equivocates
+    for node, specs in consensus.faults.items():
         try:
-            script = merge_faults(specs)
+            script = scripts[node] = parse_faults(specs)
         except ValueError as exc:
             raise ScenarioError(f"consensus.faults.{node}",
                                 f"bad fault spec: {exc}") from None
@@ -318,10 +308,7 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
     if not live:
         raise ScenarioError("consensus.faults",
                             "every node crashes or equivocates")
-    consensus = ConsensusParams(
-        n=n, f=f, seed=cons_doc.get("seed", 0), delay=tuple(delay),
-        drop=float(drop),
-        faults={node: list(specs) for node, specs in faults.items()})
+    consensus = replace(consensus, delay=tuple(delay), faults=scripts)
 
     # every entity first: an institution may be declared after its customer
     registry = Registry()
@@ -353,6 +340,12 @@ def parse_scenario(text: str | bytes | dict) -> Scenario:
                  if e.kind is EntityKind.REGISTERED_BUSINESS}}
     for key in ("genesis", "steps"):
         _walk(doc.get(key, []), optional[key], key, names)
+    supply = 0  # the ledger's supply, and so every balance, is 63-bit
+    for i, entry in enumerate(doc.get("genesis", [])):
+        supply += entry["amount"]
+        if supply > MAX_AMOUNT:
+            raise ScenarioError(f"genesis[{i}].amount",
+                                "total supply passes 2^63-1")
 
     rules_doc = doc.get("ruleset", {})
     threshold = rules_doc.get("threshold")
@@ -526,11 +519,8 @@ class _Runner:
             balances[account] += amount
         genesis = LedgerState.genesis(self.group, balances, sc.range_bits)
 
-        self.world = World(
-            self.group, [f"node{i}" for i in range(sc.consensus.n)],
-            sc.consensus.f, genesis, policy_hook=self._decide, seed=self.seed,
-            delay=sc.consensus.delay, drop=sc.consensus.drop,
-            fault_scripts=sc.consensus.faults)
+        self.world = World(genesis, replace(sc.consensus, seed=self.seed),
+                           self._decide)
         self._live_honest = [
             nid for nid in self.world.honest_ids()
             if self.world.nodes[nid].fault.crash_at is None]
@@ -857,8 +847,8 @@ class _Runner:
 
     def _op_issue(self, index, step):
         dst_owner = self._owner(step["to"])
-        result = build_issue(self.group, step["authority"], step["to"],
-                             dst_owner, step["amount"])
+        result = build_issue(step["authority"], step["to"], dst_owner,
+                             step["amount"])
         return self._payment_common(index, step, result.tx, lambda: result)
 
     def _op_blacklist(self, index, step):

@@ -30,35 +30,36 @@ class FaultScript:
         return any(a <= t <= b for a, b in self.mute_windows)
 
 
-def parse_fault(spec: str) -> FaultScript:
-    """One clause of the fault vocabulary: "crash@T", "mute@T..T'",
-    "equivocate@H" (times in microseconds, H a block height)."""
-    op, _, arg = spec.partition("@")
-    if not arg:
-        raise ValueError(f"fault {spec!r} missing @ argument")
-    if op == "crash":
-        return FaultScript(crash_at=int(arg))
-    if op == "mute":
-        start, sep, end = arg.partition("..")
-        if not sep:
-            raise ValueError(f"mute window {spec!r} needs start..end")
-        return FaultScript(mute_windows=((int(start), int(end)),))
-    if op == "equivocate":
-        return FaultScript(equivocate_heights=frozenset({int(arg)}))
-    raise ValueError(f"unknown fault op {op!r}")
-
-
-def merge_faults(specs: list[str]) -> FaultScript:
-    crash = None
+def parse_faults(specs: list[str]) -> FaultScript:
+    """One node's clauses of the fault vocabulary: "crash@T", "mute@T..T'",
+    "equivocate@H" (times in microseconds, H a block height).  The earliest
+    crash wins.  A clause that could never act (a negative time, a window
+    ending before it starts, a height below 1) is an error."""
+    crashes: list[int] = []
     mutes: list[tuple[int, int]] = []
     heights: set[int] = set()
     for spec in specs:
-        fs = parse_fault(spec)
-        if fs.crash_at is not None:
-            crash = fs.crash_at if crash is None else min(crash, fs.crash_at)
-        mutes.extend(fs.mute_windows)
-        heights.update(fs.equivocate_heights)
-    return FaultScript(crash, tuple(mutes), frozenset(heights))
+        op, _, arg = spec.partition("@")
+        if not arg:
+            raise ValueError(f"fault {spec!r} missing @ argument")
+        if op == "crash":
+            crashes.append(int(arg))
+            idle = crashes[-1] < 0
+        elif op == "mute":
+            start, sep, end = arg.partition("..")
+            if not sep:
+                raise ValueError(f"mute window {spec!r} needs start..end")
+            mutes.append((int(start), int(end)))
+            idle = not 0 <= mutes[-1][0] <= mutes[-1][1]
+        elif op == "equivocate":
+            heights.add(int(arg))
+            idle = int(arg) < 1
+        else:
+            raise ValueError(f"unknown fault op {op!r}")
+        if idle:
+            raise ValueError(f"fault {spec!r} can never act")
+    return FaultScript(min(crashes, default=None), tuple(mutes),
+                       frozenset(heights))
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,7 @@ class NetStats:
 class SimNetwork:
     """Event queue plus the link model shared by all nodes."""
 
-    def __init__(self, node_ids: list[str], seed: int,
-                 delay: tuple[int, int] = (1_000, 5_000), drop: float = 0.0):
-        self.node_ids = sorted(node_ids)
+    def __init__(self, seed: int, delay: tuple[int, int], drop: float):
         self.rng = random.Random(seed)
         self.delay_min, self.delay_max = delay
         self.drop = drop

@@ -275,8 +275,8 @@ def build_transparent_transfer(group: GroupParams, from_account: str,
     return BuildResult(tx, (), ())
 
 
-def build_issue(group: GroupParams, authority_id: str, to_account: str,
-                to_owner: str, amount: int) -> BuildResult:
+def build_issue(authority_id: str, to_account: str, to_owner: str,
+                amount: int) -> BuildResult:
     if amount <= 0:
         raise BuildError("amount must be positive")
     tx = Transaction(

@@ -64,7 +64,7 @@ class Harness:
         return verdict
 
     def fund(self, issue=3000, shields=(600, 300, 200, 150)):
-        self.land(build_issue(self.group, "cb", "alice.acct", "alice", issue))
+        self.land(build_issue("cb", "alice.acct", "alice", issue))
         for amount in shields:
             self.land(build_shield(self.group, self.state,
                                    self.wallets["alice"], "alice.acct",
@@ -81,7 +81,7 @@ def harness():
 def small_harness():
     # test-profile harness: tiny group, 8-bit amounts
     h = Harness(group=TEST_GROUP, range_bits=8, seed=3)
-    h.land(build_issue(h.group, "cb", "alice.acct", "alice", 900))
+    h.land(build_issue("cb", "alice.acct", "alice", 900))
     for amount in (120, 90, 60, 45):
         h.land(build_shield(h.group, h.state, h.wallets["alice"],
                             "alice.acct", amount, h.stream))

@@ -29,7 +29,7 @@ import time
 from dataclasses import replace
 
 from pvx.group import TEST_GROUP, get_profile
-from pvx.consensus import World
+from pvx.consensus import ConsensusParams, World
 from pvx.ledger import (
     LedgerState,
     TxKind,
@@ -41,6 +41,7 @@ from pvx.pedersen import commit
 from pvx.policy import DenyReason, EntityKind, LegClass, Mode, RuleSet, authorize_matrix
 from pvx.rangeproof import BitProof, RangeProof, prove_range
 from pvx.scenario import emit_report, load_scenario, run_scenario
+from pvx.simnet import parse_faults
 from pvx.txbuild import (
     AgeBiasedSampler,
     UniformSampler,
@@ -149,9 +150,9 @@ def test_acceptance_3_conservation():
 def _bft_world(n, f, seed, drop, faults):
     genesis = LedgerState.genesis(get_profile("standard"),
                                   {"a": 10 ** 6, "b": 0}, range_bits=12)
-    ids = [f"n{i}" for i in range(n)]
-    return World(get_profile("standard"), ids, f, genesis, None, seed=seed,
-                 drop=drop, fault_scripts=faults)
+    scripts = {node: parse_faults(specs) for node, specs in faults.items()}
+    return World(genesis, ConsensusParams(n, f, seed, drop=drop,
+                                          faults=scripts))
 
 
 def test_acceptance_4_bft_safety_and_liveness():
@@ -161,14 +162,16 @@ def test_acceptance_4_bft_safety_and_liveness():
     for n, f, seed_base in ((4, 1, 0), (7, 2, 1000)):
         fault_menu = [
             {},
-            {"n0": ["crash@0"]},                      # leader of view 0
-            {f"n{n-1}": ["crash@50000"]},
-            {"n0": ["equivocate@1"]},
-            {"n1": ["mute@20000..300000"]},
+            {"node0": ["crash@0"]},                   # leader of view 0
+            {f"node{n-1}": ["crash@50000"]},
+            {"node0": ["equivocate@1"]},
+            {"node1": ["mute@20000..300000"]},
         ]
         if f == 2:
-            fault_menu.append({"n0": ["crash@0"], "n1": ["equivocate@2"]})
-            fault_menu.append({"n2": ["crash@0"], "n5": ["mute@0..400000"]})
+            fault_menu.append({"node0": ["crash@0"],
+                               "node1": ["equivocate@2"]})
+            fault_menu.append({"node2": ["crash@0"],
+                               "node5": ["mute@0..400000"]})
         for i in range(100):
             seed = seed_base + i
             drop = (0.0, 0.1, 0.3)[i % 3]
@@ -177,7 +180,7 @@ def test_acceptance_4_bft_safety_and_liveness():
             txs = [build_transparent_transfer(group, "a", "b", "bob",
                                               10 + j).tx for j in range(2)]
             for j, tx in enumerate(txs):
-                world.submit_client_tx(f"n{j % n}", tx, at=j * 5_000)
+                world.submit_client_tx(f"node{j % n}", tx, at=j * 5_000)
             deadline_hits = 0
             for attempt in range(40):
                 if world.run_until(
@@ -186,7 +189,7 @@ def test_acceptance_4_bft_safety_and_liveness():
                     break
                 deadline_hits += 1
                 for j, tx in enumerate(txs):
-                    world.submit_client_tx(f"n{(attempt + j) % n}", tx)
+                    world.submit_client_tx(f"node{(attempt + j) % n}", tx)
             world.check_safety()  # raises SafetyViolation on divergence
             runs += 1
             final = all(world.tx_final_everywhere(t) for t in txs)
@@ -229,7 +232,7 @@ def test_acceptance_6_inflation_resistance():
     t0 = time.perf_counter()
     h = Harness(group=TEST_GROUP, range_bits=8, seed=5)
     from pvx.txbuild import build_issue
-    h.land(build_issue(TEST_GROUP, "cb", "alice.acct", "alice", 900))
+    h.land(build_issue("cb", "alice.acct", "alice", 900))
     g = TEST_GROUP
     rng = random.Random(606)
     attempts = 1000

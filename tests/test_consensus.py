@@ -2,18 +2,20 @@ from dataclasses import replace
 
 import pytest
 
-from pvx.consensus import NodeConfig, SafetyViolation, World, block_digest
+from pvx.consensus import ConsensusParams, SafetyViolation, World, block_digest
 from pvx.group import STANDARD_GROUP as G
 from pvx.ledger import LedgerState, transaction_digest
+from pvx.simnet import parse_faults
 from pvx.txbuild import build_shielded_transfer, build_transparent_transfer
 from conftest import Harness
 
 
 def make_world(n, f, seed=1, drop=0.0, faults=None):
     genesis = LedgerState.genesis(G, {"a": 100_000, "b": 0}, range_bits=12)
-    ids = [f"n{i}" for i in range(n)]
-    return World(G, ids, f, genesis, None, seed=seed, drop=drop,
-                 fault_scripts=faults or {})
+    scripts = {node: parse_faults(specs)
+               for node, specs in (faults or {}).items()}
+    return World(genesis, ConsensusParams(n, f, seed, drop=drop,
+                                          faults=scripts))
 
 
 def transfer(i):
@@ -21,68 +23,72 @@ def transfer(i):
 
 
 def test_replica_bound_enforced():
+    genesis = LedgerState.genesis(G, {"a": 100_000, "b": 0}, range_bits=12)
     with pytest.raises(ValueError, match="3f\\+1"):
-        NodeConfig("n0", ("n0", "n1", "n2"), f=1)
+        World(genesis, ConsensusParams(3, 1))
 
 
 def test_single_node_commits_immediately():
     w = make_world(1, 0)
     tx = transfer(0)
-    w.submit_client_tx("n0", tx)
+    w.submit_client_tx("node0", tx)
     assert w.step(max_events=50) < 20
-    assert w.nodes["n0"].executed == 1
+    assert w.nodes["node0"].executed == 1
 
 
 def test_client_tx_to_non_leader_is_forwarded():
     w = make_world(4, 1)
     tx = transfer(0)
-    w.submit_client_tx("n3", tx)
+    w.submit_client_tx("node3", tx)
     assert w.run_until(lambda: w.tx_final_everywhere(tx), 10_000_000)
     w.check_safety()
     assert all(w.nodes[n].executed == 1 for n in w.nodes)
 
 
 def test_crashed_follower_does_not_block():
-    w = make_world(4, 1, faults={"n2": ["crash@0"]})
+    w = make_world(4, 1, faults={"node2": ["crash@0"]})
     tx = transfer(0)
-    w.submit_client_tx("n0", tx)
+    w.submit_client_tx("node0", tx)
     assert w.run_until(lambda: w.tx_final_everywhere(tx), 30_000_000)
     w.check_safety()
-    assert [w.nodes[n].executed for n in ("n0", "n1", "n3")] == [1, 1, 1]
-    assert w.nodes["n2"].executed == 0
+    assert [w.nodes[n].executed
+            for n in ("node0", "node1", "node3")] == [1, 1, 1]
+    assert w.nodes["node2"].executed == 0
 
 
 def test_crashed_leader_triggers_view_change():
-    w = make_world(4, 1, faults={"n0": ["crash@0"]})
+    w = make_world(4, 1, faults={"node0": ["crash@0"]})
     tx = transfer(0)
-    w.submit_client_tx("n1", tx)
+    w.submit_client_tx("node1", tx)
     assert w.run_until(lambda: w.tx_final_everywhere(tx), 60_000_000)
     w.check_safety()
-    live = [w.nodes[n] for n in ("n1", "n2", "n3")]
+    live = [w.nodes[n] for n in ("node1", "node2", "node3")]
     assert all(node.executed == 1 for node in live)
     assert all(node.view >= 1 for node in live)
 
 
 def test_equivocating_leader_cannot_split_honest_nodes():
-    w = make_world(4, 1, faults={"n0": ["equivocate@1"]})
+    w = make_world(4, 1, faults={"node0": ["equivocate@1"]})
     tx = transfer(0)
-    w.submit_client_tx("n0", tx)
+    w.submit_client_tx("node0", tx)
     done = w.run_until(
-        lambda: all(w.nodes[n].executed >= 1 for n in ("n1", "n2", "n3")),
+        lambda: all(w.nodes[n].executed >= 1
+                    for n in ("node1", "node2", "node3")),
         120_000_000)
     assert done
     w.check_safety()
-    digests = {block_digest(G, w.nodes[n].chain[0]) for n in ("n1", "n2", "n3")}
+    digests = {block_digest(G, w.nodes[n].chain[0])
+               for n in ("node1", "node2", "node3")}
     assert len(digests) == 1
-    assert all(w.nodes[n].view >= 1 for n in ("n1", "n2", "n3"))
+    assert all(w.nodes[n].view >= 1 for n in ("node1", "node2", "node3"))
 
 
 def test_invalid_tx_excluded_with_reason():
     w = make_world(4, 1)
     bad = build_transparent_transfer(G, "b", "a", "alice", 999).tx  # overdraft
-    w.submit_client_tx("n0", bad)
+    w.submit_client_tx("node0", bad)
     w.step(max_events=500)
-    node = w.nodes["n0"]
+    node = w.nodes["node0"]
     assert node.executed == 0
     assert "InsufficientFunds" in node.rejections.values()
 
@@ -91,9 +97,9 @@ def test_rejections_hold_one_entry_per_transaction():
     w = make_world(1, 0)
     bad = build_transparent_transfer(G, "b", "a", "alice", 999).tx  # overdraft
     for _ in range(100):
-        w.submit_client_tx("n0", bad)
+        w.submit_client_tx("node0", bad)
     w.step()
-    assert w.nodes["n0"].rejections == {
+    assert w.nodes["node0"].rejections == {
         transaction_digest(G, bad).hex(): "InsufficientFunds"}
 
 
@@ -102,7 +108,7 @@ def test_committed_transactions_leave_no_per_transaction_state():
     w = make_world(4, 1)
     txs = [transfer(i) for i in range(4)]
     for i, tx in enumerate(txs):
-        w.submit_client_tx(f"n{i}", tx, at=i * 5_000)
+        w.submit_client_tx(f"node{i}", tx, at=i * 5_000)
     assert w.run_until(lambda: all(w.tx_final_everywhere(tx) for tx in txs),
                        30_000_000)
     w.check_safety()
@@ -118,12 +124,12 @@ def test_committed_transactions_leave_no_per_transaction_state():
 def test_liveness_under_message_drop():
     w = make_world(7, 2, seed=9, drop=0.3)
     tx = transfer(0)
-    w.submit_client_tx("n1", tx)
+    w.submit_client_tx("node1", tx)
     for retry in range(60):
         if w.run_until(lambda: w.tx_final_everywhere(tx),
                        w.net.time + 2_000_000):
             break
-        w.submit_client_tx(f"n{retry % 7}", tx)
+        w.submit_client_tx(f"node{retry % 7}", tx)
     w.check_safety()
     assert w.tx_final_everywhere(tx)
 
@@ -132,11 +138,11 @@ def test_sequential_commits_in_order():
     w = make_world(4, 1)
     txs = [transfer(i) for i in range(5)]
     for i, tx in enumerate(txs):
-        w.submit_client_tx(f"n{i % 4}", tx, at=i * 1_000)
+        w.submit_client_tx(f"node{i % 4}", tx, at=i * 1_000)
     assert w.run_until(lambda: all(w.tx_final_everywhere(t) for t in txs),
                        60_000_000)
     w.check_safety()
-    node = w.nodes["n0"]
+    node = w.nodes["node0"]
     assert [b.height for b in node.chain] == list(range(1, len(node.chain) + 1))
     # all submitted txs landed exactly once
     seen = [transaction_digest(G, t).hex() for b in node.chain for t in b.txs]
@@ -147,7 +153,7 @@ def test_state_machine_replication():
     w = make_world(4, 1, seed=3)
     txs = [transfer(i) for i in range(3)]
     for tx in txs:
-        w.submit_client_tx("n1", tx)
+        w.submit_client_tx("node1", tx)
     assert w.run_until(lambda: all(w.tx_final_everywhere(t) for t in txs),
                        60_000_000)
     digests = {w.nodes[n].ledger.digest() for n in w.nodes}
@@ -157,10 +163,10 @@ def test_state_machine_replication():
 def test_full_trace_determinism():
     def run():
         w = make_world(4, 1, seed=77, drop=0.15,
-                       faults={"n2": ["mute@30000..200000"]})
+                       faults={"node2": ["mute@30000..200000"]})
         txs = [transfer(i) for i in range(3)]
         for i, tx in enumerate(txs):
-            w.submit_client_tx(f"n{i % 4}", tx, at=i * 5_000)
+            w.submit_client_tx(f"node{i % 4}", tx, at=i * 5_000)
         w.run_until(lambda: all(w.tx_final_everywhere(t) for t in txs),
                     120_000_000)
         w.check_safety()
@@ -179,10 +185,10 @@ def test_unknown_node_rejected():
 def test_safety_checker_detects_divergence():
     w = make_world(4, 1)
     tx = transfer(0)
-    w.submit_client_tx("n0", tx)
+    w.submit_client_tx("node0", tx)
     w.run_until(lambda: w.tx_final_everywhere(tx), 10_000_000)
     # forge divergence by hand to prove the checker bites
-    node = w.nodes["n1"]
+    node = w.nodes["node1"]
     forged = replace(node.chain[0], proposer="evil")
     node.chain[0] = forged
     with pytest.raises(SafetyViolation):
@@ -201,7 +207,7 @@ def test_undigestible_client_tx_is_dropped(n, f):
                                    pseudo_commitment=-G.p),
                            *tx.sin[1:]))
     genesis = replace(h.state, height=0)  # the harness's blocks as genesis
-    w = World(G, [f"n{i}" for i in range(n)], f, genesis, None, seed=5)
+    w = World(genesis, ConsensusParams(n, f, seed=5))
     for nid in w.nodes:
         w.submit_client_tx(nid, bad)
     w.step()
@@ -209,6 +215,6 @@ def test_undigestible_client_tx_is_dropped(n, f):
         assert not node.mempool and node.stats.rejected_byzantine == 1
     good = build_transparent_transfer(G, "alice.acct", "bob.acct", "bob",
                                       25).tx
-    w.submit_client_tx("n0", good)
+    w.submit_client_tx("node0", good)
     assert w.run_until(lambda: w.tx_final_everywhere(good), 60_000_000)
     w.check_safety()

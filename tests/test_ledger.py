@@ -33,7 +33,7 @@ from pvx.txbuild import (
 
 def test_issue_increases_supply(harness):
     before = harness.state.total_issued
-    harness.land(build_issue(G, "cb", "bob.acct", "bob", 1000))
+    harness.land(build_issue("cb", "bob.acct", "bob", 1000))
     assert harness.state.total_issued == before + 1000
     assert harness.state.balances["bob.acct"] == 1000
 

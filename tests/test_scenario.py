@@ -25,6 +25,7 @@ from pvx.scenario import (
     parse_scenario,
     run_scenario,
 )
+from pvx.simnet import FaultScript
 from pvx.txbuild import MAX_RING_SIZE, build_issue
 from conftest import random_scenario
 
@@ -243,10 +244,34 @@ def test_shielded_output_past_its_range_proof_is_an_error_outcome(
     assert outcome.detail == "shielded output 256 outside the 8-bit range proof"
 
 
+def test_parsed_fault_scripts_reach_the_replicas():
+    doc = minimal_doc(consensus={"n": 4, "f": 1, "seed": 1,
+                                 "faults": {"node1": ["crash@0"]}})
+    scenario = parse_scenario(json.dumps(doc))
+    assert scenario.consensus.faults == {"node1": FaultScript(crash_at=0)}
+    runner = _Runner(scenario)
+    assert runner.world.nodes["node1"].fault == FaultScript(crash_at=0)
+    assert runner.world.nodes["node0"].fault == FaultScript()
+
+
+def test_issue_past_the_supply_ceiling_is_a_coded_denial():
+    # distinct amounts, so that no two issues share a txid
+    amounts = (2 ** 63 - 2, 2 ** 63 - 3, 2 ** 63 - 1)
+    doc = minimal_doc(steps=[{"op": "issue", "authority": "cb",
+                              "to": "alice.acct", "amount": amount}
+                             for amount in amounts])
+    runner = _Runner(parse_scenario(json.dumps(doc)))
+    result = runner.run()
+    assert [(o.outcome, o.reason) for o in result.outcomes] == [
+        ("accept", None), ("deny", "MalformedTransaction"),
+        ("deny", "MalformedTransaction")]
+    assert runner.reference.ledger.balances["alice.acct"] == 2 ** 63 - 2
+
+
 def test_unregistered_issuer_is_a_coded_denial():
     # the replicas' policy hook answers any client, not only the runner
     runner = _Runner(parse_scenario(json.dumps(minimal_doc())))
-    tx = build_issue(runner.group, "ghost", "alice.acct", "alice", 5).tx
+    tx = build_issue("ghost", "alice.acct", "alice", 5).tx
     assert runner._decide(tx).reason is DenyReason.ISSUER_NOT_AUTHORIZED
     verdict = ledger.validate_transaction(runner.reference.ledger, tx,
                                           runner._decide)
@@ -473,6 +498,19 @@ DOC_CASES = {
     "fault-specs-not-a-list": (
         _with_consensus(faults={"node0": "mute@1..2"}),
         r"^consensus\.faults\.node0: "),
+    # clauses that could never act
+    "fault-crash-at-a-negative-time": (
+        _with_consensus(faults={"node0": ["crash@-1"]}),
+        r"^consensus\.faults\.node0: "),
+    "fault-mute-at-negative-times": (
+        _with_consensus(faults={"node0": ["mute@-4..-2"]}),
+        r"^consensus\.faults\.node0: "),
+    "fault-mute-ending-before-it-starts": (
+        _with_consensus(faults={"node0": ["mute@5..3"]}),
+        r"^consensus\.faults\.node0: "),
+    "fault-equivocate-at-height-0": (
+        _with_consensus(faults={"node0": ["equivocate@0"]}),
+        r"^consensus\.faults\.node0: "),
     "fault-for-an-unknown-node": (
         _with_consensus(faults={"node4": ["crash@5"]}),
         r"^consensus\.faults\.node4: "),
@@ -501,6 +539,16 @@ DOC_CASES = {
         lambda doc: doc.update(steps={"first": doc["steps"][0]}),
         r"^steps: "),
     "negative-seed": (_with_consensus(seed=-1), r"^consensus\.seed: "),
+    # the ledger encodes the issued supply in 64 bits
+    "genesis-entry-past-the-supply-ceiling": (
+        lambda doc: doc.update(genesis=[
+            {"account": "alice.acct", "amount": 2 ** 64}]),
+        r"^genesis\[0\]\.amount: "),
+    "genesis-total-past-the-supply-ceiling": (
+        lambda doc: doc.update(genesis=[
+            {"account": "alice.acct", "amount": ledger.MAX_AMOUNT},
+            {"account": "bob.acct", "amount": 1}]),
+        r"^genesis\[1\]\.amount: "),
     "account-at-an-unknown-institution": (
         _with_account(2, institution="nobank"),
         r"^entities\[2\]\.accounts\[0\]\.institution: "),

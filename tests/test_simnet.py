@@ -5,8 +5,7 @@ from pvx.simnet import (
     Deliver,
     SimNetwork,
     TimerFire,
-    merge_faults,
-    parse_fault,
+    parse_faults,
 )
 
 
@@ -20,7 +19,7 @@ def drain(net):
 
 def test_same_seed_same_trace():
     def run():
-        net = SimNetwork(["a", "b", "c"], seed=42, drop=0.2)
+        net = SimNetwork(42, (1_000, 5_000), 0.2)
         for i in range(50):
             net.send("b", ("msg", i))
             net.send("c", ("msg", i))
@@ -31,7 +30,7 @@ def test_same_seed_same_trace():
 
 def test_different_seed_different_trace():
     def run(seed):
-        net = SimNetwork(["a", "b"], seed=seed)
+        net = SimNetwork(seed, (1_000, 5_000), 0.0)
         for i in range(20):
             net.send("b", ("msg", i))
         return drain(net)
@@ -40,7 +39,7 @@ def test_different_seed_different_trace():
 
 
 def test_full_drop_delivers_nothing_but_timers_fire():
-    net = SimNetwork(["a", "b"], seed=1, drop=1.0)
+    net = SimNetwork(1, (1_000, 5_000), 1.0)
     net.send("b", "hello")
     net.set_timer("a", "tick", 500)
     events = drain(net)
@@ -49,7 +48,7 @@ def test_full_drop_delivers_nothing_but_timers_fire():
 
 
 def test_delay_bounds_respected():
-    net = SimNetwork(["a", "b"], seed=3, delay=(100, 200))
+    net = SimNetwork(3, (100, 200), 0.0)
     for _ in range(100):
         net.send("b", "x")
     for at, event in drain(net):
@@ -58,7 +57,7 @@ def test_delay_bounds_respected():
 
 
 def test_event_ordering_ties_broken_by_insertion():
-    net = SimNetwork(["a"], seed=1)
+    net = SimNetwork(1, (1_000, 5_000), 0.0)
     net.schedule(100, "first")
     net.schedule(100, "second")
     net.schedule(50, "zeroth")
@@ -67,10 +66,10 @@ def test_event_ordering_ties_broken_by_insertion():
 
 
 def test_fault_parsing():
-    assert parse_fault("crash@5000").crash_at == 5000
-    assert parse_fault("mute@10..20").mute_windows == ((10, 20),)
-    assert parse_fault("equivocate@3").equivocate_heights == frozenset({3})
-    merged = merge_faults(["crash@900", "mute@1..5", "mute@7..9",
+    assert parse_faults(["crash@5000"]).crash_at == 5000
+    assert parse_faults(["mute@10..20"]).mute_windows == ((10, 20),)
+    assert parse_faults(["equivocate@3"]).equivocate_heights == frozenset({3})
+    merged = parse_faults(["crash@900", "mute@1..5", "mute@7..9",
                            "equivocate@2"])
     assert merged.crash_at == 900
     assert merged.mute_windows == ((1, 5), (7, 9))
@@ -78,15 +77,26 @@ def test_fault_parsing():
     assert merged.crashed(900) and not merged.crashed(899)
     assert merged.muted(3) and merged.muted(8) and not merged.muted(6)
     with pytest.raises(ValueError):
-        parse_fault("crash")
+        parse_faults(["crash"])
     with pytest.raises(ValueError):
-        parse_fault("mute@5")
+        parse_faults(["mute@5"])
     with pytest.raises(ValueError):
-        parse_fault("explode@5")
+        parse_faults(["explode@5"])
+
+
+def test_earliest_crash_wins():
+    assert parse_faults(["crash@9", "crash@5"]).crash_at == 5
+
+
+@pytest.mark.parametrize("spec", ["crash@-1", "mute@-4..-2", "mute@5..3",
+                                  "equivocate@0"])
+def test_fault_that_can_never_act_is_refused(spec):
+    with pytest.raises(ValueError, match="can never act"):
+        parse_faults([spec])
 
 
 def test_client_submit_event():
-    net = SimNetwork(["a"], seed=1)
+    net = SimNetwork(1, (1_000, 5_000), 0.0)
     net.schedule(0, ClientSubmit("a", "tx"))
     events = drain(net)
     assert events == [(0, ClientSubmit("a", "tx"))]
