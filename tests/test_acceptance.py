@@ -340,9 +340,23 @@ def _shipped_scenarios() -> dict:
             for path in sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json")))}
 
 
+def _outcome_sha256(report: str) -> str:
+    """SHA-256 of a structured report with its digest-valued fields blanked
+    (the final ledger digest and each tax item's txid): what the run did,
+    whatever the bytes its elements and transactions encode to."""
+    doc = json.loads(report)
+    doc["final_digest"] = ""
+    for rep in doc["reports"]["tax"]:
+        for item in rep["items"]:
+            item["tx"] = ""
+    blanked = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(blanked.encode()).hexdigest()
+
+
 def golden_entry(result) -> dict:
     report = emit_report(result, "structured")
     return {"final_digest": result.final_digest,
+            "outcome_sha256": _outcome_sha256(report),
             "report_sha256": hashlib.sha256(report.encode()).hexdigest()}
 
 
