@@ -1,30 +1,33 @@
-"""Abstract prime-order group substrate used by every cryptographic primitive.
+"""Prime-order group substrate used by every cryptographic primitive.
 
-Two built-in profiles share one implementation (multiplicative Schnorr
-group, p = 2q + 1):
+Two built-in profiles share one implementation, both on a safe prime
+p = 2q + 1:
 
 * ``test``     -- p = 2039, q = 1019, G = 4.  Small enough that every vector
                   can be audited by hand or brute force.
 * ``standard`` -- a fixed 160-bit-order group for scale runs.
 
-Group elements are integers in the order-q subgroup of Z_p^*; scalars are
-integers mod q.  H is derived by hashing the fixed domain tag ``pvx/H`` so
-that nobody knows log_G(H).
+Elements are the signed quadratic residues of Hofheinz and Kiltz, "The
+Group of Signed Quadratic Residues and Applications" (CRYPTO 2009).  A
+safe prime has p = 3 (mod 4), so -1 is a non-residue and exactly one of x
+and p - x is a quadratic residue.  Each element is stored as
+|x| = min(x, p - x); the integers 1..q then form a group of order q under
+a * b = |ab mod p|, and |.| maps the quadratic residues (the order-q
+subgroup of Z_p^*) one-to-one onto it.  So ``is_element`` is the range
+check 0 < a <= q, and an element of small order (Lim and Lee, CRYPTO
+1997) has no encoding at all.  ``mul``, ``inv``, ``power`` and
+``hash_to_group`` return |x|: no other module reduces an element mod p.
+Scalars are integers mod q.  H is derived by hashing the fixed domain tag
+``pvx/H`` so that nobody knows log_G(H).
 
 On a profile whose q is wider than a machine word, ``power`` raises G and
-H through fixed-base tables and ``is_element`` decides membership by the
-Jacobi symbol; otherwise both call builtin ``pow``.  Either way gives the
-same answer.
+H through fixed-base tables; otherwise it calls builtin ``pow``.  Either
+way gives the same answer.
 
-``is_element`` is the check against small-subgroup attacks (Lim and Lee,
-CRYPTO 1997).  Callers apply it once per element, where the element
-enters; an element derived from checked ones is not checked again (see
-``ledger.validate_transaction``).
-
-Serialization is unsigned big-endian with a fixed byte length per profile
-(``element_bytes`` / ``scalar_bytes``).  Domain-separation tags are ASCII
-and part of the external interface: "pvx/H", "pvx/ring", "pvx/range",
-"pvx/cred".
+Serialization is unsigned big-endian in one fixed byte length per
+profile, ``scalar_bytes``, for elements and scalars alike: no element
+exceeds q.  Domain-separation tags are ASCII and part of the external
+interface: "pvx/H", "pvx/ring", "pvx/range", "pvx/cred".
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ TAG_CRED = "pvx/cred"
 
 # Fixed-base exponentiation for G and H (Brickell-Gordon-McCurley-Wilson
 # 1992): one table row per WINDOW_BITS-bit digit of the exponent.  `power`
-# reads the digits as the exponent's bytes, hence 8.  The tables, like the
-# Jacobi-symbol membership test, pay only when q is wider than a machine
-# word; on a smaller q builtin pow beats a Python-level loop.
+# reads the digits as the exponent's bytes, hence 8.  The tables pay only
+# when q is wider than a machine word; on a smaller q builtin pow beats a
+# Python-level loop.
 WINDOW_BITS = 8
 WORD_MAX = 2**64 - 1
 
@@ -75,10 +78,10 @@ def tagged_hash(tag: str, *items: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class GroupParams:
-    """A Schnorr group (p = 2q + 1) with the two Pedersen bases.
+    """The signed quadratic residues mod a safe prime p = 2q + 1, with the
+    two Pedersen bases.
 
-    G is the blinding base, H the amount base.  Both generate the order-q
-    subgroup (the quadratic residues mod p).
+    G is the blinding base, H the amount base.  Both generate the group.
     """
 
     name: str
@@ -98,10 +101,6 @@ class GroupParams:
     # new object and derives its own, from its own g and h.
 
     @cached_property
-    def element_bytes(self) -> int:
-        return (self.p.bit_length() + 7) // 8
-
-    @cached_property
     def scalar_bytes(self) -> int:
         return (self.q.bit_length() + 7) // 8
 
@@ -116,12 +115,15 @@ class GroupParams:
     # -- arithmetic -------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
+        x = a * b % self.p
+        return x if x <= self.q else self.p - x
 
     def inv(self, a: int) -> int:
-        # 0 has no inverse; it maps to 0, as a^(p-2) did, and no
-        # subgroup check downstream accepts it
-        return pow(a, -1, self.p) if a % self.p else 0
+        # 0 has no inverse; it maps to 0, which is not an element
+        if not a % self.p:
+            return 0
+        x = pow(a, -1, self.p)
+        return x if x <= self.q else self.p - x
 
     def power(self, base: int, exp: int) -> int:
         if self.q > WORD_MAX:
@@ -129,7 +131,8 @@ class GroupParams:
                 return self._fixed_power(self._g_table, exp)
             if base == self.h:
                 return self._fixed_power(self._h_table, exp)
-        return pow(base, exp % self.q, self.p)
+        x = pow(base, exp % self.q, self.p)
+        return x if x <= self.q else self.p - x
 
     def _fixed_power(self, table: list[list[int]], exp: int) -> int:
         # one entry per row: row i holds base^(d * 256^i) at digit d
@@ -138,15 +141,11 @@ class GroupParams:
         acc = 1
         for row, digit in zip(table, digits):
             acc = acc * row[digit] % p
-        return acc
+        return acc if acc <= self.q else p - acc
 
     def is_element(self, a: int) -> bool:
-        """Membership in the order-q subgroup (excludes 0; includes 1)."""
-        if not 0 < a < self.p:
-            return False
-        if self.q > WORD_MAX:
-            return _is_residue(a, self.p)
-        return pow(a, self.q, self.p) == 1
+        """Whether `a` encodes a group element: 1..q (1 is the identity)."""
+        return 0 < a <= self.q
 
     @property
     def identity(self) -> int:
@@ -155,7 +154,7 @@ class GroupParams:
     # -- encoding ---------------------------------------------------------
 
     def element_to_bytes(self, a: int) -> bytes:
-        return a.to_bytes(self.element_bytes, "big")
+        return a.to_bytes(self.scalar_bytes, "big")
 
     def scalar_to_bytes(self, s: int) -> bytes:
         return (s % self.q).to_bytes(self.scalar_bytes, "big")
@@ -175,40 +174,19 @@ class GroupParams:
             ctr += 1
 
     def hash_to_group(self, tag: str, *items: bytes) -> int:
-        """Map arbitrary data to a subgroup element of unknown discrete log.
+        """Map arbitrary data to an element of unknown discrete log.
 
-        Squaring lands the digest in the quadratic-residue subgroup; 0 and 1
-        are rejected and retried with a counter.
+        Squaring lands the digest in the quadratic residues, whose |x| is
+        the element; 0 and 1 are rejected and retried with a counter.
         """
-        ctr = 0
+        p, ctr = self.p, 0
         while True:
             x = int.from_bytes(
-                tagged_hash(tag, *items, ctr.to_bytes(4, "big")), "big") % self.p
-            e = x * x % self.p
+                tagged_hash(tag, *items, ctr.to_bytes(4, "big")), "big") % p
+            e = x * x % p
             if e not in (0, 1):
-                return e
+                return e if e <= self.q else p - e
             ctr += 1
-
-
-def _is_residue(a: int, p: int) -> bool:
-    """Whether the Jacobi symbol (a / p) is 1, for odd p > a > 0.
-
-    For a safe prime p = 2q + 1 the order-q subgroup is exactly the
-    quadratic residues, so this equals pow(a, q, p) == 1.  Binary
-    algorithm: strip a's factors of 2, then swap by quadratic reciprocity.
-    Bit 1 of `sign` is the running parity of sign flips: (2 / n) is -1 when
-    n = 3, 5 (mod 8), that is when bits 1 and 2 of n differ, and swapping a
-    and n flips the sign when both are 3 (mod 4).
-    """
-    n, sign = p, 0
-    while a:
-        zeros = (a & -a).bit_length() - 1
-        a >>= zeros
-        if zeros & 1:
-            sign ^= n ^ n >> 1
-        sign ^= a & n
-        a, n = n % a, a
-    return n == 1 and not sign & 2
 
 
 def _fixed_base_table(base: int, p: int, q: int) -> list[list[int]]:
@@ -235,7 +213,7 @@ def _build(name: str, p: int, q: int, g: int, range_bits: int) -> GroupParams:
 TEST_GROUP = _build("test", p=2039, q=1019, g=4, range_bits=8)
 
 # 160-bit-order profile: q is the smallest prime >= 2^159 + 1 with 2q + 1
-# prime.  Elements are 21 bytes, scalars 20.
+# prime.  Elements and scalars are 20 bytes.
 _STD_Q = 730750818665451459101842416358141509827966329493
 STANDARD_GROUP = _build(
     "standard", p=2 * _STD_Q + 1, q=_STD_Q, g=4, range_bits=32)

@@ -301,11 +301,19 @@ def _ints(*values) -> bool:
     return all(type(v) is int for v in values)
 
 
+def _element(group: GroupParams, v) -> bool:
+    """`v` is an int that encodes a group element."""
+    return type(v) is int and group.is_element(v)
+
+
 def shape_error(group: GroupParams, tx: Transaction) -> str | None:
     """Why `tx` is malformed, from `tx` alone, or None.  A transaction that
     passes has the declared type in every field `validate_transaction`
     reads and fits every fixed width the digest encodes, so neither
-    raises on it."""
+    raises on it.  Each of its group-element fields encodes an element
+    (`GroupParams.is_element`), which is the whole membership check: a
+    value outside 1..q, such as p - x for an element x, is refused here,
+    before any digest is taken or any key image is compared."""
     k = tx.kind
     if not isinstance(k, TxKind) or not all(
             type(legs) is tuple
@@ -317,7 +325,8 @@ def shape_error(group: GroupParams, tx: Transaction) -> str | None:
         return "sponsor id is not a string"
     if tx.excess is not None and not (
             type(tx.excess) is ExcessSignature
-            and _ints(tx.excess.nonce_point, tx.excess.response)):
+            and _element(group, tx.excess.nonce_point)
+            and _ints(tx.excess.response)):
         return "malformed balance proof"
     for ti in tx.tin:
         if not (type(ti) is TransparentInput and type(ti.account_id) is str
@@ -329,28 +338,29 @@ def shape_error(group: GroupParams, tx: Transaction) -> str | None:
                 and _int_in(to.amount, 0, MAX_AMOUNT + 1)):
             return "malformed transparent output"
     # every field the digest encodes must fit its fixed width
-    p = group.p
     for si in tx.sin:
         if not (type(si) is ShieldedInput and type(si.ring_refs) is tuple
                 and all(_int_in(ref, 0, 2 ** 64) for ref in si.ring_refs)):
             return "ring reference out of range"
-        if not _int_in(si.pseudo_commitment, 0, p):
-            return "pseudo-commitment out of range"
+        if not _element(group, si.pseudo_commitment):
+            return "pseudo-commitment is not an element"
         sig = si.signature
-        if not (type(sig) is RingSignature and _ints(sig.c0, sig.key_image)
+        if not (type(sig) is RingSignature and _ints(sig.c0)
                 and type(sig.responses) is tuple and _ints(*sig.responses)):
             return "malformed ring signature"
+        if not _element(group, sig.key_image):
+            return "key image is not an element"
     for so in tx.sout:
         if not (type(so) is ShieldedOutput
-                and _int_in(so.onetime_address, 0, p)
-                and _int_in(so.ephemeral_public, 0, p)
-                and _int_in(so.commitment, 0, p)):
-            return "output element out of range"
+                and _element(group, so.onetime_address)
+                and _element(group, so.ephemeral_public)
+                and _element(group, so.commitment)):
+            return "output key or commitment is not an element"
         proof = so.range_proof
         if not (type(proof) is RangeProof and type(proof.bits) is tuple
                 and len(proof.bits) < 2 ** 16
                 and all(type(bp) is BitProof
-                        and _int_in(bp.bit_commitment, 0, p)
+                        and _element(group, bp.bit_commitment)
                         and _ints(bp.c0, bp.s0, bp.s1) for bp in proof.bits)):
             return "range proof out of range"
     for cred in tx.credentials:
@@ -428,19 +438,16 @@ def validate_transaction(state: LedgerState, tx: Transaction,
                          proven: set[Transaction] | None = None) -> Verdict:
     """Full acceptance check; each failing clause maps to a distinct code.
 
-    `proven` holds transactions whose output-key checks, range proofs and
-    excess signature already passed (clauses (c) and (d)); they read no
-    ledger state, so a transaction in it skips them, and one that passes
-    them is added.  The key is the whole transaction: the digest covers
-    neither its ring signatures nor its excess signature.  Every other
-    clause always runs.
+    `proven` holds transactions whose range proofs and excess signature
+    already passed (clauses (c) and (d)); they read no ledger state, so a
+    transaction in it skips them, and one that passes them is added.  The
+    key is the whole transaction: the digest covers neither its ring
+    signatures nor its excess signature.  Every other clause always runs.
 
-    Subgroup membership is checked once per element, where it enters: an
-    output's keys and commitment (through its range proof) on admission,
-    an input's pseudo-commitment and key image on every call.  Ring rows
-    (P_i, C_i / C_pseudo) are built from those, so the ring check skips
-    them; a block applied on catch-up carries 2f+1 commits, so f+1 honest
-    replicas admitted its outputs.
+    Group membership is checked once per element, where it enters:
+    `shape_error` refuses every element field outside 1..q.  Ring rows
+    (P_i, C_i / C_pseudo) and the excess point are computed by the group,
+    so they are elements by construction.
     """
     group = state.group
 
@@ -480,11 +487,8 @@ def validate_transaction(state: LedgerState, tx: Transaction,
         if unknown:
             return Verdict.reject("MalformedTransaction",
                                   f"unknown ring member {unknown[0]}")
-        # a row (P_i, C_i / C_pseudo) is in the subgroup iff C_pseudo is
         rows = ring_rows(state, si.ring_refs, si.pseudo_commitment)
-        if not (group.is_element(si.pseudo_commitment)
-                and dual_ring_verify(group, digest, rows, si.signature,
-                                     rows_checked=True)):
+        if not dual_ring_verify(group, digest, rows, si.signature):
             return Verdict.reject("RingSignature")
 
     # (b) key images fresh and unique in-tx
@@ -497,18 +501,14 @@ def validate_transaction(state: LedgerState, tx: Transaction,
 
     # one-time addresses are single-use ledger-wide (checked after key
     # images so a full replay reads as the double spend it is)
-    checked = proven is not None and tx in proven
     seen_onetime = set()
     for so in tx.sout:
-        if not checked and not (group.is_element(so.onetime_address)
-                                and group.is_element(so.ephemeral_public)):
-            return Verdict.reject("MalformedTransaction",
-                                  "output key outside the subgroup")
         if so.onetime_address in seen_onetime or so.onetime_address in state.onetime_index:
             return Verdict.reject("DuplicateOnetime")
         seen_onetime.add(so.onetime_address)
 
     # (c) range proofs at the ledger's fixed bit width
+    checked = proven is not None and tx in proven
     for so in tx.sout:
         if so.range_proof.k != state.range_bits:
             return Verdict.reject("RangeProof", "wrong proof width")

@@ -11,8 +11,8 @@ The OR proof is a two-slot ring over the statements
     K_1 = C_i * H^-1  (= G^{r_i} when b_i = 1)
 with a Fiat-Shamir challenge chain bound to the value commitment, the bit
 index and the bit commitment under the "pvx/range" tag.  Each branch's
-commitment is G^s * K^(q-c): K lies in the order-q subgroup, so K^(q-c) is
-K^-c without an inversion.
+commitment is G^s * K^(q-c): K is an element of the order-q group, so
+K^(q-c) is K^-c without an inversion.
 
 All nonces are derived deterministically from the witness, so proving is a
 pure function of its inputs.
@@ -129,11 +129,13 @@ def prove_range(group: GroupParams, v: int, r: int, k: int) -> RangeProof:
 
 def verify_range(group: GroupParams, c: int, proof: RangeProof) -> bool:
     """True iff the proof shows c opens to a value in [0, 2^len(bits))."""
-    if proof.k < 1:
+    if proof.k < 1 or not group.is_element(c):
         return False
-    acc = group.identity
     for i, bp in enumerate(proof.bits):
         if not _verify_bit(group, c, i, bp):
             return False
-        acc = group.mul(acc, pow(bp.bit_commitment, 1 << i, group.p))
+    # prod_i C_i^(2^i), by Horner's rule from the top bit down
+    acc = group.identity
+    for bp in reversed(proof.bits):
+        acc = group.mul(group.mul(acc, acc), bp.bit_commitment)
     return acc == c

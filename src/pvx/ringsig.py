@@ -113,17 +113,15 @@ def _sign(group: GroupParams, message: bytes, rows: Sequence[Sequence[int]],
 
 
 def _verify(group: GroupParams, message: bytes, rows: Sequence[Sequence[int]],
-            sig: RingSignature, rows_checked: bool) -> bool:
+            sig: RingSignature) -> bool:
     rows = tuple(map(tuple, rows))
     n = len(rows)
     m = len(rows[0]) if rows else 0
     if m < 1 or any(len(row) != m for row in rows) \
             or len(sig.responses) != n * m:
         return False
-    if not group.is_element(sig.key_image):
-        return False
-    if not rows_checked and not all(
-            group.is_element(key) for row in rows for key in row):
+    if not (group.is_element(sig.key_image)
+            and all(group.is_element(key) for row in rows for key in row)):
         return False
     c0 = sig.c0 % group.q
     c = _chain(group, message, rows, _rows_bytes(group, rows), sig.key_image,
@@ -138,7 +136,7 @@ def ring_sign(group: GroupParams, message: bytes, ring: list[int] | tuple[int, .
 
 def ring_verify(group: GroupParams, message: bytes,
                 ring: list[int] | tuple[int, ...], sig: RingSignature) -> bool:
-    return _verify(group, message, [(p,) for p in ring], sig, False)
+    return _verify(group, message, [(p,) for p in ring], sig)
 
 
 def dual_ring_sign(group: GroupParams, message: bytes,
@@ -150,9 +148,5 @@ def dual_ring_sign(group: GroupParams, message: bytes,
 
 def dual_ring_verify(group: GroupParams, message: bytes,
                      ring: list[tuple[int, int]] | tuple[tuple[int, int], ...],
-                     sig: RingSignature, rows_checked: bool = False) -> bool:
-    """`rows_checked` skips the subgroup check on the ring's keys, never on
-    the key image.  Only a caller that knows every key is in the subgroup
-    may set it: the ledger, whose rows come from admitted outputs and a
-    pseudo-commitment it checks itself."""
-    return _verify(group, message, ring, sig, rows_checked)
+                     sig: RingSignature) -> bool:
+    return _verify(group, message, ring, sig)

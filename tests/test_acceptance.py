@@ -28,7 +28,7 @@ import random
 import time
 from dataclasses import replace
 
-from pvx.group import TEST_GROUP, get_profile
+from pvx.group import STANDARD_GROUP, TEST_GROUP, get_profile
 from pvx.consensus import ConsensusParams, World
 from pvx.ledger import (
     LedgerState,
@@ -229,11 +229,14 @@ def test_acceptance_5_linkability_calibration():
 
 
 def test_acceptance_6_inflation_resistance():
+    # On `standard`, where 1/q is negligible: on `test` (q = 1019) a forged
+    # bit or excess proof closes by chance about once in q tries, and a
+    # variant-0 draw can equal the legitimate output.
     t0 = time.perf_counter()
-    h = Harness(group=TEST_GROUP, range_bits=8, seed=5)
+    h = Harness(group=STANDARD_GROUP, range_bits=8, seed=5)
     from pvx.txbuild import build_issue
     h.land(build_issue("cb", "alice.acct", "alice", 900))
-    g = TEST_GROUP
+    g = STANDARD_GROUP
     rng = random.Random(606)
     attempts = 1000
     outcomes = {"RangeProof": 0, "BalanceProof": 0, "other": 0}

@@ -40,16 +40,21 @@ def miller_rabin(n: int, rounds: int = 64) -> bool:
     return True
 
 
+def fold(group, x: int) -> int:
+    """|x| = min(x, p - x): the element encoding of a residue mod p."""
+    return min(x, group.p - x)
+
+
 @pytest.mark.parametrize("profile", ["test", "standard"])
 def test_profile_is_schnorr_group(profile):
     g = get_profile(profile)
     assert miller_rabin(g.p)
     assert miller_rabin(g.q)
     assert g.p == 2 * g.q + 1
-    # both bases generate the order-q subgroup
+    # both bases are elements of order q, which is prime
     for base in (g.g, g.h):
-        assert base != 1
-        assert pow(base, g.q, g.p) == 1
+        assert g.is_element(base) and base != 1
+        assert fold(g, pow(base, g.q, g.p)) == 1
     assert g.g != g.h
 
 
@@ -63,8 +68,9 @@ def test_test_profile_constants():
 
 def test_standard_profile_size():
     assert STANDARD_GROUP.q.bit_length() >= 128
-    assert STANDARD_GROUP.element_bytes == 21
+    # elements are at most q, so they encode in the scalar width
     assert STANDARD_GROUP.scalar_bytes == 20
+    assert len(STANDARD_GROUP.element_to_bytes(STANDARD_GROUP.q)) == 20
 
 
 def test_tagged_hash_domain_separation():
@@ -109,7 +115,7 @@ def test_element_roundtrip_fixed_length(profile):
     g = get_profile(profile)
     elem = g.hash_to_group("pvx/test-elem", b"seed")
     raw = g.element_to_bytes(elem)
-    assert len(raw) == g.element_bytes
+    assert len(raw) == g.scalar_bytes
     assert int.from_bytes(raw, "big") == elem
 
 
@@ -117,21 +123,22 @@ def test_inverse_matches_fermat():
     # 0 and multiples of p have no inverse and map to 0, as a^(p-2) does
     g = TEST_GROUP
     for a in range(-g.p, 2 * g.p + 1):
-        assert g.inv(a) == pow(a, g.p - 2, g.p), a
+        assert g.inv(a) == fold(g, pow(a, g.p - 2, g.p)), a
     s = STANDARD_GROUP
-    for a in (0, 1, s.g, s.h, s.p - 1, s.p, s.p + 5):
-        assert s.inv(a) == pow(a, s.p - 2, s.p), a
+    for a in (0, 1, s.g, s.h, s.q, s.q + 1, s.p - 1, s.p, s.p + 5):
+        assert s.inv(a) == fold(s, pow(a, s.p - 2, s.p)), a
 
 
 def test_hash_to_group_lands_in_subgroup():
-    # 7 is a quadratic non-residue mod 2039, hence outside the subgroup
-    assert not TEST_GROUP.is_element(7)
-    assert not TEST_GROUP.is_element(0)
-    assert TEST_GROUP.is_element(1)
+    # an element is an integer in 1..q; 7 encodes the residue p - 7
     for g in (TEST_GROUP, STANDARD_GROUP):
+        for a in (1, 7, g.q):
+            assert g.is_element(a), a
+        for a in (0, -1, g.q + 1, g.p - 1, g.p, g.p + 1):
+            assert not g.is_element(a), a
         for i in range(20):
             e = g.hash_to_group("pvx/probe", i.to_bytes(2, "big"))
-            assert g.is_element(e) and e not in (0, 1)
+            assert g.is_element(e) and e != 1
 
 
 def test_nonzero_scalar_never_zero():
@@ -162,21 +169,53 @@ def test_fixed_base_power_matches_builtin(group):
     exps += [rnd.randrange(q) for _ in range(40)]
     exps += [rnd.randrange(-2**256, 2**256) for _ in range(10)]
     variable = group.hash_to_group("pvx/test-base", b"var")
-    for base in (group.g, group.h, variable, STANDARD_GROUP.g):
+    # p - x encodes the same element as x, so it powers to the same result
+    for base in (group.g, group.h, variable, STANDARD_GROUP.g, p - group.h):
         for e in exps:
-            assert group.power(base, e) == pow(base, e % q, p), (base, e)
+            assert group.power(base, e) == fold(group, pow(base, e % q, p)), \
+                (base, e)
 
 
 @pytest.mark.parametrize("group", [TEST_GROUP, STANDARD_GROUP, _OTHER_G],
                          ids=["test", "standard", "standard-g9"])
 def test_is_element_matches_euler_criterion(group):
-    # the standard profiles decide by the Jacobi symbol, the test profile
-    # by pow; both must agree with Euler's criterion on every input
+    # a encodes an element exactly when 0 < a <= q, and then exactly one
+    # of a and p - a is a quadratic residue by Euler's criterion
     p, q = group.p, group.q
     rnd = random.Random(0x1E7)
-    values = [0, 1, p - 1, p, p + 1, -1, group.g, group.h]
+    values = [0, 1, q, q + 1, p - 1, p, p + 1, -1, group.g, group.h]
     values += [rnd.randrange(p) for _ in range(200)]
     values += [rnd.randrange(p) ** 2 % p for _ in range(50)]
     values += [rnd.randrange(-2 * p, 3 * p) for _ in range(20)]
     for a in values:
-        assert group.is_element(a) == (0 < a < p and pow(a, q, p) == 1), a
+        assert group.is_element(a) == (0 < a <= q), a
+        if group.is_element(a):
+            assert (pow(a, q, p) == 1) != (pow(p - a, q, p) == 1), a
+
+
+def test_signed_residues_form_a_group_of_order_q():
+    # Exhaustively on the test profile: |x| = min(x, p - x) maps the q
+    # quadratic residues one-to-one onto 1..q, which is exactly the set
+    # is_element accepts, and every operation lands back in it.
+    g = TEST_GROUP
+    p, q = g.p, g.q
+    residues = {x * x % p for x in range(1, p)}
+    assert len(residues) == q
+    assert sorted(fold(g, r) for r in residues) == list(range(1, q + 1))
+    elements = range(1, q + 1)
+    assert [a for a in range(-p, 2 * p + 1) if g.is_element(a)] \
+        == list(elements)
+    # G and H generate all of it, so both have order q
+    for base in (g.g, g.h):
+        powers = [g.power(base, e) for e in range(q)]
+        assert sorted(powers) == list(elements)
+        assert powers[0] == 1 and g.power(base, q) == 1
+    rnd = random.Random(0x5A)
+    others = [1, q, g.h] + [rnd.randrange(1, q + 1) for _ in range(20)]
+    for a in elements:
+        assert g.is_element(g.inv(a)) and g.mul(a, g.inv(a)) == 1, a
+        for b in others:
+            assert g.mul(a, b) == fold(g, a * b % p), (a, b)
+    for i in range(200):
+        e = g.hash_to_group("pvx/probe", i.to_bytes(2, "big"))
+        assert 1 < e <= q, i

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from pvx.group import STANDARD_GROUP as G
-from pvx.group import TAG_RING, TEST_GROUP
+from pvx.group import TEST_GROUP
 from pvx.ledger import (
     LedgerState,
     ShieldedInput,
@@ -21,9 +21,11 @@ from pvx.ledger import (
 )
 from pvx.pedersen import commit
 from pvx.rangeproof import RangeProof, prove_range
-from pvx.ringsig import RingSignature, dual_ring_verify, key_image_for
+from pvx.ringsig import RingSignature, dual_ring_verify
 from pvx.txbuild import (
+    MediatedLeg,
     build_issue,
+    build_mediated_batch,
     build_shield,
     build_shielded_transfer,
     build_transparent_transfer,
@@ -45,61 +47,42 @@ def test_wellformed_shield_accepts(harness):
 
 
 @pytest.mark.parametrize("field", ["onetime_address", "ephemeral_public"])
-@pytest.mark.parametrize("bad", [G.p - 1, 0], ids=["p-1", "zero"])
-def test_output_key_outside_subgroup_rejected(harness, monkeypatch, field, bad):
-    # The honest builder signs the bad key, so only the subgroup check can
-    # catch it; a later ring sampling such an output could never verify.
+@pytest.mark.parametrize("bad", [
+    lambda g, key: g.p - 1, lambda g, key: 0,
+    lambda g, key: g.p - key, lambda g, key: g.q + 1,
+], ids=["p-1", "zero", "p-x", "q+1"])
+def test_output_key_outside_subgroup_rejected(small_harness, monkeypatch,
+                                              field, bad):
+    # The honest builder signs the bad key (on `test` each of these fits
+    # the 2-byte element width), so only the element check can catch it;
+    # a later ring sampling such an output could never verify.
     from pvx import txbuild
 
+    h = small_harness
     make = txbuild.make_onetime_output
-    monkeypatch.setattr(
-        txbuild, "make_onetime_output",
-        lambda *args: replace(make(*args), **{field: bad}))
-    res = build_shield(G, harness.state, harness.wallets["alice"],
-                       "alice.acct", 100, harness.stream)
-    assert getattr(res.tx.sout[0], field) == bad
-    assert validate_transaction(harness.state, res.tx).code \
+
+    def twisted(*args):
+        keys = make(*args)
+        return replace(keys, **{field: bad(h.group, getattr(keys, field))})
+
+    monkeypatch.setattr(txbuild, "make_onetime_output", twisted)
+    res = build_shield(h.group, h.state, h.wallets["alice"], "alice.acct",
+                       100, h.stream)
+    assert not h.group.is_element(getattr(res.tx.sout[0], field))
+    assert validate_transaction(h.state, res.tx).code \
         == "MalformedTransaction"
 
 
-def _order_two_pseudo_spend(h, tx):
-    """`tx`'s only input re-signed as a ring of one whose pseudo-commitment
-    carries the order-2 factor -1.  Its offset key is then -G^z instead of
-    G^z, and the signer grinds the nonce until the challenge is even, which
-    erases the sign: the chain closes, and only the subgroup check on the
-    pseudo-commitment refuses it."""
-    group = h.group
-    note = next(n for n in h.wallets["alice"].notes
-                if n.output_id in tx.sin[0].ring_refs)
-    r = 345  # the re-blinding; below q on both profiles
-    pseudo = group.p - commit(group, note.value, r)
-    draft = replace(tx, sin=(ShieldedInput((note.output_id,), pseudo, None),))
-    digest = transaction_digest(group, draft)
-    row = ring_rows(h.state, (note.output_id,), pseudo)[0]
-    x, z = note.spend_secret, (note.blinding - r) % group.q
-    image = key_image_for(group, x, row[0])
-    hp = key_image_for(group, 1, row[0])
-    enc = group.element_to_bytes
-    for alpha in range(1, 100):
-        g_a = enc(group.power(group.g, alpha))
-        c = group.hash_to_scalar(TAG_RING, enc(row[0]) + enc(row[1]),
-                                 enc(image), digest, g_a,
-                                 enc(group.power(hp, alpha)), g_a)
-        if c % 2 == 0:
-            break
-    sig = RingSignature(c, ((alpha - c * x) % group.q,
-                            (alpha - c * z) % group.q), image)
-    assert dual_ring_verify(group, digest, [row], sig, rows_checked=True)
-    assert not dual_ring_verify(group, digest, [row], sig)
-    return replace(draft, sin=(ShieldedInput((note.output_id,), pseudo, sig),))
+def non_canonical(group, x):
+    """Integers that encode no element: p - x names the same residue as
+    the element x, and q + 1, 0 and p name none."""
+    return (group.p - x, group.q + 1, 0, group.p)
 
 
 @pytest.mark.parametrize("fixture", ["small_harness", "harness"])
 def test_pseudo_commitment_outside_subgroup_rejected(request, fixture):
-    # The ring check skips its rows, which are built from admitted outputs
-    # and the pseudo-commitment, so the pseudo-commitment's own check is
-    # what refuses the forged spend (replacing the value alone also breaks
-    # the signature), on every call: the shared `proven` set holds the
+    # A pseudo-commitment outside 1..q is refused as malformed before its
+    # digest is taken, on every call: the shared `proven` set holds the
     # honest transaction, and none of these can enter it.
     h = request.getfixturevalue(fixture)
     group = h.group
@@ -110,14 +93,138 @@ def test_pseudo_commitment_outside_subgroup_rejected(request, fixture):
     proven = set()
     assert validate_transaction(h.state, tx, proven=proven).accepted
     assert tx in proven
-    bad = [replace(tx, sin=(replace(tx.sin[0], pseudo_commitment=v),))
-           for v in (group.p - 1, 0)]
-    bad.append(_order_two_pseudo_spend(h, tx))
+    bad = [_with_input(tx, pseudo_commitment=v)
+           for v in non_canonical(group, tx.sin[0].pseudo_commitment)]
     for _ in range(2):
         for mutated in bad:
             assert validate_transaction(h.state, mutated, proven=proven).code \
-                == "RingSignature"
+                == "MalformedTransaction"
     assert proven == {tx}
+
+
+def _element_fields(tx):
+    """(path, value) of every group-element field `shape_error` checks;
+    of each range proof, its first and last bit commitment."""
+    if tx.excess is not None:
+        yield ("excess", "nonce_point"), tx.excess.nonce_point
+    for i, si in enumerate(tx.sin):
+        yield ("sin", i, "pseudo_commitment"), si.pseudo_commitment
+        yield ("sin", i, "signature", "key_image"), si.signature.key_image
+    for i, so in enumerate(tx.sout):
+        for name in ("onetime_address", "ephemeral_public", "commitment"):
+            yield ("sout", i, name), getattr(so, name)
+        bits = so.range_proof.bits
+        for j in (0, len(bits) - 1):
+            yield (("sout", i, "range_proof", "bits", j, "bit_commitment"),
+                   bits[j].bit_commitment)
+
+
+def _set(obj, path, value):
+    """A copy of `obj` with the field at `path` (names and tuple indices)
+    set to `value`."""
+    if not path:
+        return value
+    head, *rest = path
+    if isinstance(head, int):
+        return obj[:head] + (_set(obj[head], rest, value),) + obj[head + 1:]
+    return replace(obj, **{head: _set(getattr(obj, head), rest, value)})
+
+
+@pytest.mark.parametrize("fixture", ["small_harness", "harness"])
+def test_non_canonical_elements_are_malformed_in_every_kind(request, fixture):
+    h = request.getfixturevalue(fixture)
+    group, alice, bob = h.group, h.wallets["alice"], h.wallets["bob"]
+    spend = (3, h.sampler, h.rng, h.stream)
+    legs = [MediatedLeg(alice, "bob", bob.address, 4),
+            MediatedLeg(alice, "bob", bob.address, 6)]
+    txs = [
+        build_transparent_transfer(group, "alice.acct", "bob.acct", "bob",
+                                   5).tx,
+        build_shield(group, h.state, alice, "alice.acct", 7, h.stream).tx,
+        build_unshield(group, h.state, alice, "acme.acct", "acme", 9,
+                       *spend).tx,
+        build_shielded_transfer(group, h.state, alice, "bob", bob.address, 11,
+                                *spend).tx,
+        build_mediated_batch(group, h.state, "mix", legs, *spend).tx,
+    ]
+    # an issue carries no group element
+    assert {tx.kind for tx in txs} == set(TxKind) - {TxKind.ISSUE}
+    for tx in txs:
+        assert validate_transaction(h.state, tx).accepted, tx.kind
+        for path, value in _element_fields(tx):
+            for bad in non_canonical(group, value):
+                verdict = validate_transaction(h.state, _set(tx, path, bad))
+                assert verdict.code == "MalformedTransaction", \
+                    (tx.kind, path, bad)
+
+
+@pytest.mark.parametrize("fixture", ["small_harness", "harness"])
+def test_reencoded_key_image_cannot_respend(request, fixture, monkeypatch):
+    """p - I names the same residue class as the key image I, so a spend
+    re-signed under p - I closes its ring and, if it were admitted, would
+    not match `I in state.key_images`.  It is refused as malformed, before
+    and after the honest spend is applied."""
+    from pvx import ringsig
+    from pvx.ledger import sign_excess
+    from pvx.txbuild import _make_note, _plan_spends, _sign_spends
+
+    h = request.getfixturevalue(fixture)
+    group, wallet = h.group, h.wallets["alice"]
+    note = wallet.notes[0]
+    plans = _plan_spends(h.state, [note], h.sampler, 3, h.rng, h.stream)
+    out, created = _make_note(group, "alice", wallet.address, note.value - 9,
+                              h.state.range_bits, h.stream)
+    draft = Transaction(
+        TxKind.UNSHIELD, tout=(TransparentOutput("acme.acct", 9, "acme"),),
+        sin=(ShieldedInput(plans[0].ring_refs,
+                           commit(group, note.value, plans[0].pseudo_blinding),
+                           None),),
+        sout=(out,))
+    digest = transaction_digest(group, draft)
+    z = (plans[0].pseudo_blinding - created.blinding) % group.q
+    spend = replace(draft, sin=_sign_spends(group, h.state, digest, plans),
+                    excess=sign_excess(group, z, digest))
+    image = spend.sin[0].signature.key_image
+
+    honest = ringsig.key_image_for
+    monkeypatch.setattr(ringsig, "key_image_for",
+                        lambda *args: group.p - honest(*args))
+    twisted = replace(spend, sin=_sign_spends(group, h.state, digest, plans))
+    monkeypatch.undo()
+    sig = twisted.sin[0].signature
+    assert sig.key_image == group.p - image
+    # the premise: the chain closes over p - I, so only the encoding check
+    # stands between this signature and a second image for one key
+    rows = ring_rows(h.state, plans[0].ring_refs,
+                     twisted.sin[0].pseudo_commitment)
+    ring_b = ringsig._rows_bytes(group, rows)
+    assert ringsig._chain(group, digest, rows, ring_b, sig.key_image,
+                          sig.responses, 0, sig.c0)[0] == sig.c0
+    assert not dual_ring_verify(group, digest, rows, sig)
+
+    assert validate_transaction(h.state, spend).accepted
+    spent = apply_transaction(h.state, spend)
+    assert image in spent.key_images
+    assert validate_transaction(spent, spend).code == "DoubleSpend"
+    for state in (h.state, spent):
+        assert validate_transaction(state, twisted).code \
+            == "MalformedTransaction"
+
+
+def test_excess_verifier_refuses_non_canonical_points(harness):
+    from pvx.ledger import excess_point, verify_excess
+
+    group = harness.group
+    tx = build_shield(group, harness.state, harness.wallets["alice"],
+                      "alice.acct", 10, harness.stream).tx
+    digest = transaction_digest(group, tx)
+    point = excess_point(group, tx)
+    assert verify_excess(group, point, digest, tx.excess)
+    for bad in non_canonical(group, point):
+        assert not verify_excess(group, bad, digest, tx.excess)
+    for bad in non_canonical(group, tx.excess.nonce_point):
+        assert not verify_excess(group, point, digest,
+                                 replace(tx.excess, nonce_point=bad))
 
 
 def test_digest_changes_with_any_field(harness):

@@ -14,8 +14,9 @@ def test_commit_zero_zero_is_identity():
 def test_commit_test_vector():
     # test profile p=2039, q=1019, G=4, H=181.  Oracle, run independently
     # beforehand: pow(4,7,2039)=72, pow(181,5,2039)=215, 72*215 % 2039 = 1207.
+    # 1207 is above q, so the element it names is |1207| = 2039 - 1207 = 832.
     g = TEST_GROUP
-    assert commit(g, 5, 7) == 1207
+    assert commit(g, 5, 7) == 832 == min(1207, g.p - 1207)
     assert pow(g.g, 7, g.p) * pow(g.h, 5, g.p) % g.p == 1207
 
 

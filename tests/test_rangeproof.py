@@ -99,6 +99,25 @@ def test_tampered_bit_commitment_fails():
     assert not verify_range(g, c, RangeProof(tuple(bits)))
 
 
+@pytest.mark.parametrize("g", [TEST_GROUP, STANDARD_GROUP],
+                         ids=["test", "standard"])
+def test_non_canonical_commitments_rejected(g):
+    # p - x names the same residue as the element x, and q + 1, 0 and p
+    # name none: the verifier refuses each, as commitment or as bit
+    # commitment, and never raises
+    proof = prove_range(g, 77, 13, k=8)
+    c = commit(g, 77, 13)
+    assert verify_range(g, c, proof)
+    for bad in (g.p - c, g.q + 1, 0, g.p):
+        assert not verify_range(g, bad, proof)
+    for i in (0, 7):
+        bp = proof.bits[i]
+        for bad in (g.p - bp.bit_commitment, g.q + 1, 0, g.p):
+            bits = list(proof.bits)
+            bits[i] = BitProof(bad, bp.c0, bp.s0, bp.s1)
+            assert not verify_range(g, c, RangeProof(tuple(bits))), (i, bad)
+
+
 def test_tampered_response_fails():
     g = TEST_GROUP
     proof = prove_range(g, 77, 13, k=8)

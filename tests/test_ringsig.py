@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pvx import ringsig
 from pvx.group import STANDARD_GROUP, TAG_RING
 from pvx.group import TEST_GROUP as G
 from pvx.ringsig import (
@@ -195,30 +196,28 @@ def test_key_image_outside_subgroup_rejected(group):
     for m in COLUMNS:
         rows, secrets = build_ring(3, 0, m, group=group)
         sig = sign(m, b"m", rows, 0, secrets, group)
-        # 7 is a non-residue on both profiles
-        forged = RingSignature(sig.c0, sig.responses, 7)
-        assert not verify(m, b"m", rows, forged, group), m
+        assert verify(m, b"m", rows, sig, group), m
+        # q + 1, 0 and p encode no element
+        for bad in (group.q + 1, 0, group.p):
+            forged = RingSignature(sig.c0, sig.responses, bad)
+            assert not verify(m, b"m", rows, forged, group), (m, bad)
 
-        # -I has order 2q.  Signing a ring of one with it closes the chain
-        # whenever the challenge is even, which would give one key a second
-        # image; only the subgroup check stops it.
+        # p - I names the same residue as I.  Signing a ring of one with it
+        # closes the chain for every challenge, which would give one key a
+        # second image; only the element check stops it.
         secrets, row = member(0, m, group)
         twisted = group.p - key_image_for(group, secrets[0], row[0])
         hp = key_image_for(group, 1, row[0])
-        for alpha in range(1, 100):
-            points = [group.power(group.g, alpha)] * m
-            points.insert(1, group.power(hp, alpha))
-            c = group.hash_to_scalar(TAG_RING, b"".join(map(enc, row)),
-                                     enc(twisted), b"m", *map(enc, points))
-            if c % 2 == 0:
-                break
-        assert c % 2 == 0
+        alpha = 12345
+        points = [group.power(group.g, alpha)] * m
+        points.insert(1, group.power(hp, alpha))
+        c = group.hash_to_scalar(TAG_RING, b"".join(map(enc, row)),
+                                 enc(twisted), b"m", *map(enc, points))
         forged = RingSignature(
             c, tuple((alpha - c * x) % group.q for x in secrets), twisted)
+        assert ringsig._chain(group, b"m", (row,), b"".join(map(enc, row)),
+                              twisted, forged.responses, 0, c)[0] == c
         assert not verify(m, b"m", [row], forged, group), m
-        if m == 2:  # the ledger's entry skips the row checks, not this one
-            assert not dual_ring_verify(group, b"m", [row], forged,
-                                        rows_checked=True)
 
 
 def test_wrong_length_responses_rejected():
@@ -258,17 +257,25 @@ def test_single_column_signature_is_not_a_dual_one():
 
 @pytest.mark.parametrize("group", [G, STANDARD_GROUP], ids=["test", "standard"])
 def test_ring_key_outside_subgroup_rejected(group):
-    # The signer closes the chain over any keys; verification must still
-    # refuse a row key outside the subgroup, in either column.
+    # The signer closes the chain over any keys it can encode; verification
+    # must still refuse a row key outside 1..q, in either column, and
+    # must not raise on one (p has no 20-byte encoding on `standard`).
     for m in COLUMNS:
+        honest_rows, secrets = build_ring(3, 0, m, group=group)
+        honest = sign(m, b"m", honest_rows, 0, secrets, group)
         for column in range(m):
-            for bad in (group.p - 1, 7):  # outside the subgroup
-                rows, secrets = build_ring(3, 0, m, group=group)
+            key = honest_rows[1][column]
+            for bad in (group.p - key, group.q + 1, 0, group.p):
+                rows = list(honest_rows)
                 row = list(rows[1])
                 row[column] = bad
                 rows[1] = tuple(row)
-                sig = sign(m, b"m", rows, 0, secrets, group)
-                assert not verify(m, b"m", rows, sig, group), (m, column, bad)
+                assert not verify(m, b"m", rows, honest, group), \
+                    (m, column, bad)
+                if bad < 2 ** (8 * group.scalar_bytes):
+                    sig = sign(m, b"m", rows, 0, secrets, group)
+                    assert not verify(m, b"m", rows, sig, group), \
+                        (m, column, bad)
 
 
 # Pinned signatures: members 0..4 of `keypair`, the ring signed by member 2
@@ -276,28 +283,28 @@ def test_ring_key_outside_subgroup_rejected(group):
 # is signed by row 1 over b"kat-dual".
 KNOWN_SIGNATURES = {
     "test": (
-        RingSignature(958, (181, 473, 974, 314, 348), 1720),
-        RingSignature(269, (294, 55, 48, 340, 280, 249, 486, 936), 768)),
+        RingSignature(677, (181, 473, 875, 314, 348), 319),
+        RingSignature(827, (738, 9, 444, 268, 101, 743, 362, 58), 768)),
     "standard": (
         RingSignature(
-            72146464626167691035957999045821566417925261057,
-            (278784285137652367821549633352607909705899661751,
-             669835300453046999748206519649379311471860547143,
-             182062181324918046516677927113360630933646735280,
-             407335539541606955384902649154585299403721643250,
-             173223250351798213246367162215166498723450539082),
-            1188312102355430675001509794718871783549587902319),
+            73199048320202372765534749352618037455397616899,
+            (181929511305694631729136446346102403221142577694,
+             629187475383245854107929671146426959697610270530,
+             334511044615361695910948904842361477604877474305,
+             536050424910433079325089397769155107667434141605,
+             371023181315747221954379848657221406117457808669),
+            505233270725815356035392053263578112127558729075),
         RingSignature(
-            167610944295615291788398742971160192146589058362,
-            (468048160106214690637563762945735456536130574589,
-             725165227935478852790747883529592695666568893986,
-             392963221084981528129555764502043192886272648187,
-             698462048707201454983762294065389260784658604209,
-             552701120512838342181177799450037378040807204432,
-             438140556547179628694728861397758942126748629666,
-             577350860621647820003945588115455798885860521139,
-             351229203275318506606564756084461814929691071428),
-            720395025829686130509105289437855787331466459662)),
+            53542489504553723817589761295654892988295544194,
+            (679768121136433243124990070154275400839441460898,
+             466811026059427361560219956243022940177624190497,
+             560130943499034769712861556104211141085850493007,
+             368040601872023234816858276833800156607071221660,
+             92111584269365721728455694710030758589209794232,
+             546559537344269987536967539415841590493675713052,
+             367249162745777892514400320081770481287133376675,
+             548830417460197738534047630427289754162442760573),
+            534849910674411788948393720773023042758644275663)),
 }
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from pvx.group import STANDARD_GROUP
 from pvx.group import TEST_GROUP as G
 from pvx.stealth import (
     derive_stealth_keypair,
@@ -80,11 +81,24 @@ def test_structural_unlinkability():
 
 
 def test_malformed_inputs_rejected():
-    kp = derive_stealth_keypair(G, b"x")
-    # 7 is a quadratic non-residue mod 2039, hence not a subgroup member
-    with pytest.raises(ValueError):
-        make_onetime_output(G, (7, kp.spend_public), ephemeral=5)
-    with pytest.raises(ValueError):
-        make_onetime_output(G, kp.address, ephemeral=0)
-    with pytest.raises(ValueError):
-        scan_output(G, kp.scan_secret, kp.spend_public, 7, kp.spend_public)
+    # An element is an integer in 1..q: p - x (the same residue as x),
+    # q + 1, 0 and p encode none, and each raises ValueError, never
+    # OverflowError from an encoding.
+    for group in (G, STANDARD_GROUP):
+        kp = derive_stealth_keypair(group, b"x")
+        out = make_onetime_output(group, kp.address, ephemeral=5)
+        E, P = out.ephemeral_public, out.onetime_address
+        for bad in (group.p - kp.scan_public, group.q + 1, 0, group.p):
+            with pytest.raises(ValueError):
+                make_onetime_output(group, (bad, kp.spend_public), ephemeral=5)
+            with pytest.raises(ValueError):
+                make_onetime_output(group, (kp.scan_public, bad), ephemeral=5)
+        for bad_e, bad_p in ((group.p - E, P), (E, group.p - P),
+                             (group.q + 1, P), (E, 0), (group.p, P)):
+            with pytest.raises(ValueError):
+                scan_output(group, kp.scan_secret, kp.spend_public, bad_e,
+                            bad_p)
+        with pytest.raises(ValueError):
+            make_onetime_output(group, kp.address, ephemeral=0)
+        assert scan_output(group, kp.scan_secret, kp.spend_public, E, P) \
+            is not None
