@@ -113,6 +113,8 @@ class GroupParams:
         return _fixed_base_table(self.h, self.p, self.q)
 
     # -- arithmetic -------------------------------------------------------
+    # Each operation folds its result to |x| inline: a helper call would
+    # cost more than the comparison it wraps.
 
     def mul(self, a: int, b: int) -> int:
         x = a * b % self.p
