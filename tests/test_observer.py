@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -26,6 +27,7 @@ from pvx.txbuild import (
     build_shielded_transfer,
     build_transparent_transfer,
     build_unshield,
+    make_sampler,
 )
 
 
@@ -182,6 +184,24 @@ def test_link_attack_age_bias_detected():
     # while the uniform guesser stays at baseline even on biased rings
     stats = run_link_attack(corpus, "uniform-guess")
     assert abs(stats.z_score) <= 3.0
+
+
+# SHA-256 of repr([(ring_ids, key_image), ...]) over the whole corpus
+KNOWN_CORPUS_SHA256 = {
+    ("uniform", 71):
+        "e70e09769b0c350b2b87269e94e045b5d548b21f3a5e132a9f59d486b0e3d1e6",
+    ("age-biased", 72):
+        "bd885d11c1ee758e6157916da9a1328753647807b772c2ba07413e291f2bc60b",
+}
+
+
+@pytest.mark.parametrize("sampler,seed", sorted(KNOWN_CORPUS_SHA256))
+def test_spend_corpus_known_answers(sampler, seed):
+    corpus = make_spend_corpus(TEST_GROUP, 200, 11, make_sampler(sampler),
+                               seed)
+    rows = [(s.ring_ids, s.key_image) for s in corpus.spends]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        KNOWN_CORPUS_SHA256[sampler, seed]
 
 
 def test_link_attack_deterministic():

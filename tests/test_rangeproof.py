@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -144,3 +145,24 @@ def test_range_soundness_sweep():
     for v in (16, 17, 100, g.q - 1, g.q - 16):
         donor = prove_range(g, v % 16, r, k=4)
         assert not verify_range(g, commit(g, v, r), donor)
+
+
+# SHA-256 of repr(proof): every bit commitment, challenge and response.
+KNOWN_PROOF_SHA256 = {
+    "test": "cdfa8368f50e0b6b7ba6a38392352e47062a31678e74a6e7d9b4471ba39c3f40",
+    "standard":
+        "f6f8231033e075fcf9cf4809571bb45bf37b52fdc47899e186dd4d347eb8e05f",
+}
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, STANDARD_GROUP],
+                         ids=["test", "standard"])
+def test_proofs_known_answers(group):
+    if group is TEST_GROUP:
+        v, r, k = 173, 500, 8
+    else:
+        v, r, k = 3_000_000_007, 123456789 ** 5 % group.q, 32
+    proof = prove_range(group, v, r, k)
+    assert hashlib.sha256(repr(proof).encode()).hexdigest() == \
+        KNOWN_PROOF_SHA256[group.name]
+    assert verify_range(group, commit(group, v, r), proof)

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from pvx.group import STANDARD_GROUP as G
+from pvx.group import TEST_GROUP
 from pvx.blindsig import (
     credential_finalize,
     credential_issue,
@@ -14,6 +16,7 @@ from pvx.txbuild import (
     AgeBiasedSampler,
     BuildError,
     MediatedLeg,
+    ScalarStream,
     UniformSampler,
     build_mediated_batch,
     build_shield,
@@ -238,7 +241,6 @@ def test_make_sampler():
 def test_builders_are_deterministic(harness):
     import copy
     rng1, rng2 = random.Random(3), random.Random(3)
-    from pvx.txbuild import ScalarStream
     s1, s2 = ScalarStream(G, b"d"), ScalarStream(G, b"d")
     w1 = copy.deepcopy(harness.wallets["alice"])
     w2 = copy.deepcopy(harness.wallets["alice"])
@@ -247,3 +249,20 @@ def test_builders_are_deterministic(harness):
     b = build_unshield(G, harness.state, w2, "acme.acct", "acme", 33, 3,
                        UniformSampler(), rng2, s2)
     assert a.tx == b.tx
+
+
+# SHA-256 of repr() of the first 16 scalars of ScalarStream(group, b"kat")
+KNOWN_STREAM_SHA256 = {
+    "test": "9a1e8afc83779879bf1bfaf7cc6fccba41cd5696838097908d63036b9c6f7e5f",
+    "standard":
+        "fcb4eec25f93d152b64f22d48005d8bd8e7e14034049e3116854d207f8c9474d",
+}
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, G], ids=["test", "standard"])
+def test_scalar_stream_known_answers(group):
+    stream = ScalarStream(group, b"kat")
+    values = [stream.next() for _ in range(16)]
+    assert all(0 < s < group.q for s in values)
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == \
+        KNOWN_STREAM_SHA256[group.name]
