@@ -269,6 +269,11 @@ class PBFTNode:
             return ""
         return block_digest(self.ledger.group, self.chain[-1])
 
+    def _malformed(self, block: Block) -> bool:
+        """Whether a received block carries a transaction that fails
+        `shape_error`; such a block may have no digest at all."""
+        return any(shape_error(self.ledger.group, tx) for tx in block.txs)
+
     def _validate_block(self, block: Block) -> bool:
         """Fold-validate: each tx must pass against the running state."""
         if block.height != self.executed + 1:
@@ -428,7 +433,8 @@ class PBFTNode:
         if msg.view != self.view or msg.sender != self.leader_of(msg.view):
             self.stats.rejected_byzantine += 1
             return
-        if msg.digest != block_digest(self.ledger.group, msg.block):
+        if self._malformed(msg.block) \
+                or msg.digest != block_digest(self.ledger.group, msg.block):
             self.stats.rejected_byzantine += 1
             return
         if msg.seq <= self.executed:
@@ -533,7 +539,8 @@ class PBFTNode:
         """Inner commit MACs are already verified at the network boundary."""
         if msg.seq != self.executed + 1:
             return
-        if block_digest(self.ledger.group, msg.block) != msg.digest:
+        if self._malformed(msg.block) \
+                or block_digest(self.ledger.group, msg.block) != msg.digest:
             self.stats.rejected_byzantine += 1
             return
         senders = {c.sender for c in msg.commits

@@ -2,7 +2,15 @@ from dataclasses import replace
 
 import pytest
 
-from pvx.consensus import ConsensusParams, SafetyViolation, World, block_digest
+from pvx.consensus import (
+    Block,
+    CatchUp,
+    ConsensusParams,
+    PrePrepare,
+    SafetyViolation,
+    World,
+    block_digest,
+)
 from pvx.group import STANDARD_GROUP as G
 from pvx.ledger import LedgerState, transaction_digest
 from pvx.simnet import parse_faults
@@ -218,3 +226,34 @@ def test_undigestible_client_tx_is_dropped(n, f):
     w.submit_client_tx("node0", good)
     assert w.run_until(lambda: w.tx_final_everywhere(good), 60_000_000)
     w.check_safety()
+
+
+def _wide_pseudo_world():
+    """A 4-replica world and a block whose one transaction has
+    pseudo-commitment p - 1, which does not fit the 20-byte element width,
+    so the block has no digest."""
+    h = Harness().fund()
+    tx = build_shielded_transfer(G, h.state, h.wallets["alice"], "bob",
+                                 h.wallets["bob"].address, 50, 3, h.sampler,
+                                 h.rng, h.stream).tx
+    bad = replace(tx, sin=(replace(tx.sin[0], pseudo_commitment=G.p - 1),
+                           *tx.sin[1:]))
+    w = World(replace(h.state, height=0), ConsensusParams(4, 1, seed=5))
+    return w, Block(1, (bad,), "", "node0")
+
+
+def test_undigestible_preprepare_is_rejected():
+    w, block = _wide_pseudo_world()
+    node = w.nodes["node1"]
+    leader = node.leader_of(node.view)
+    node.on_message(PrePrepare(node.view, 1, block, "00" * 32, leader))
+    assert node.stats.rejected_byzantine == 1
+    assert node.slots.get(1) is None or node.slots[1].digest is None
+
+
+def test_undigestible_catchup_is_rejected():
+    w, block = _wide_pseudo_world()
+    node = w.nodes["node1"]
+    node.on_message(CatchUp(1, "00" * 32, block, (), "node0"))
+    assert node.stats.rejected_byzantine == 1
+    assert node.executed == 0 and not node.buffered_commits
