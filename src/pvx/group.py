@@ -15,14 +15,20 @@ and p - x is a quadratic residue.  Each element is stored as
 a * b = |ab mod p|, and |.| maps the quadratic residues (the order-q
 subgroup of Z_p^*) one-to-one onto it.  So ``is_element`` is the range
 check 0 < a <= q, and an element of small order (Lim and Lee, CRYPTO
-1997) has no encoding at all.  ``mul``, ``inv``, ``power`` and
-``hash_to_group`` return |x|: no other module reduces an element mod p.
+1997) has no encoding at all.  ``mul``, ``inv``, ``power``, ``power2``
+and ``hash_to_group`` return |x|: no other module reduces an element mod p.
 Scalars are integers mod q.  H is derived by hashing the fixed domain tag
 ``pvx/H`` so that nobody knows log_G(H).
 
-On a profile whose q is wider than a machine word, ``power`` raises G and
-H through fixed-base tables; otherwise it calls builtin ``pow``.  Either
-way gives the same answer.
+On a profile whose q is wider than a machine word, ``power`` and
+``power2`` raise G and H through fixed-base tables; otherwise they call
+builtin ``pow``.  Either way gives the same answer.
+
+Fiat-Shamir transcripts share prefixes: every challenge of a ring
+signature starts with (tag, ring, key image, message).  ``tagged_prefix``
+returns the hash state after such a prefix and ``nonzero_scalar_at``
+continues from it, so a caller drawing many hashes under one prefix
+absorbs it once and copies the state for each.
 
 Serialization is unsigned big-endian in one fixed byte length per
 profile, ``scalar_bytes``, for elements and scalars alike: no element
@@ -113,8 +119,10 @@ class GroupParams:
         return _fixed_base_table(self.h, self.p, self.q)
 
     # -- arithmetic -------------------------------------------------------
-    # Each operation folds its result to |x| inline: a helper call would
-    # cost more than the comparison it wraps.
+    # Each public operation folds its result to |x| once, inline: a helper
+    # call would cost more than the comparison it wraps.  Products inside
+    # one operation stay unfolded, because |u * v| = ||u| * |v|| (|.| only
+    # drops a sign), so a single fold at the end gives the same element.
 
     def mul(self, a: int, b: int) -> int:
         x = a * b % self.p
@@ -129,21 +137,37 @@ class GroupParams:
 
     def power(self, base: int, exp: int) -> int:
         if self.q > WORD_MAX:
-            if base == self.g:
-                return self._fixed_power(self._g_table, exp)
-            if base == self.h:
-                return self._fixed_power(self._h_table, exp)
-        x = pow(base, exp % self.q, self.p)
+            x = self._wide_power(base, exp)
+        else:
+            x = pow(base, exp % self.q, self.p)
         return x if x <= self.q else self.p - x
 
-    def _fixed_power(self, table: list[list[int]], exp: int) -> int:
+    def power2(self, a: int, x: int, b: int, y: int) -> int:
+        """|a^x * b^y|, folded once: the two-base exponentiation of every
+        commitment and Fiat-Shamir verification equation."""
+        p, q = self.p, self.q
+        if q > WORD_MAX:
+            z = self._wide_power(a, x) * self._wide_power(b, y) % p
+        else:
+            z = pow(a, x % q, p) * pow(b, y % q, p) % p
+        return z if z <= q else p - z
+
+    def _wide_power(self, base: int, exp: int) -> int:
+        """base^exp mod p, unfolded: G and H through their fixed-base
+        tables, any other base through builtin pow."""
+        if base == self.g:
+            table = self._g_table
+        elif base == self.h:
+            table = self._h_table
+        else:
+            return pow(base, exp % self.q, self.p)
         # one entry per row: row i holds base^(d * 256^i) at digit d
         digits = (exp % self.q).to_bytes(len(table), "little")
         p = self.p
         acc = 1
         for row, digit in zip(table, digits):
             acc = acc * row[digit] % p
-        return acc if acc <= self.q else p - acc
+        return acc
 
     def is_element(self, a: int) -> bool:
         """Whether `a` encodes a group element: 1..q (1 is the identity)."""
@@ -168,10 +192,22 @@ class GroupParams:
 
     def nonzero_scalar(self, tag: str, *items: bytes) -> int:
         """Like hash_to_scalar but rejects zero (counter-based retry)."""
+        return self.nonzero_scalar_at(tagged_prefix(tag), *items)
+
+    def nonzero_scalar_at(self, state, *items: bytes) -> int:
+        """`nonzero_scalar` continued from a hash state: with
+        `state = tagged_prefix(tag, *a)` this is `nonzero_scalar(tag, *a,
+        *items)`.  The scalar is the digest of the items and a 4-byte
+        counter, mod q, for the first counter that gives a nonzero one.
+        `state` is not changed, so a caller drawing many scalars under one
+        prefix absorbs the prefix once."""
         ctr = 0
         while True:
-            s = self.hash_to_scalar(tag, *items, ctr.to_bytes(4, "big"))
-            if s != 0:
+            h = absorb(state.copy(), items)
+            # absorb's framing of the counter, in one update
+            h.update(b"\x00\x00\x00\x04" + ctr.to_bytes(4, "big"))
+            s = int.from_bytes(h.digest(), "big") % self.q
+            if s:
                 return s
             ctr += 1
 

@@ -16,7 +16,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
-from .group import GroupParams
+from .group import GroupParams, tagged_prefix
 from .ledger import Transaction, TxKind, transaction_digest
 from .policy import EntityKind, Mode
 from .ringsig import ring_sign
@@ -236,11 +236,12 @@ def make_spend_corpus(group: GroupParams, trials: int, ring_size: int,
     publics: list[int] = []  # G^secret, computed once at mint
     unspent: list[int] = []  # ascending ids == ascending age
 
+    minted = tagged_prefix("pvx/corpus", seed.to_bytes(8, "big"))
+
     def mint(count: int) -> None:
         for _ in range(count):
             oid = len(secrets)
-            secret = group.nonzero_scalar(
-                "pvx/corpus", seed.to_bytes(8, "big"), oid.to_bytes(8, "big"))
+            secret = group.nonzero_scalar_at(minted, oid.to_bytes(8, "big"))
             secrets.append(secret)
             publics.append(group.power(group.g, secret))
             unspent.append(oid)

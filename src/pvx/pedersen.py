@@ -18,7 +18,7 @@ def commit(group: GroupParams, v: int, r: int) -> int:
         raise ValueError("amount scalar out of range")
     if not 0 <= r < group.q:
         raise ValueError("blinding scalar out of range")
-    return group.mul(group.power(group.g, r), group.power(group.h, v))
+    return group.power2(group.g, r, group.h, v)
 
 
 def product(group: GroupParams, commitments) -> int:

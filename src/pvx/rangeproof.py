@@ -11,11 +11,14 @@ The OR proof is a two-slot ring over the statements
     K_1 = C_i * H^-1  (= G^{r_i} when b_i = 1)
 with a Fiat-Shamir challenge chain bound to the value commitment, the bit
 index and the bit commitment under the "pvx/range" tag.  Each branch's
-commitment is G^s * K^(q-c): K is an element of the order-q group, so
-K^(q-c) is K^-c without an inversion.
+commitment is G^s * K^(q-c), one `GroupParams.power2` folded once: K is
+an element of the order-q group, so K^(q-c) is K^-c without an inversion.
+Both challenges of a bit share the prefix (tag, C, index, C_i), which is
+absorbed into one hash state and copied for each.
 
-All nonces are derived deterministically from the witness, so proving is a
-pure function of its inputs.
+All nonces and blindings are derived deterministically from the witness
+(the blindings continue one hash state of r and C), so proving is a pure
+function of its inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .group import GroupParams, TAG_RANGE
+from .group import GroupParams, TAG_RANGE, absorb, tagged_prefix
 from .pedersen import commit
 
 
@@ -49,56 +52,56 @@ class RangeProof:
         return len(self.bits)
 
 
-def _bit_challenge(group: GroupParams, c: int, index: int,
-                   bit_c: int, a: int) -> int:
-    return group.hash_to_scalar(
-        TAG_RANGE,
-        group.element_to_bytes(c),
-        index.to_bytes(4, "big"),
-        group.element_to_bytes(bit_c),
-        group.element_to_bytes(a),
-    )
+def _bit_prefix(group: GroupParams, c_b: bytes, index: int, bit_c: int):
+    """Hash state of the bit's transcript (tag, C, index, C_i); each of
+    the bit's two challenges continues a copy of it."""
+    return tagged_prefix(TAG_RANGE, c_b, index.to_bytes(4, "big"),
+                         group.element_to_bytes(bit_c))
 
 
-def _prove_bit(group: GroupParams, c: int, index: int,
+def _bit_challenge(group: GroupParams, prefix, a: int) -> int:
+    # as group.hash_to_scalar(TAG_RANGE, C, index, C_i, a)
+    return int.from_bytes(
+        absorb(prefix.copy(), (group.element_to_bytes(a),)).digest(),
+        "big") % group.q
+
+
+def _prove_bit(group: GroupParams, c_b: bytes, index: int,
                bit: int, blinding: int) -> BitProof:
     """OR-prove that G^blinding * H^bit opens to bit 0 or 1."""
     bit_c = commit(group, bit, blinding)
-    k0 = bit_c
-    k1 = group.mul(bit_c, _h_inverse(group))
-    keys = (k0, k1)
+    keys = (bit_c, group.mul(bit_c, _h_inverse(group)))
+    prefix = _bit_prefix(group, c_b, index, bit_c)
 
-    seed = (group.scalar_to_bytes(blinding), group.element_to_bytes(c),
+    seed = (group.scalar_to_bytes(blinding), c_b,
             index.to_bytes(4, "big"), bytes([bit]))
     alpha = group.nonzero_scalar(TAG_RANGE + "/nonce", *seed)
     s_decoy = group.nonzero_scalar(TAG_RANGE + "/decoy", *seed)
 
     # Walk the 2-ring starting after the true branch.
-    c_vals = [0, 0]
-    c_vals[(bit + 1) % 2] = _bit_challenge(
-        group, c, index, bit_c, group.power(group.g, alpha))
     decoy = (bit + 1) % 2
-    a_decoy = group.mul(group.power(group.g, s_decoy),
-                        group.power(keys[decoy], group.q - c_vals[decoy]))
-    c_vals[bit] = _bit_challenge(group, c, index, bit_c, a_decoy)
+    c_vals = [0, 0]
+    c_vals[decoy] = _bit_challenge(group, prefix, group.power(group.g, alpha))
+    a_decoy = group.power2(group.g, s_decoy,
+                           keys[decoy], group.q - c_vals[decoy])
+    c_vals[bit] = _bit_challenge(group, prefix, a_decoy)
     s_true = (alpha + c_vals[bit] * blinding) % group.q
 
     s0, s1 = (s_true, s_decoy) if bit == 0 else (s_decoy, s_true)
     return BitProof(bit_c, c_vals[0], s0, s1)
 
 
-def _verify_bit(group: GroupParams, c: int, index: int,
+def _verify_bit(group: GroupParams, c_b: bytes, index: int,
                 proof: BitProof) -> bool:
-    if not group.is_element(proof.bit_commitment):
-        return False
     k0 = proof.bit_commitment
-    k1 = group.mul(proof.bit_commitment, _h_inverse(group))
-    a0 = group.mul(group.power(group.g, proof.s0),
-                   group.power(k0, group.q - proof.c0))
-    c1 = _bit_challenge(group, c, index, proof.bit_commitment, a0)
-    a1 = group.mul(group.power(group.g, proof.s1),
-                   group.power(k1, group.q - c1))
-    return _bit_challenge(group, c, index, proof.bit_commitment, a1) == proof.c0
+    if not group.is_element(k0):
+        return False
+    k1 = group.mul(k0, _h_inverse(group))
+    prefix = _bit_prefix(group, c_b, index, k0)
+    c1 = _bit_challenge(
+        group, prefix, group.power2(group.g, proof.s0, k0, group.q - proof.c0))
+    a1 = group.power2(group.g, proof.s1, k1, group.q - c1)
+    return _bit_challenge(group, prefix, a1) == proof.c0
 
 
 def prove_range(group: GroupParams, v: int, r: int, k: int) -> RangeProof:
@@ -109,21 +112,20 @@ def prove_range(group: GroupParams, v: int, r: int, k: int) -> RangeProof:
         raise ValueError(f"value {v} outside [0, 2^{k})")
     if not 0 <= r < group.q:
         raise ValueError("blinding scalar out of range")
-    c = commit(group, v, r)
+    c_b = group.element_to_bytes(commit(group, v, r))
 
     # Per-bit blindings: random-looking but derived from the witness; the
     # weighted sum must reproduce r so the bit commitments fold back to C.
+    blind = tagged_prefix(TAG_RANGE + "/blind", group.scalar_to_bytes(r), c_b)
     blindings = [0] * k
     acc = 0
     for i in range(1, k):
-        blindings[i] = group.nonzero_scalar(
-            TAG_RANGE + "/blind", group.scalar_to_bytes(r),
-            group.element_to_bytes(c), i.to_bytes(4, "big"))
+        blindings[i] = group.nonzero_scalar_at(blind, i.to_bytes(4, "big"))
         acc = (acc + blindings[i] * (1 << i)) % group.q
     blindings[0] = (r - acc) % group.q
 
     bits = tuple(
-        _prove_bit(group, c, i, (v >> i) & 1, blindings[i]) for i in range(k))
+        _prove_bit(group, c_b, i, (v >> i) & 1, blindings[i]) for i in range(k))
     return RangeProof(bits)
 
 
@@ -131,8 +133,9 @@ def verify_range(group: GroupParams, c: int, proof: RangeProof) -> bool:
     """True iff the proof shows c opens to a value in [0, 2^len(bits))."""
     if proof.k < 1 or not group.is_element(c):
         return False
+    c_b = group.element_to_bytes(c)
     for i, bp in enumerate(proof.bits):
-        if not _verify_bit(group, c, i, bp):
+        if not _verify_bit(group, c_b, i, bp):
             return False
     # prod_i C_i^(2^i), by Horner's rule from the top bit down
     acc = group.identity

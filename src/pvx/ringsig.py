@@ -18,10 +18,14 @@ Challenge chain, for each row i with responses s_i,0 .. s_i,m-1:
     R_i   = Hp(K_i,0)^{s_i,0} * I^{c_i}
     c_{i+1} = H("pvx/ring", ring, I, msg, L_i,0, R_i, L_i,1 .. L_i,m-1)
 closing back to c_0.  `tagged_hash` length-prefixes every item, so the
-item count alone separates column counts.  Every challenge shares the
-prefix (tag, ring, I, msg), which a walk absorbs into one hash state and
-copies for each row.  Nonces are derived from one hash of the signing
-keys, message and ring, making signing a pure function of its inputs.
+item count alone separates column counts.  Each point is one
+`GroupParams.power2`, folded to its encoding once.  Every challenge shares
+the prefix (tag, ring, I, msg), which a walk absorbs into one hash state
+and copies for each row; a row's points all have the element width, so
+they go into the copy in one update of the same bytes.  Nonces are
+derived from one hash of the signing keys, message and ring, absorbed
+once and continued per nonce index (`nonzero_scalar_at`), making signing a
+pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .group import GroupParams, TAG_RING, absorb, tagged_hash, tagged_prefix
+from .group import GroupParams, TAG_RING, tagged_hash, tagged_prefix
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,8 @@ def key_image_for(group: GroupParams, spend_secret: int, public: int) -> int:
 
 
 def _rows_bytes(group: GroupParams, rows: tuple[tuple[int, ...], ...]) -> bytes:
-    return b"".join(group.element_to_bytes(key) for row in rows for key in row)
+    enc = group.element_to_bytes
+    return b"".join([enc(key) for row in rows for key in row])
 
 
 def _chain(group: GroupParams, message: bytes, rows: tuple[tuple[int, ...], ...],
@@ -60,26 +65,28 @@ def _chain(group: GroupParams, message: bytes, rows: tuple[tuple[int, ...], ...]
     """Walk the challenge chain once round the ring, entering row `start`
     with challenge `c_start`.  Returns each row's challenge; the entry for
     `start` is the one that closes the ring."""
-    power, mul, enc, g, q = (group.power, group.mul, group.element_to_bytes,
-                             group.g, group.q)
+    power2, enc, g, q = group.power2, group.element_to_bytes, group.g, group.q
     n, m = len(rows), len(rows[0])
     later_columns = range(1, m)
-    prefix = tagged_prefix(TAG_RING, ring_b, enc(image), message)
+    image_b = enc(image)
+    prefix = tagged_prefix(TAG_RING, ring_b, image_b, message)
+    # every point has the image's width, so absorb's framing of a point is
+    # this constant followed by the point
+    width = len(image_b).to_bytes(4, "big")
     c = [0] * n
     c[start] = c_start
     for step in range(n):
         i = (start + step) % n
         row, c_i, k = rows[i], c[i], i * m
         key = row[0]
-        points = [enc(mul(power(g, responses[k]), power(key, c_i))),
-                  enc(mul(power(_image_base(group, key), responses[k]),
-                          power(image, c_i)))]
+        # as group.hash_to_scalar(TAG_RING, ring_b, image_b, message, *points)
+        h = prefix.copy()
+        h.update(width + enc(power2(g, responses[k], key, c_i)) + width
+                 + enc(power2(_image_base(group, key), responses[k],
+                              image, c_i)))
         for j in later_columns:
-            points.append(enc(mul(power(g, responses[k + j]),
-                                  power(row[j], c_i))))
-        # as group.hash_to_scalar(TAG_RING, ring_b, enc(image), message, *points)
-        c[(i + 1) % n] = int.from_bytes(
-            absorb(prefix.copy(), points).digest(), "big") % q
+            h.update(width + enc(power2(g, responses[k + j], row[j], c_i)))
+        c[(i + 1) % n] = int.from_bytes(h.digest(), "big") % q
     return c
 
 
@@ -101,7 +108,8 @@ def _sign(group: GroupParams, message: bytes, rows: Sequence[Sequence[int]],
     ring_b = _rows_bytes(group, rows)
     seed = tagged_hash(TAG_RING + "/seed", *map(group.scalar_to_bytes, secrets),
                        message, ring_b)
-    s = [group.nonzero_scalar(TAG_RING + "/nonce", seed, k.to_bytes(4, "big"))
+    nonce = tagged_prefix(TAG_RING + "/nonce", seed)
+    s = [group.nonzero_scalar_at(nonce, k.to_bytes(4, "big"))
          for k in range(n * m)]
     # Entering the signer's row with challenge 0 makes its L and R the
     # commitments G^alpha_j, Hp^alpha_0 to its own nonces alpha_j = s_l,j.

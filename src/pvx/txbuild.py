@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
-from .group import GroupParams, tagged_hash
+from .group import GroupParams, tagged_hash, tagged_prefix
 from .ledger import (
     LedgerState,
     ShieldedInput,
@@ -42,13 +42,13 @@ class ScalarStream:
 
     def __init__(self, group: GroupParams, seed: bytes):
         self.group = group
-        self.seed = seed
+        self.prefix = tagged_prefix("pvx/stream", seed)
         self.counter = 0
 
     def next(self) -> int:
         self.counter += 1
-        return self.group.nonzero_scalar(
-            "pvx/stream", self.seed, self.counter.to_bytes(8, "big"))
+        return self.group.nonzero_scalar_at(
+            self.prefix, self.counter.to_bytes(8, "big"))
 
 
 @dataclass

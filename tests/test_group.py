@@ -147,6 +147,33 @@ def test_nonzero_scalar_never_zero():
         assert g.nonzero_scalar("pvx/nz", i.to_bytes(4, "big")) != 0
 
 
+def test_nonzero_scalar_at_continues_a_prefix():
+    rnd = random.Random(0x5CA)
+    for g in (TEST_GROUP, STANDARD_GROUP):
+        for _ in range(100):
+            items = [rnd.randbytes(rnd.choice((0, 2, 8, 20, 33)))
+                     for _ in range(rnd.randrange(4))]
+            cut = rnd.randrange(len(items) + 1)
+            prefix = tagged_prefix("pvx/nz", *items[:cut])
+            for _ in range(2):  # the prefix state is left as it was
+                assert g.nonzero_scalar_at(prefix, *items[cut:]) == \
+                    g.nonzero_scalar("pvx/nz", *items)
+
+
+def test_nonzero_scalar_at_retries_a_zero_candidate():
+    # found by search: on `test` this input's counter-0 candidate is 0
+    g = TEST_GROUP
+    item = (353).to_bytes(4, "big")
+    ctr = [i.to_bytes(4, "big") for i in range(2)]
+    assert g.hash_to_scalar("pvx/nz", b"prefix", item, ctr[0]) == 0
+    retry = g.hash_to_scalar("pvx/nz", b"prefix", item, ctr[1])
+    assert retry != 0
+    assert g.nonzero_scalar_at(tagged_prefix("pvx/nz", b"prefix"), item) \
+        == g.nonzero_scalar("pvx/nz", b"prefix", item) == retry
+    assert g.nonzero_scalar_at(tagged_prefix("pvx/nz"), b"prefix", item) \
+        == retry
+
+
 def test_unknown_profile_rejected():
     with pytest.raises(ValueError):
         get_profile("p256")
@@ -174,6 +201,27 @@ def test_fixed_base_power_matches_builtin(group):
         for e in exps:
             assert group.power(base, e) == fold(group, pow(base, e % q, p)), \
                 (base, e)
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, STANDARD_GROUP, _OTHER_G],
+                         ids=["test", "standard", "standard-g9"])
+def test_power2_matches_two_powers(group):
+    # as above: the original profile's tables exist before the copy's
+    STANDARD_GROUP.power(STANDARD_GROUP.g, 5)
+    STANDARD_GROUP.power(STANDARD_GROUP.h, 5)
+    p, q = group.p, group.q
+    rnd = random.Random(0x2B5)
+    exps = [0, 1, q - 1, q, q + 1, -1, 2**200 + 3]
+    variable = group.hash_to_group("pvx/test-base", b"var")
+    bases = (group.g, group.h, variable, STANDARD_GROUP.g, p - group.h)
+    for a in bases:
+        for b in bases:
+            for x in exps + [rnd.randrange(q)]:
+                for y in exps + [rnd.randrange(-2**256, 2**256)]:
+                    want = fold(group, pow(a, x % q, p) * pow(b, y % q, p) % p)
+                    assert group.power2(a, x, b, y) == want, (a, x, b, y)
+                    assert want == group.mul(group.power(a, x),
+                                             group.power(b, y))
 
 
 @pytest.mark.parametrize("group", [TEST_GROUP, STANDARD_GROUP, _OTHER_G],
