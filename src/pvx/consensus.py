@@ -270,8 +270,16 @@ class PBFTNode:
         return block_digest(self.ledger.group, self.chain[-1])
 
     def _malformed(self, block: Block) -> bool:
-        """Whether a received block carries a transaction that fails
-        `shape_error`; such a block may have no digest at all."""
+        """Whether a received block has a field `block_digest` cannot
+        encode or a transaction that fails `shape_error`; such a block may
+        have no digest at all."""
+        parent = block.parent_digest
+        if not (type(block.height) is int and 0 <= block.height < 2 ** 64
+                and type(parent) is str and len(parent) in (0, 64)
+                and all(ch in "0123456789abcdef" for ch in parent)
+                and block.proposer in self.replicas
+                and type(block.txs) is tuple):
+            return True
         return any(shape_error(self.ledger.group, tx) for tx in block.txs)
 
     def _validate_block(self, block: Block) -> bool:

@@ -251,6 +251,19 @@ def test_undigestible_preprepare_is_rejected():
     assert node.slots.get(1) is None or node.slots[1].digest is None
 
 
+@pytest.mark.parametrize("field,value", [
+    ("parent_digest", "zz"), ("height", 2 ** 70),
+    ("height", "1"), ("proposer", None), ("proposer", "\ud800"),
+    ("txs", None)])
+def test_block_with_unencodable_header_is_rejected(field, value):
+    w = make_world(4, 1)
+    node = w.nodes["node1"]
+    block = replace(Block(1, (transfer(0),), "", "node0"), **{field: value})
+    node.on_message(PrePrepare(node.view, 1, block, "00" * 32, "node0"))
+    node.on_message(CatchUp(1, "00" * 32, block, (), "node0"))
+    assert node.stats.rejected_byzantine == 2
+
+
 def test_undigestible_catchup_is_rejected():
     w, block = _wide_pseudo_world()
     node = w.nodes["node1"]
