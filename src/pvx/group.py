@@ -24,12 +24,6 @@ On a profile whose q is wider than a machine word, ``power`` and
 ``power2`` raise G and H through fixed-base tables; otherwise they call
 builtin ``pow``.  Either way gives the same answer.
 
-Fiat-Shamir transcripts share prefixes: every challenge of a ring
-signature starts with (tag, ring, key image, message).  ``tagged_prefix``
-returns the hash state after such a prefix and ``nonzero_scalar_at``
-continues from it, so a caller drawing many hashes under one prefix
-absorbs it once and copies the state for each.
-
 Serialization is unsigned big-endian in one fixed byte length per
 profile, ``scalar_bytes``, for elements and scalars alike: no element
 exceeds q.  Domain-separation tags are ASCII and part of the external
@@ -195,12 +189,9 @@ class GroupParams:
         return self.nonzero_scalar_at(tagged_prefix(tag), *items)
 
     def nonzero_scalar_at(self, state, *items: bytes) -> int:
-        """`nonzero_scalar` continued from a hash state: with
-        `state = tagged_prefix(tag, *a)` this is `nonzero_scalar(tag, *a,
-        *items)`.  The scalar is the digest of the items and a 4-byte
-        counter, mod q, for the first counter that gives a nonzero one.
-        `state` is not changed, so a caller drawing many scalars under one
-        prefix absorbs the prefix once."""
+        """`nonzero_scalar(tag, *a, *items)` for `state = tagged_prefix(tag,
+        *a)`.  `state` is only copied, so a caller drawing many scalars
+        under one prefix absorbs the prefix once."""
         ctr = 0
         while True:
             h = absorb(state.copy(), items)

@@ -19,13 +19,11 @@ Challenge chain, for each row i with responses s_i,0 .. s_i,m-1:
     c_{i+1} = H("pvx/ring", ring, I, msg, L_i,0, R_i, L_i,1 .. L_i,m-1)
 closing back to c_0.  `tagged_hash` length-prefixes every item, so the
 item count alone separates column counts.  Each point is one
-`GroupParams.power2`, folded to its encoding once.  Every challenge shares
-the prefix (tag, ring, I, msg), which a walk absorbs into one hash state
-and copies for each row; a row's points all have the element width, so
-they go into the copy in one update of the same bytes.  Nonces are
-derived from one hash of the signing keys, message and ring, absorbed
-once and continued per nonce index (`nonzero_scalar_at`), making signing a
-pure function of its inputs.
+`GroupParams.power2`, folded once.  Every challenge shares the prefix
+(tag, ring, I, msg), which a walk absorbs into one hash state and copies
+for each row.  Nonces continue one hash state of the signing keys,
+message and ring (`nonzero_scalar_at`), making signing a pure function of
+its inputs.
 """
 
 from __future__ import annotations
