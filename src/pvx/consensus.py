@@ -58,17 +58,36 @@ class Block:
     proposer: str
 
 
-def block_digest(group: GroupParams, block: Block) -> str:
+def _encodable(group: GroupParams, block: Block) -> bool:
+    """Whether every field `block_digest` encodes fits its encoding: the
+    header's, and each transaction's by `shape_error`."""
+    parent = block.parent_digest
+    return (type(block.height) is int and 0 <= block.height < 2 ** 64
+            and type(parent) is str and len(parent) in (0, 64)
+            and all(ch in "0123456789abcdef" for ch in parent)
+            and type(block.proposer) is str and block.proposer.isascii()
+            and type(block.txs) is tuple
+            and not any(shape_error(group, tx) for tx in block.txs))
+
+
+def block_digest(group: GroupParams, block: Block) -> str | None:
     """Computed once per block object and carried with it, like a
-    transaction's digest (see `pvx.ledger`)."""
+    transaction's digest (see `pvx.ledger`).  None for a block with a
+    field that does not fit the encoding, which only a faulty replica
+    sends; receivers reject it."""
     carried = block.__dict__.get(DIGEST_SLOT)
     if carried is not None and carried[0] is group:
         return carried[1]
-    parts = [block.height.to_bytes(8, "big"),
-             bytes.fromhex(block.parent_digest) if block.parent_digest else b"",
-             block.proposer.encode("utf-8"), len(block.txs).to_bytes(4, "big")]
-    parts.extend(transaction_digest(group, tx) for tx in block.txs)
-    digest = tagged_hash(TAG_BLOCK, b"".join(parts)).hex()
+    if _encodable(group, block):
+        parts = [block.height.to_bytes(8, "big"),
+                 bytes.fromhex(block.parent_digest) if block.parent_digest
+                 else b"",
+                 block.proposer.encode("utf-8"),
+                 len(block.txs).to_bytes(4, "big")]
+        parts.extend(transaction_digest(group, tx) for tx in block.txs)
+        digest = tagged_hash(TAG_BLOCK, b"".join(parts)).hex()
+    else:
+        digest = None
     block.__dict__[DIGEST_SLOT] = (group, digest)
     return digest
 
@@ -269,19 +288,6 @@ class PBFTNode:
             return ""
         return block_digest(self.ledger.group, self.chain[-1])
 
-    def _malformed(self, block: Block) -> bool:
-        """Whether a received block has a field `block_digest` cannot
-        encode or a transaction that fails `shape_error`; such a block may
-        have no digest at all."""
-        parent = block.parent_digest
-        if not (type(block.height) is int and 0 <= block.height < 2 ** 64
-                and type(parent) is str and len(parent) in (0, 64)
-                and all(ch in "0123456789abcdef" for ch in parent)
-                and block.proposer in self.replicas
-                and type(block.txs) is tuple):
-            return True
-        return any(shape_error(self.ledger.group, tx) for tx in block.txs)
-
     def _validate_block(self, block: Block) -> bool:
         """Fold-validate: each tx must pass against the running state."""
         if block.height != self.executed + 1:
@@ -441,8 +447,8 @@ class PBFTNode:
         if msg.view != self.view or msg.sender != self.leader_of(msg.view):
             self.stats.rejected_byzantine += 1
             return
-        if self._malformed(msg.block) \
-                or msg.digest != block_digest(self.ledger.group, msg.block):
+        digest = block_digest(self.ledger.group, msg.block)
+        if digest is None or msg.digest != digest:
             self.stats.rejected_byzantine += 1
             return
         if msg.seq <= self.executed:
@@ -547,8 +553,8 @@ class PBFTNode:
         """Inner commit MACs are already verified at the network boundary."""
         if msg.seq != self.executed + 1:
             return
-        if self._malformed(msg.block) \
-                or block_digest(self.ledger.group, msg.block) != msg.digest:
+        digest = block_digest(self.ledger.group, msg.block)
+        if digest is None or msg.digest != digest:
             self.stats.rejected_byzantine += 1
             return
         senders = {c.sender for c in msg.commits
