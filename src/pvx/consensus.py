@@ -78,16 +78,13 @@ def block_digest(group: GroupParams, block: Block) -> str | None:
     carried = block.__dict__.get(DIGEST_SLOT)
     if carried is not None and carried[0] is group:
         return carried[1]
-    if _encodable(group, block):
-        parts = [block.height.to_bytes(8, "big"),
-                 bytes.fromhex(block.parent_digest) if block.parent_digest
-                 else b"",
-                 block.proposer.encode("utf-8"),
-                 len(block.txs).to_bytes(4, "big")]
-        parts.extend(transaction_digest(group, tx) for tx in block.txs)
-        digest = tagged_hash(TAG_BLOCK, b"".join(parts)).hex()
-    else:
-        digest = None
+    if not _encodable(group, block):
+        return None
+    parts = [block.height.to_bytes(8, "big"),
+             bytes.fromhex(block.parent_digest) if block.parent_digest else b"",
+             block.proposer.encode("utf-8"), len(block.txs).to_bytes(4, "big")]
+    parts.extend(transaction_digest(group, tx) for tx in block.txs)
+    digest = tagged_hash(TAG_BLOCK, b"".join(parts)).hex()
     block.__dict__[DIGEST_SLOT] = (group, digest)
     return digest
 
