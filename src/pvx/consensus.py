@@ -21,6 +21,7 @@ that sequence).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import index
 from typing import Callable
 
 from .group import GroupParams, tagged_hash
@@ -75,6 +76,8 @@ def block_digest(group: GroupParams, block: Block) -> str | None:
     transaction's digest (see `pvx.ledger`).  None for a block with a
     field that does not fit the encoding, which only a faulty replica
     sends; receivers reject it."""
+    if type(block) is not Block:
+        return None
     carried = block.__dict__.get(DIGEST_SLOT)
     if carried is not None and carried[0] is group:
         return carried[1]
@@ -167,28 +170,33 @@ class CatchUp:
 
 def _mac_payload(msg) -> bytes:
     if isinstance(msg, PrePrepare):
-        return b"pp|%d|%d|%s" % (msg.view, msg.seq, msg.digest.encode())
+        return b"pp|%d|%d|%s" % (index(msg.view), index(msg.seq), msg.digest.encode())
     if isinstance(msg, Prepare):
-        return b"p|%d|%d|%s" % (msg.view, msg.seq, msg.digest.encode())
+        return b"p|%d|%d|%s" % (index(msg.view), index(msg.seq), msg.digest.encode())
     if isinstance(msg, Commit):
-        return b"c|%d|%d|%s" % (msg.view, msg.seq, msg.digest.encode())
+        return b"c|%d|%d|%s" % (index(msg.view), index(msg.seq), msg.digest.encode())
     if isinstance(msg, ViewChange):
-        certs = b"".join(b"%d:%d:%s" % (c.seq, c.view, c.digest.encode())
+        certs = b"".join(b"%d:%d:%s" % (index(c.seq), index(c.view), c.digest.encode())
                          for c in msg.prepared)
-        return b"vc|%d|%d|" % (msg.new_view, msg.last_exec) + certs
+        return b"vc|%d|%d|" % (index(msg.new_view), index(msg.last_exec)) + certs
     if isinstance(msg, NewView):
         inner = b"".join(_mac_payload(pp) for pp in msg.pre_prepares)
-        return b"nv|%d|" % msg.view + inner
+        return b"nv|%d|" % index(msg.view) + inner
     if isinstance(msg, TxForward):
         return b"fw"  # body authenticated by tx digest during validation
     if isinstance(msg, CatchUp):
         inner = b"".join(_mac_payload(c) + c.sender.encode() for c in msg.commits)
-        return b"cu|%d|%s|" % (msg.seq, msg.digest.encode()) + inner
+        return b"cu|%d|%s|" % (index(msg.seq), msg.digest.encode()) + inner
     raise TypeError(type(msg))
 
 
-def compute_mac(secret: bytes, sender: str, msg) -> bytes:
-    return tagged_hash(TAG_MAC, secret, sender.encode("utf-8"), _mac_payload(msg))
+def compute_mac(secret: bytes, sender: str, msg) -> bytes | None:
+    """None for a message with a field the MAC cannot encode, which only a
+    faulty replica sends; receivers reject it."""
+    try:
+        return tagged_hash(TAG_MAC, secret, sender.encode("utf-8"), _mac_payload(msg))
+    except (AttributeError, TypeError, UnicodeError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -245,8 +253,8 @@ class PBFTNode:
         self.fault = fault
         self.view = 0
         self.chain: list[Block] = []
-        # txid -> (tx, chain height it was validated at on admission)
-        self.mempool: dict[str, tuple[Transaction, int]] = {}
+        # txid -> tx, fully checked against self.ledger on admission
+        self.mempool: dict[str, Transaction] = {}
         self.slots: dict[int, Slot] = {}
         self.buffered_commits: dict[int, Block] = {}
         self.view_votes: dict[int, dict[str, ViewChange]] = {}
@@ -259,7 +267,6 @@ class PBFTNode:
         self.rejections: dict[str, str] = {}  # txid -> latest ledger code
         self.equivocated: set[int] = set()
         self.committed_at: dict[str, int] = {}  # txid -> height
-        self._proven: set[Transaction] = set()  # proofs passed, not yet final
 
     # -- helpers -------------------------------------------------------------
 
@@ -286,15 +293,18 @@ class PBFTNode:
         return block_digest(self.ledger.group, self.chain[-1])
 
     def _validate_block(self, block: Block) -> bool:
-        """Fold-validate: each tx must pass against the running state."""
+        """Fold-validate: each tx must pass against the running state.  The
+        tx this replica admitted skips its proofs; a copy with its txid but
+        other signatures or key images (the txid covers none) does not."""
         if block.height != self.executed + 1:
             return False
         if block.parent_digest != self._chain_tip_digest():
             return False
         state = self.ledger
         for tx in block.txs:
+            txid = transaction_digest(state.group, tx).hex()
             verdict = validate_transaction(state, tx, self.policy_hook,
-                                           self._proven)
+                                           self.mempool.get(txid) == tx)
             if not verdict.accepted:
                 return False
             state = apply_transaction(state, tx)
@@ -327,13 +337,11 @@ class PBFTNode:
         if txid in self.committed_at:
             return actions  # already final
         if txid not in self.mempool:
-            verdict = validate_transaction(self.ledger, tx, self.policy_hook,
-                                           self._proven)
+            verdict = validate_transaction(self.ledger, tx, self.policy_hook)
             if not verdict.accepted:
                 self.rejections[txid] = verdict.code
-                self._proven.discard(tx)
                 return actions
-            self.mempool[txid] = (tx, self.executed)
+            self.mempool[txid] = tx
         if self.is_leader():
             self._maybe_propose(actions)
         elif from_client:
@@ -349,22 +357,16 @@ class PBFTNode:
         chosen: list[Transaction] = []
         state = self.ledger
         stale: list[str] = []
-        for txid, (tx, valid_at) in self.mempool.items():
-            # admission already validated against this exact state for the
-            # first pick; later picks see a folded state and re-validate
-            if not chosen and valid_at == self.executed:
-                chosen.append(tx)
-                state = apply_transaction(state, tx)
-                continue
+        for txid, tx in self.mempool.items():
+            # admitted: only the clauses that read state can fail now
             verdict = validate_transaction(state, tx, self.policy_hook,
-                                           self._proven)
+                                           admitted=True)
             if verdict.accepted:
                 chosen.append(tx)
                 state = apply_transaction(state, tx)
             else:
                 stale.append(txid)
                 self.rejections[txid] = verdict.code
-                self._proven.discard(tx)
         for txid in stale:
             del self.mempool[txid]
         return tuple(chosen)
@@ -524,7 +526,6 @@ class PBFTNode:
                 txid = transaction_digest(self.ledger.group, tx).hex()
                 self.committed_at.setdefault(txid, block.height)
                 self.mempool.pop(txid, None)
-                self._proven.discard(tx)
             self.timeout = BASE_TIMEOUT  # progress resets backoff
             self.progress_token = None
             self._maybe_propose(actions)
@@ -699,7 +700,7 @@ class PBFTNode:
                 actions.append(("broadcast", vc))
         if self.mempool and not self.is_leader():
             leader = self.leader_of(self.view)
-            for tx, _ in self.mempool.values():
+            for tx in self.mempool.values():
                 actions.append(("send", leader, TxForward(tx, self.node_id)))
         if self.mempool and self.is_leader():
             self._maybe_propose(actions)
@@ -772,10 +773,12 @@ class World:
             if node.fault.crashed(self.net.time):
                 return
             msg = event.message
-            if msg.mac != compute_mac(self.secret, msg.sender, msg):
+            mac = compute_mac(self.secret, msg.sender, msg)
+            if mac is None or msg.mac != mac:
                 node.stats.rejected_byzantine += 1
                 return
             if isinstance(msg, CatchUp):
+                # the outer MAC's encoding already vetted every inner field
                 for inner in msg.commits:
                     if inner.mac != compute_mac(self.secret, inner.sender, inner):
                         node.stats.rejected_byzantine += 1

@@ -435,14 +435,14 @@ def ring_rows(state: LedgerState, ring_refs: tuple[int, ...],
 
 def validate_transaction(state: LedgerState, tx: Transaction,
                          policy_hook: PolicyHook | None = None,
-                         proven: set[Transaction] | None = None) -> Verdict:
+                         admitted: bool = False) -> Verdict:
     """Full acceptance check; each failing clause maps to a distinct code.
 
-    `proven` holds transactions whose range proofs and excess signature
-    already passed (clauses (c) and (d)); they read no ledger state, so a
-    transaction in it skips them, and one that passes them is added.  The
-    key is the whole transaction: the digest covers neither its ring
-    signatures nor its excess signature.  Every other clause always runs.
+    `admitted` says this very transaction already passed a full check
+    against an earlier state that `state` extends.  Outputs are
+    append-only, so its ring members still name the same outputs: the ring
+    signatures (a) and the proofs of (c) and (d) are skipped.  Every other
+    clause always runs.
 
     Group membership is checked once per element, where it enters:
     `shape_error` refuses every element field outside 1..q.  Ring rows
@@ -480,7 +480,7 @@ def validate_transaction(state: LedgerState, tx: Transaction,
     digest = transaction_digest(group, tx)
 
     # (a) ring signatures over the tx digest
-    for si in tx.sin:
+    for si in () if admitted else tx.sin:
         if len(si.ring_refs) != len(set(si.ring_refs)):
             return Verdict.reject("MalformedTransaction", "duplicate ring member")
         unknown = [ref for ref in si.ring_refs if ref >= len(state.outputs)]
@@ -508,21 +508,18 @@ def validate_transaction(state: LedgerState, tx: Transaction,
         seen_onetime.add(so.onetime_address)
 
     # (c) range proofs at the ledger's fixed bit width
-    checked = proven is not None and tx in proven
     for so in tx.sout:
         if so.range_proof.k != state.range_bits:
             return Verdict.reject("RangeProof", "wrong proof width")
-        if not checked and not verify_range(group, so.commitment,
-                                            so.range_proof):
+        if not admitted and not verify_range(group, so.commitment,
+                                             so.range_proof):
             return Verdict.reject("RangeProof")
 
     # (d) commitment balance with excess signature
-    if tx.kind is not TxKind.ISSUE and not checked:
+    if tx.kind is not TxKind.ISSUE and not admitted:
         point = excess_point(group, tx)
         if not verify_excess(group, point, digest, tx.excess):
             return Verdict.reject("BalanceProof")
-    if proven is not None and not checked:
-        proven.add(tx)
 
     # (e) policy
     if policy_hook is not None:

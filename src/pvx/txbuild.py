@@ -247,19 +247,6 @@ def _plan_spends(state: LedgerState, notes: list[WalletNote], sampler,
     return plans
 
 
-def _sign_spends(group: GroupParams, state: LedgerState, digest: bytes,
-                 plans: list[_SpendPlan]) -> tuple[ShieldedInput, ...]:
-    sins = []
-    for plan in plans:
-        pseudo = commit(group, plan.note.value, plan.pseudo_blinding)
-        rows = ring_rows(state, plan.ring_refs, pseudo)
-        offset_secret = (plan.note.blinding - plan.pseudo_blinding) % group.q
-        sig = dual_ring_sign(group, digest, rows, plan.true_index,
-                             plan.note.spend_secret, offset_secret)
-        sins.append(ShieldedInput(plan.ring_refs, pseudo, sig))
-    return tuple(sins)
-
-
 def build_transparent_transfer(group: GroupParams, from_account: str,
                                to_account: str, to_owner: str, amount: int,
                                fee: int = 0) -> BuildResult:
@@ -357,18 +344,24 @@ def _spend_legs(group: GroupParams, state: LedgerState, kind: TxKind,
             created.append(note)
 
     # the digest never covers signatures: draft inputs carry none
-    sins = tuple(
+    drafts = tuple(
         ShieldedInput(plan.ring_refs,
                       commit(group, plan.note.value, plan.pseudo_blinding),
                       None)
         for plan in plans)
-    tx = Transaction(kind, tout=tuple(tout), sin=sins, sout=tuple(souts),
+    tx = Transaction(kind, tout=tuple(tout), sin=drafts, sout=tuple(souts),
                      fee=fee, credentials=tuple(creds), sponsor_id=sponsor_id)
     digest = transaction_digest(group, tx)
-    signed = _sign_spends(group, state, digest, plans)
+    signed = []
+    for si, plan in zip(drafts, plans):
+        rows = ring_rows(state, si.ring_refs, si.pseudo_commitment)
+        offset_secret = (plan.note.blinding - plan.pseudo_blinding) % group.q
+        signed.append(replace(si, signature=dual_ring_sign(
+            group, digest, rows, plan.true_index, plan.note.spend_secret,
+            offset_secret)))
     z = (sum(p.pseudo_blinding for p in plans)
          - sum(n.blinding for n in created)) % group.q
-    tx = replace(tx, sin=signed, excess=sign_excess(group, z, digest))
+    tx = replace(tx, sin=tuple(signed), excess=sign_excess(group, z, digest))
     return BuildResult(tx, tuple(created), tuple(consumed))
 
 

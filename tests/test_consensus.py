@@ -2,19 +2,32 @@ from dataclasses import replace
 
 import pytest
 
+from pvx import ledger
 from pvx.consensus import (
     Block,
     CatchUp,
+    Commit,
     ConsensusParams,
     PrePrepare,
+    Prepare,
     SafetyViolation,
     World,
     block_digest,
 )
 from pvx.group import STANDARD_GROUP as G
-from pvx.ledger import LedgerState, transaction_digest
+from pvx.ledger import (
+    LedgerState,
+    apply_block,
+    apply_transaction,
+    transaction_digest,
+    validate_transaction,
+)
 from pvx.simnet import parse_faults
-from pvx.txbuild import build_shielded_transfer, build_transparent_transfer
+from pvx.txbuild import (
+    build_shield,
+    build_shielded_transfer,
+    build_transparent_transfer,
+)
 from conftest import Harness
 
 
@@ -228,18 +241,107 @@ def test_undigestible_client_tx_is_dropped(n, f):
     w.check_safety()
 
 
-def _wide_pseudo_world():
-    """A 4-replica world and a block whose one transaction has
-    pseudo-commitment p - 1, which does not fit the 20-byte element width,
-    so the block has no digest."""
+def _shielded_world():
+    """A 4-replica world on a funded harness's ledger, and a shielded
+    transfer valid on it."""
     h = Harness().fund()
     tx = build_shielded_transfer(G, h.state, h.wallets["alice"], "bob",
                                  h.wallets["bob"].address, 50, 3, h.sampler,
                                  h.rng, h.stream).tx
+    return World(replace(h.state, height=0), ConsensusParams(4, 1, seed=5)), tx
+
+
+def _wide_pseudo_world():
+    """A 4-replica world and a block whose one transaction has
+    pseudo-commitment p - 1, which does not fit the 20-byte element width,
+    so the block has no digest."""
+    w, tx = _shielded_world()
     bad = replace(tx, sin=(replace(tx.sin[0], pseudo_commitment=G.p - 1),
                            *tx.sin[1:]))
-    w = World(replace(h.state, height=0), ConsensusParams(4, 1, seed=5))
     return w, Block(1, (bad,), "", "node0")
+
+
+def _propose(node, *txs):
+    """Hands `node` the view-0 leader's PrePrepare of a block of `txs`;
+    whether it broadcast a Prepare."""
+    block = Block(1, txs, "", "node0")
+    actions = node.on_message(
+        PrePrepare(0, 1, block, block_digest(G, block), "node0"))
+    return any(isinstance(a[-1], Prepare) for a in actions)
+
+
+def test_admitted_transaction_rings_are_verified_once(monkeypatch):
+    # the mempool is the replica's record of what it has fully checked: a
+    # block holding the very transaction it admitted re-runs no proof
+    verified = []
+    real = ledger.dual_ring_verify
+    monkeypatch.setattr(ledger, "dual_ring_verify",
+                        lambda *args: verified.append(1) or real(*args))
+    w, tx = _shielded_world()
+    node = w.nodes["node1"]
+    node.on_client_tx(tx, from_client=False)
+    assert transaction_digest(G, tx).hex() in node.mempool
+    assert len(verified) == len(tx.sin)
+    assert _propose(node, tx)
+    assert len(verified) == len(tx.sin)
+    assert node.stats.rejected_byzantine == 0
+
+
+def _forged_excess(tx):
+    excess = replace(tx.excess, response=(tx.excess.response + 1) % G.q)
+    return replace(tx, excess=excess)
+
+
+def _swapped_key_image(tx):
+    sin = tx.sin[0]
+    other = G.hash_to_group("pvx/test-image", b"other")
+    assert G.is_element(other) and other != sin.signature.key_image
+    return replace(tx, sin=(replace(sin, signature=replace(
+        sin.signature, key_image=other)),) + tx.sin[1:])
+
+
+@pytest.mark.parametrize("forge", [_forged_excess, _swapped_key_image],
+                         ids=["excess", "key-image"])
+def test_admission_is_keyed_by_the_whole_transaction(forge):
+    """The txid covers neither the excess signature nor key images, so a
+    block copy of an admitted transaction that differs only there is
+    checked in full and refused; the admitted one is still taken."""
+    w, tx = _shielded_world()
+    node = w.nodes["node1"]
+    node.on_client_tx(tx, from_client=False)
+    forged = forge(tx)
+    assert transaction_digest(G, forged) == transaction_digest(G, tx)
+    assert not _propose(node, forged)
+    assert node.stats.rejected_byzantine == 1
+    assert node.slots[1].digest is None
+    assert _propose(node, tx)
+    assert node.stats.rejected_byzantine == 1
+    # admitted skips proofs only: a spent input still reads as spent
+    spent = apply_transaction(node.ledger, tx)
+    assert validate_transaction(spent, tx, admitted=True).code == "DoubleSpend"
+
+
+def test_block_transaction_never_admitted_is_checked_in_full():
+    """A ring member id names different outputs on two forks, so a block
+    transaction the replica never admitted has its ring verified against
+    the replica's own state."""
+    h = Harness().fund()
+    wallet = h.wallets["alice"]
+    before = h.state
+    other = build_shield(G, before, wallet, "alice.acct", 50, h.stream)
+    h.land(build_shield(G, before, wallet, "alice.acct", 40, h.stream))
+    fork = h.state
+    ours = replace(apply_block(before, [other.tx], before.height + 1), height=0)
+    assert len(ours.outputs) == len(fork.outputs)
+    # a ring of every output holds the one the two forks disagree on
+    tx = build_shielded_transfer(
+        G, fork, wallet, "bob", h.wallets["bob"].address, 60,
+        len(fork.outputs), h.sampler, h.rng, h.stream).tx
+    assert validate_transaction(fork, tx).accepted
+    assert validate_transaction(ours, tx).code == "RingSignature"
+    node = World(ours, ConsensusParams(4, 1, seed=5)).nodes["node1"]
+    assert not _propose(node, tx)
+    assert node.stats.rejected_byzantine == 1 and not node.mempool
 
 
 def test_undigestible_preprepare_is_rejected():
@@ -262,6 +364,40 @@ def test_block_with_unencodable_header_is_rejected(field, value):
     node.on_message(PrePrepare(node.view, 1, block, "00" * 32, "node0"))
     node.on_message(CatchUp(1, "00" * 32, block, (), "node0"))
     assert node.stats.rejected_byzantine == 2
+
+
+def test_message_without_a_block_is_rejected():
+    w = make_world(4, 1)
+    node = w.nodes["node1"]
+    node.on_message(PrePrepare(node.view, 1, None, "00" * 32, "node0"))
+    node.on_message(CatchUp(1, "00" * 32, None, (), "node0"))
+    assert node.stats.rejected_byzantine == 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("view", "0"), ("seq", "1"), ("digest", None), ("digest", "\ud800"),
+    ("sender", None)])
+def test_delivered_message_the_mac_cannot_encode_is_rejected(field, value):
+    # a field the MAC encoding cannot take, in a PrePrepare or in a
+    # CatchUp's inner Commit, counts as byzantine instead of raising out
+    # of `World.step`
+    w = make_world(4, 1)
+    node = w.nodes["node1"]
+    block = Block(1, (transfer(0),), "", "node0")
+    digest = block_digest(G, block)
+    pre_prepare = PrePrepare(0, 1, block, digest, "node0")
+    commit = Commit(0, 1, digest, "node2")
+    w.net.send("node1", replace(pre_prepare, **{field: value}))
+    w.net.send("node1", w._sealed(w.nodes["node0"], CatchUp(
+        1, digest, block, (replace(commit, **{field: value}),), "node0")))
+    assert w.step() == 2
+    assert node.stats.rejected_byzantine == 2
+    assert node.slots.get(1) is None and node.executed == 0
+    # the same messages, well formed and sealed, are taken
+    w.net.send("node1", w._sealed(w.nodes["node0"], pre_prepare))
+    w.step(max_events=1)
+    assert node.stats.rejected_byzantine == 2
+    assert node.slots[1].digest == digest
 
 
 def test_undigestible_catchup_is_rejected():

@@ -21,7 +21,7 @@ from pvx.ledger import (
 )
 from pvx.pedersen import commit
 from pvx.rangeproof import RangeProof, prove_range
-from pvx.ringsig import RingSignature, dual_ring_verify
+from pvx.ringsig import RingSignature, dual_ring_sign, dual_ring_verify
 from pvx.txbuild import (
     MediatedLeg,
     build_issue,
@@ -73,6 +73,16 @@ def test_output_key_outside_subgroup_rejected(small_harness, monkeypatch,
         == "MalformedTransaction"
 
 
+def _signed(group, state, digest, plans, drafts):
+    """Hand-built draft inputs ring-signed over `digest`, as the builder
+    signs its own."""
+    return tuple(replace(si, signature=dual_ring_sign(
+        group, digest, ring_rows(state, si.ring_refs, si.pseudo_commitment),
+        plan.true_index, plan.note.spend_secret,
+        (plan.note.blinding - plan.pseudo_blinding) % group.q))
+        for si, plan in zip(drafts, plans))
+
+
 def non_canonical(group, x):
     """Integers that encode no element: p - x names the same residue as
     the element x, and q + 1, 0 and p name none."""
@@ -82,24 +92,23 @@ def non_canonical(group, x):
 @pytest.mark.parametrize("fixture", ["small_harness", "harness"])
 def test_pseudo_commitment_outside_subgroup_rejected(request, fixture):
     # A pseudo-commitment outside 1..q is refused as malformed before its
-    # digest is taken, on every call: the shared `proven` set holds the
-    # honest transaction, and none of these can enter it.
+    # digest is taken, even for a caller that claims to have admitted it:
+    # the shape check runs before anything `admitted` skips.
     h = request.getfixturevalue(fixture)
     group = h.group
     tx = build_shielded_transfer(group, h.state, h.wallets["alice"], "bob",
                                  h.wallets["bob"].address, 30, 3, h.sampler,
                                  h.rng, h.stream).tx
     assert len(tx.sin) == 1
-    proven = set()
-    assert validate_transaction(h.state, tx, proven=proven).accepted
-    assert tx in proven
+    assert validate_transaction(h.state, tx).accepted
+    assert validate_transaction(h.state, tx, admitted=True).accepted
     bad = [_with_input(tx, pseudo_commitment=v)
            for v in non_canonical(group, tx.sin[0].pseudo_commitment)]
-    for _ in range(2):
+    for admitted in (False, True):
         for mutated in bad:
-            assert validate_transaction(h.state, mutated, proven=proven).code \
+            assert validate_transaction(h.state, mutated,
+                                        admitted=admitted).code \
                 == "MalformedTransaction"
-    assert proven == {tx}
 
 
 def _element_fields(tx):
@@ -166,7 +175,7 @@ def test_reencoded_key_image_cannot_respend(request, fixture, monkeypatch):
     and after the honest spend is applied."""
     from pvx import ringsig
     from pvx.ledger import sign_excess
-    from pvx.txbuild import _make_note, _plan_spends, _sign_spends
+    from pvx.txbuild import _make_note, _plan_spends
 
     h = request.getfixturevalue(fixture)
     group, wallet = h.group, h.wallets["alice"]
@@ -182,14 +191,16 @@ def test_reencoded_key_image_cannot_respend(request, fixture, monkeypatch):
         sout=(out,))
     digest = transaction_digest(group, draft)
     z = (plans[0].pseudo_blinding - created.blinding) % group.q
-    spend = replace(draft, sin=_sign_spends(group, h.state, digest, plans),
+    spend = replace(draft, sin=_signed(group, h.state, digest, plans,
+                                       draft.sin),
                     excess=sign_excess(group, z, digest))
     image = spend.sin[0].signature.key_image
 
     honest = ringsig.key_image_for
     monkeypatch.setattr(ringsig, "key_image_for",
                         lambda *args: group.p - honest(*args))
-    twisted = replace(spend, sin=_sign_spends(group, h.state, digest, plans))
+    twisted = replace(spend, sin=_signed(group, h.state, digest, plans,
+                                         draft.sin))
     monkeypatch.undo()
     sig = twisted.sin[0].signature
     assert sig.key_image == group.p - image
@@ -255,7 +266,7 @@ def test_cleartext_sum_cannot_wrap_the_group_order(small_harness, paid):
     # The balance check reads the cleartext netflow mod q, so on the test
     # profile (q = 1019) paying 10 + q out of a 10-unit note would balance.
     from pvx.ledger import ShieldedInput, sign_excess
-    from pvx.txbuild import _make_note, _plan_spends, _sign_spends
+    from pvx.txbuild import _make_note, _plan_spends
 
     h = small_harness
     group, wallet = h.group, h.wallets["alice"]
@@ -271,7 +282,7 @@ def test_cleartext_sum_cannot_wrap_the_group_order(small_harness, paid):
         sout=(change,))
     digest = transaction_digest(group, tx)
     z = (plans[0].pseudo_blinding - opening.blinding) % group.q
-    tx = replace(tx, sin=_sign_spends(group, h.state, digest, plans),
+    tx = replace(tx, sin=_signed(group, h.state, digest, plans, tx.sin),
                  excess=sign_excess(group, z, digest))
     verdict = validate_transaction(h.state, tx)
     if paid < group.q:
@@ -403,7 +414,7 @@ def test_validation_clause_codes(harness):
     # (b) double spend: two inputs properly signed over the real digest,
     # both consuming the same note (same key image)
     from pvx.ledger import ShieldedInput, sign_excess
-    from pvx.txbuild import _make_note, _plan_spends, _sign_spends
+    from pvx.txbuild import _make_note, _plan_spends
     note = wallet.notes[0]
     plans = _plan_spends(state, [note, note], harness.sampler, 3,
                          harness.rng, harness.stream)
@@ -416,7 +427,7 @@ def test_validation_clause_codes(harness):
                       tout=(TransparentOutput("acme.acct", 9, "acme"),))
     digest = transaction_digest(G, dup)
     z = (sum(p.pseudo_blinding for p in plans) - created.blinding) % G.q
-    dup = replace(dup, sin=_sign_spends(G, state, digest, plans),
+    dup = replace(dup, sin=_signed(G, state, digest, plans, skeleton),
                   excess=sign_excess(G, z, digest))
     assert validate_transaction(state, dup).code == "DoubleSpend"
 
@@ -495,63 +506,6 @@ def test_apply_then_revalidate_is_double_spend(harness):
         harness.stream)
     harness.land(res)
     assert validate_transaction(harness.state, res.tx).code == "DoubleSpend"
-
-
-def test_proven_set_is_keyed_by_the_whole_transaction(harness):
-    """Copies that share a checked transaction's digest but carry another
-    excess signature or key image are caught; only the state-independent
-    proofs are skipped, so spent inputs still read as double spends."""
-    state = harness.state
-    res = build_shielded_transfer(
-        G, state, harness.wallets["alice"], "bob",
-        harness.wallets["bob"].address, 60, 3, harness.sampler, harness.rng,
-        harness.stream)
-    tx = res.tx
-    proven = set()
-    assert validate_transaction(state, tx, proven=proven).accepted
-    assert len(proven) == 1
-
-    excess = replace(tx.excess, response=(tx.excess.response + 1) % G.q)
-    forged = replace(tx, excess=excess)
-    assert transaction_digest(G, forged) == transaction_digest(G, tx)
-    assert validate_transaction(state, forged, proven=proven).code == \
-        "BalanceProof"
-
-    sin = tx.sin[0]
-    other_image = G.hash_to_group("pvx/test-image", b"other")
-    assert G.is_element(other_image) and other_image != sin.signature.key_image
-    swapped = replace(tx, sin=(replace(sin, signature=replace(
-        sin.signature, key_image=other_image)),) + tx.sin[1:])
-    assert transaction_digest(G, swapped) == transaction_digest(G, tx)
-    assert validate_transaction(state, swapped, proven=proven).code == \
-        "RingSignature"
-
-    assert validate_transaction(state, tx, proven=proven).accepted
-    spent = apply_transaction(state, tx)
-    assert validate_transaction(spent, tx).code == "DoubleSpend"
-    assert validate_transaction(spent, tx, proven=proven).code == "DoubleSpend"
-
-
-def test_proven_set_still_checks_ring_rows_against_the_state(harness):
-    """A ring member id can name different outputs in two folded states,
-    so a proven transaction's ring signature is verified every time."""
-    wallet = harness.wallets["alice"]
-    before = harness.state
-    other = build_shield(G, before, wallet, "alice.acct", 50, harness.stream)
-    harness.land(build_shield(G, before, wallet, "alice.acct", 40,
-                              harness.stream))
-    fork = apply_block(before, [other.tx], before.height + 1)
-    assert len(fork.outputs) == len(harness.state.outputs)
-    # a ring of every output holds the one the two forks disagree on
-    res = build_shielded_transfer(
-        G, harness.state, wallet, "bob", harness.wallets["bob"].address, 60,
-        len(harness.state.outputs), harness.sampler, harness.rng,
-        harness.stream)
-    proven = set()
-    assert validate_transaction(harness.state, res.tx, proven=proven).accepted
-    assert validate_transaction(fork, res.tx).code == "RingSignature"
-    assert validate_transaction(fork, res.tx, proven=proven).code == \
-        "RingSignature"
 
 
 def test_fold_equivalence_over_random_txs(harness):
