@@ -11,8 +11,10 @@ messages carry prepared certificates (block included) so the next leader
 re-proposes anything that may have committed somewhere.  Checkpointing is
 omitted: logs are desk-scale.
 
-Authentication is a simulation-level node-keyed MAC, deliberately separate
-from the privacy layer's signatures.  Scripted faults: crash@t (stop),
+Authentication is a simulation-level MAC keyed by replica name, apart from
+the privacy layer's signatures; only replica names have keys.  `LAYOUT`
+describes each message once, for the MAC and for `message_error`, the one
+check a delivered message passes first.  Scripted faults: crash@t (stop),
 mute@t..t' (outbound dropped), equivocate@h (as leader at height h, send
 conflicting blocks to the two halves of the replica set and go silent for
 that sequence).
@@ -21,7 +23,6 @@ that sequence).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import index
 from typing import Callable
 
 from .group import GroupParams, tagged_hash
@@ -75,9 +76,7 @@ def block_digest(group: GroupParams, block: Block) -> str | None:
     """Computed once per block object and carried with it, like a
     transaction's digest (see `pvx.ledger`).  None for a block with a
     field that does not fit the encoding, which only a faulty replica
-    sends; receivers reject it."""
-    if type(block) is not Block:
-        return None
+    sends; `message_error` refuses it."""
     carried = block.__dict__.get(DIGEST_SLOT)
     if carried is not None and carried[0] is group:
         return carried[1]
@@ -168,35 +167,61 @@ class CatchUp:
     mac: bytes = b""
 
 
+# Each message once: its MAC tag, its integer counters, and the field and exact
+# type of the messages it nests; `digest`, `sender` and `block` go by name.
+LAYOUT: dict[type, tuple[bytes, tuple[str, ...], tuple[str, type] | None]] = {
+    PrePrepare: (b"pp", ("view", "seq"), None),
+    Prepare: (b"p", ("view", "seq"), None),
+    Commit: (b"c", ("view", "seq"), None),
+    PreparedCert: (b"pc", ("seq", "view"), None),
+    ViewChange: (b"vc", ("new_view", "last_exec"), ("prepared", PreparedCert)),
+    NewView: (b"nv", ("view",), ("pre_prepares", PrePrepare)),
+    TxForward: (b"fw", (), None),  # `on_client_tx` checks the transaction
+    CatchUp: (b"cu", ("seq",), ("commits", Commit)),
+}
+
+
+def message_error(group: GroupParams, replicas: tuple[str, ...], msg,
+                  kind: type | None = None) -> str | None:
+    """Why a delivered message (a PreparedCert only travels nested), or one
+    it nests as type `kind`, is malformed, or None.  Passing means exact
+    `LAYOUT` types, counters in [0, 2^64), 64-character ASCII digests,
+    replica senders and blocks `block_digest` takes: no handler raises."""
+    t = type(msg)
+    if t not in LAYOUT or (t is not kind if kind else t is PreparedCert):
+        return "unexpected message type"
+    _, counters, nested = LAYOUT[t]
+    fields = vars(msg)
+    if not all(type(fields[name]) is int and 0 <= fields[name] < 2 ** 64
+               for name in counters):
+        return "counter out of range"
+    if "digest" in fields and not (type(msg.digest) is str
+                                   and len(msg.digest) == 64 and msg.digest.isascii()):
+        return "malformed digest"
+    if "sender" in fields and msg.sender not in replicas:
+        return "unknown sender"
+    if "block" in fields and (type(msg.block) is not Block
+                              or block_digest(group, msg.block) is None):
+        return "malformed block"
+    items = fields[nested[0]] if nested else ()
+    if type(items) is not tuple:
+        return f"{nested[0]} is not a tuple"
+    return next(filter(None, (message_error(group, replicas, m, nested[1])
+                              for m in items)), None)
+
+
 def _mac_payload(msg) -> bytes:
-    if isinstance(msg, PrePrepare):
-        return b"pp|%d|%d|%s" % (index(msg.view), index(msg.seq), msg.digest.encode())
-    if isinstance(msg, Prepare):
-        return b"p|%d|%d|%s" % (index(msg.view), index(msg.seq), msg.digest.encode())
-    if isinstance(msg, Commit):
-        return b"c|%d|%d|%s" % (index(msg.view), index(msg.seq), msg.digest.encode())
-    if isinstance(msg, ViewChange):
-        certs = b"".join(b"%d:%d:%s" % (index(c.seq), index(c.view), c.digest.encode())
-                         for c in msg.prepared)
-        return b"vc|%d|%d|" % (index(msg.new_view), index(msg.last_exec)) + certs
-    if isinstance(msg, NewView):
-        inner = b"".join(_mac_payload(pp) for pp in msg.pre_prepares)
-        return b"nv|%d|" % index(msg.view) + inner
-    if isinstance(msg, TxForward):
-        return b"fw"  # body authenticated by tx digest during validation
-    if isinstance(msg, CatchUp):
-        inner = b"".join(_mac_payload(c) + c.sender.encode() for c in msg.commits)
-        return b"cu|%d|%s|" % (index(msg.seq), msg.digest.encode()) + inner
-    raise TypeError(type(msg))
+    tag, counters, nested = LAYOUT[type(msg)]
+    fields = vars(msg)
+    parts = [tag, *[b"%d" % fields[name] for name in counters],
+             fields.get("digest", "").encode(), fields.get("sender", "").encode()]
+    if nested:
+        parts.extend(map(_mac_payload, fields[nested[0]]))
+    return b"|".join(parts)
 
 
-def compute_mac(secret: bytes, sender: str, msg) -> bytes | None:
-    """None for a message with a field the MAC cannot encode, which only a
-    faulty replica sends; receivers reject it."""
-    try:
-        return tagged_hash(TAG_MAC, secret, sender.encode("utf-8"), _mac_payload(msg))
-    except (AttributeError, TypeError, UnicodeError):
-        return None
+def compute_mac(secret: bytes, sender: str, msg) -> bytes:
+    return tagged_hash(TAG_MAC, secret, sender.encode("utf-8"), _mac_payload(msg))
 
 
 @dataclass(frozen=True)
@@ -385,11 +410,10 @@ class PBFTNode:
         if not txs:
             return
         slot = self._slot(seq)
-        height = seq
-        if height in self.fault.equivocate_heights:
+        if seq in self.fault.equivocate_heights:  # the block's height is seq
             self._equivocate(actions, seq, txs)
             return
-        block = Block(height, txs, self._chain_tip_digest(), self.node_id)
+        block = Block(seq, txs, self._chain_tip_digest(), self.node_id)
         digest = block_digest(self.ledger.group, block)
         pp = PrePrepare(self.view, seq, block, digest, self.node_id)
         slot.digest = digest
@@ -420,23 +444,11 @@ class PBFTNode:
     # -- message handling --------------------------------------------------------
 
     def on_message(self, msg) -> list:
-        actions: list = []
-        if isinstance(msg, TxForward):
+        """Handles a message `message_error` passed, by its exact type."""
+        if type(msg) is TxForward:
             return self.on_client_tx(msg.tx, from_client=False)
-        if isinstance(msg, PrePrepare):
-            self._on_preprepare(msg, actions)
-        elif isinstance(msg, Prepare):
-            self._on_prepare(msg, actions)
-        elif isinstance(msg, Commit):
-            self._on_commit(msg, actions)
-        elif isinstance(msg, ViewChange):
-            self._on_view_change(msg, actions)
-        elif isinstance(msg, NewView):
-            self._on_new_view(msg, actions)
-        elif isinstance(msg, CatchUp):
-            self._on_catchup(msg, actions)
-        else:
-            self.stats.rejected_byzantine += 1
+        actions: list = []
+        self._HANDLERS[type(msg)](self, msg, actions)
         self._arm_progress(actions)
         return actions
 
@@ -446,8 +458,7 @@ class PBFTNode:
         if msg.view != self.view or msg.sender != self.leader_of(msg.view):
             self.stats.rejected_byzantine += 1
             return
-        digest = block_digest(self.ledger.group, msg.block)
-        if digest is None or msg.digest != digest:
+        if msg.digest != block_digest(self.ledger.group, msg.block):
             self.stats.rejected_byzantine += 1
             return
         if msg.seq <= self.executed:
@@ -551,13 +562,11 @@ class PBFTNode:
         """Inner commit MACs are already verified at the network boundary."""
         if msg.seq != self.executed + 1:
             return
-        digest = block_digest(self.ledger.group, msg.block)
-        if digest is None or msg.digest != digest:
+        if msg.digest != block_digest(self.ledger.group, msg.block):
             self.stats.rejected_byzantine += 1
             return
         senders = {c.sender for c in msg.commits
-                   if c.seq == msg.seq and c.digest == msg.digest
-                   and c.sender in self.replicas}
+                   if c.seq == msg.seq and c.digest == msg.digest}
         if len(senders) < 2 * self.f + 1:
             self.stats.rejected_byzantine += 1
             return
@@ -658,6 +667,9 @@ class PBFTNode:
             if seq > self.executed and not self.slots[seq].committed:
                 del self.slots[seq]
         self.view_votes = {v: vs for v, vs in self.view_votes.items() if v > view}
+
+    _HANDLERS = {PrePrepare: _on_preprepare, Prepare: _on_prepare, Commit: _on_commit,
+                 CatchUp: _on_catchup, ViewChange: _on_view_change, NewView: _on_new_view}
 
     # -- timers -----------------------------------------------------------------
 
@@ -768,32 +780,20 @@ class World:
     # -- stepping -----------------------------------------------------------
 
     def _process(self, event) -> None:
-        if isinstance(event, Deliver):
-            node = self.nodes[event.dst]
-            if node.fault.crashed(self.net.time):
-                return
-            msg = event.message
-            mac = compute_mac(self.secret, msg.sender, msg)
-            if mac is None or msg.mac != mac:
-                node.stats.rejected_byzantine += 1
-                return
-            if isinstance(msg, CatchUp):
-                # the outer MAC's encoding already vetted every inner field
-                for inner in msg.commits:
-                    if inner.mac != compute_mac(self.secret, inner.sender, inner):
-                        node.stats.rejected_byzantine += 1
-                        return
-            self._dispatch_actions(node, node.on_message(msg))
-        elif isinstance(event, TimerFire):
-            node = self.nodes[event.node_id]
-            if node.fault.crashed(self.net.time):
-                return
+        node = self.nodes[event.dst if isinstance(event, Deliver) else event.node_id]
+        if node.fault.crashed(self.net.time):
+            return
+        if isinstance(event, TimerFire):
             self._dispatch_actions(node, node.on_timer(event.kind))
         elif isinstance(event, ClientSubmit):
-            node = self.nodes[event.node_id]
-            if node.fault.crashed(self.net.time):
-                return
             self._dispatch_actions(node, node.on_client_tx(event.tx))
+        elif (message_error(self.group, node.replicas, msg := event.message)
+              or msg.mac != compute_mac(self.secret, msg.sender, msg)
+              or any(c.mac != compute_mac(self.secret, c.sender, c)
+                     for c in getattr(msg, "commits", ()))):
+            node.stats.rejected_byzantine += 1
+        else:
+            self._dispatch_actions(node, node.on_message(msg))
 
     def step(self, max_events: int | None = None) -> int:
         """Process events in (time, tiebreak) order; returns events handled."""

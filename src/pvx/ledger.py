@@ -307,14 +307,14 @@ def _element(group: GroupParams, v) -> bool:
 
 
 def shape_error(group: GroupParams, tx: Transaction) -> str | None:
-    """Why `tx` is malformed, from `tx` alone, or None.  A transaction that
-    passes has the declared type in every field `validate_transaction`
-    reads and fits every fixed width the digest encodes, so neither
-    raises on it.  Each of its group-element fields encodes an element
+    """Why `tx` is not a well-formed `Transaction`, from `tx` alone, or None.
+    One that passes has the declared type in every field validation reads
+    and fits every fixed width the digest encodes, so neither raises on
+    it.  Each of its group-element fields encodes an element
     (`GroupParams.is_element`), which is the whole membership check: a
     value outside 1..q, such as p - x for an element x, is refused here,
     before any digest is taken or any key image is compared."""
-    k = tx.kind
+    k = tx.kind if type(tx) is Transaction else None
     if not isinstance(k, TxKind) or not all(
             type(legs) is tuple
             for legs in (tx.tin, tx.tout, tx.sin, tx.sout, tx.credentials)):

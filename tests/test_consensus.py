@@ -13,6 +13,7 @@ from pvx.consensus import (
     SafetyViolation,
     World,
     block_digest,
+    message_error,
 )
 from pvx.group import STANDARD_GROUP as G
 from pvx.ledger import (
@@ -369,8 +370,11 @@ def test_block_with_unencodable_header_is_rejected(field, value):
 def test_message_without_a_block_is_rejected():
     w = make_world(4, 1)
     node = w.nodes["node1"]
-    node.on_message(PrePrepare(node.view, 1, None, "00" * 32, "node0"))
-    node.on_message(CatchUp(1, "00" * 32, None, (), "node0"))
+    for msg in (PrePrepare(node.view, 1, None, "00" * 32, "node0"),
+                CatchUp(1, "00" * 32, None, (), "node0")):
+        assert message_error(G, node.replicas, msg) == "malformed block"
+        w.net.send("node1", w._sealed(w.nodes["node0"], msg))
+    assert w.step() == 2
     assert node.stats.rejected_byzantine == 2
 
 
@@ -379,17 +383,19 @@ def test_message_without_a_block_is_rejected():
     ("sender", None)])
 def test_delivered_message_the_mac_cannot_encode_is_rejected(field, value):
     # a field the MAC encoding cannot take, in a PrePrepare or in a
-    # CatchUp's inner Commit, counts as byzantine instead of raising out
-    # of `World.step`
+    # CatchUp's inner Commit, is refused by the boundary check and counts
+    # as byzantine instead of raising out of `World.step`
     w = make_world(4, 1)
     node = w.nodes["node1"]
     block = Block(1, (transfer(0),), "", "node0")
     digest = block_digest(G, block)
     pre_prepare = PrePrepare(0, 1, block, digest, "node0")
     commit = Commit(0, 1, digest, "node2")
-    w.net.send("node1", replace(pre_prepare, **{field: value}))
-    w.net.send("node1", w._sealed(w.nodes["node0"], CatchUp(
-        1, digest, block, (replace(commit, **{field: value}),), "node0")))
+    for msg in (replace(pre_prepare, **{field: value}),
+                CatchUp(1, digest, block, (replace(commit, **{field: value}),),
+                        "node0")):
+        assert message_error(G, node.replicas, msg) is not None
+        w.net.send("node1", msg)
     assert w.step() == 2
     assert node.stats.rejected_byzantine == 2
     assert node.slots.get(1) is None and node.executed == 0
