@@ -60,8 +60,9 @@ def _transfers():
 def _honest_run(fork_at=frozenset()):
     """Runs the recorded world one event at a time, resubmitting as the
     scenario runner does.  Returns its deliveries as (event index,
-    message, receiver, how far the receiver moved) and a copy of the
-    world taken just before each event index in `fork_at`."""
+    message, receiver, whether the receiver reached a new height or view)
+    and a copy of the world taken just before each event index in
+    `fork_at`."""
     w, txs = _world(), _transfers()
     for i, tx in enumerate(txs):
         w.submit_client_tx(f"node{i % 4}", tx, at=i * 5_000)
