@@ -196,7 +196,7 @@ def tax_report(group: GroupParams, chain, registry: Registry, entity_id: str,
 CORPUS_CHURN = 2  # outputs minted per spend in a synthetic corpus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpendRecord:
     ring_ids: tuple[int, ...]  # ascending ledger ids == creation order
     true_position: int         # ground truth, harness only
@@ -273,29 +273,30 @@ def _guess_newest(corpus: SpendCorpus, rng: random.Random) -> list[int]:
 
 def _guess_key_image_graph(corpus: SpendCorpus, rng: random.Random) -> list[int]:
     """Iterated elimination: rings reduced to a single candidate pin their
-    member as spent; spent members vanish from other rings; repeat, then
-    guess uniformly among survivors."""
-    candidates = [set(s.ring_ids) for s in corpus.spends]
+    member as spent; spent members vanish from other rings unless that
+    would empty them; repeat until a pass changes nothing, then guess
+    uniformly among survivors.
+
+    Each ring's candidates are its own ascending `ring_ids`, replaced by a
+    shorter tuple when a pass drops pinned members: no per-ring set."""
+    candidates = [s.ring_ids for s in corpus.spends]
     spent: set[int] = set()
     changed = True
     while changed:
         changed = False
-        for cand in candidates:
+        for i, cand in enumerate(candidates):
             if len(cand) == 1:
-                member = next(iter(cand))
-                if member not in spent:
-                    spent.add(member)
+                if cand[0] not in spent:
+                    spent.add(cand[0])
                     changed = True
-            else:
-                before = len(cand)
-                pinned = {m for m in cand if m in spent}
-                if len(cand) - len(pinned) >= 1 and pinned:
-                    cand -= pinned
-                    changed = changed or len(cand) != before
+            elif not spent.isdisjoint(cand):
+                kept = tuple(m for m in cand if m not in spent)
+                if kept:
+                    candidates[i] = kept
+                    changed = True
     guesses = []
     for s, cand in zip(corpus.spends, candidates):
-        pool = sorted(cand) if cand else list(s.ring_ids)
-        pick = pool[rng.randrange(len(pool))]
+        pick = cand[rng.randrange(len(cand))]
         guesses.append(s.ring_ids.index(pick))
     return guesses
 

@@ -13,6 +13,8 @@ with a Fiat-Shamir challenge chain bound to the value commitment, the bit
 index and the bit commitment under the "pvx/range" tag.  Each branch's
 commitment is G^s * K^(q-c), one `GroupParams.power2` folded once: K is
 an element of the order-q group, so K^(q-c) is K^-c without an inversion.
+The prover knows K_decoy = G^{r_i} * H^(b_i - decoy), so it raises only
+the fixed bases G and H; the verifier raises K itself.
 Both challenges of a bit share the prefix (tag, C, index, C_i), which is
 absorbed into one hash state and copied for each.
 
@@ -70,7 +72,6 @@ def _prove_bit(group: GroupParams, c_b: bytes, index: int,
                bit: int, blinding: int) -> BitProof:
     """OR-prove that G^blinding * H^bit opens to bit 0 or 1."""
     bit_c = commit(group, bit, blinding)
-    keys = (bit_c, group.mul(bit_c, _h_inverse(group)))
     prefix = _bit_prefix(group, c_b, index, bit_c)
 
     seed = (group.scalar_to_bytes(blinding), c_b,
@@ -82,8 +83,11 @@ def _prove_bit(group: GroupParams, c_b: bytes, index: int,
     decoy = (bit + 1) % 2
     c_vals = [0, 0]
     c_vals[decoy] = _bit_challenge(group, prefix, group.power(group.g, alpha))
-    a_decoy = group.power2(group.g, s_decoy,
-                           keys[decoy], group.q - c_vals[decoy])
+    # K_decoy^e = G^(blinding e) * H^((bit - decoy) e): the prover knows
+    # the decoy key's opening, so both factors go through fixed bases
+    e = group.q - c_vals[decoy]
+    a_decoy = group.power2(group.g, s_decoy + blinding * e,
+                           group.h, (bit - decoy) * e)
     c_vals[bit] = _bit_challenge(group, prefix, a_decoy)
     s_true = (alpha + c_vals[bit] * blinding) % group.q
 

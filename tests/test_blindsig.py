@@ -84,3 +84,16 @@ def test_finalize_checks_signature(issuer):
     req = credential_request(issuer.public, serial=7, unblinder=12345)
     with pytest.raises(ValueError):
         credential_finalize(issuer.public, req, blind_signature=99)
+
+
+def test_crt_issue_equals_plain_pow(issuer):
+    # signing mod p and mod q and recombining is pow(blinded, d, n) for
+    # every blinded value in [1, n), units or not
+    n, p, q = issuer.public.n, issuer.p, issuer.q
+    assert p * q == n
+    rnd = random.Random(2718)
+    sample = [rnd.randrange(1, n) for _ in range(300)]
+    sample += [p, q, 2 * p, 3 * q, (q - 1) * p, (p - 1) * q, 1, n - 1]
+    for blinded in sample:
+        assert credential_issue(issuer, blinded) == \
+            pow(blinded, issuer.d, n), blinded

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -9,10 +10,13 @@ from pvx.group import STANDARD_GROUP as G
 from pvx.group import TEST_GROUP
 from pvx.ledger import TxKind
 from pvx.pedersen import commit
+from pvx import observer
 from pvx.observer import (
     DESIDERATA_ROWS,
     Observer,
     ScenarioProbes,
+    SpendCorpus,
+    SpendRecord,
     desiderata_report,
     institution_shares,
     make_spend_corpus,
@@ -202,6 +206,89 @@ def test_spend_corpus_known_answers(sampler, seed):
     rows = [(s.ring_ids, s.key_image) for s in corpus.spends]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
         KNOWN_CORPUS_SHA256[sampler, seed]
+
+
+def _reference_key_image_graph(corpus, rng):
+    """The heuristic as first written, on one set per ring: the semantics
+    the tuple version must keep."""
+    candidates = [set(s.ring_ids) for s in corpus.spends]
+    spent: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for cand in candidates:
+            if len(cand) == 1:
+                member = next(iter(cand))
+                if member not in spent:
+                    spent.add(member)
+                    changed = True
+            else:
+                before = len(cand)
+                pinned = {m for m in cand if m in spent}
+                if len(cand) - len(pinned) >= 1 and pinned:
+                    cand -= pinned
+                    changed = changed or len(cand) != before
+    guesses = []
+    for s, cand in zip(corpus.spends, candidates):
+        pool = sorted(cand) if cand else list(s.ring_ids)
+        pick = pool[rng.randrange(len(pool))]
+        guesses.append(s.ring_ids.index(pick))
+    return guesses
+
+
+def _assert_same_as_reference(monkeypatch, corpus, seeds=range(3)):
+    for seed in seeds:
+        assert observer._guess_key_image_graph(corpus, random.Random(seed)) \
+            == _reference_key_image_graph(corpus, random.Random(seed))
+    stats = [run_link_attack(corpus, "key-image-graph", seed)
+             for seed in seeds]
+    with monkeypatch.context() as m:
+        m.setitem(observer.HEURISTICS, "key-image-graph",
+                  _reference_key_image_graph)
+        assert stats == [run_link_attack(corpus, "key-image-graph", seed)
+                         for seed in seeds]
+
+
+@pytest.mark.parametrize("ring_size", [1, 2, 4, 11])
+@pytest.mark.parametrize("sampler", ["uniform", "age-biased"])
+def test_key_image_graph_matches_the_set_reference(monkeypatch, sampler,
+                                                   ring_size):
+    for seed in (11, 12, 13):
+        corpus = make_spend_corpus(TEST_GROUP, 300, ring_size,
+                                   make_sampler(sampler), seed)
+        _assert_same_as_reference(monkeypatch, corpus)
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "age-biased"])
+def test_key_image_graph_matches_the_set_reference_on_mixed_rings(
+        monkeypatch, sampler):
+    # same-seed corpora mint the same output ids, so interleaving ring-1
+    # and ring-2 spends makes the ring-1 spends pin members of the others
+    for seed in (11, 12, 13):
+        ones, twos = (make_spend_corpus(TEST_GROUP, 300, size,
+                                        make_sampler(sampler), seed)
+                      for size in (1, 2))
+        mixed = SpendCorpus(2, seed, tuple(
+            s for pair in zip(ones.spends, twos.spends) for s in pair))
+        _assert_same_as_reference(monkeypatch, mixed)
+        # with nothing eliminated the guesser would draw as uniform-guess
+        assert observer._guess_key_image_graph(mixed, random.Random(0)) != \
+            observer._guess_uniform(mixed, random.Random(0))
+
+
+def test_key_image_graph_passes_never_empty_a_ring(monkeypatch):
+    # (1, 2) is checked before (1,) and (2,) pin both of its members, and
+    # a pass never empties a ring, so it keeps both candidates; eliminating
+    # from a worklist would cut it to one.  (7, 8) falls to (7,) only
+    # after (8, 9) falls to (8,) a pass later.
+    rings = [(1, 2), (1,), (2,), (7, 8), (8, 9), (9,), (3, 4, 5)]
+    corpus = SpendCorpus(3, 0, tuple(SpendRecord(r, 0, 1) for r in rings))
+    seeds = range(32)
+    _assert_same_as_reference(monkeypatch, corpus, seeds)
+    guesses = [observer._guess_key_image_graph(corpus, random.Random(seed))
+               for seed in seeds]
+    assert {g[0] for g in guesses} == {0, 1}
+    assert {tuple(g[3:5]) for g in guesses} == {(0, 0)}
 
 
 def test_link_attack_deterministic():

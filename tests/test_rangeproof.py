@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pvx.group import STANDARD_GROUP, TEST_GROUP
+from pvx.group import STANDARD_GROUP, TEST_GROUP, GroupParams
 from pvx.pedersen import commit
 from pvx.rangeproof import BitProof, RangeProof, prove_range, verify_range
 
@@ -166,3 +166,20 @@ def test_proofs_known_answers(group):
     assert hashlib.sha256(repr(proof).encode()).hexdigest() == \
         KNOWN_PROOF_SHA256[group.name]
     assert verify_range(group, commit(group, v, r), proof)
+
+
+def test_prover_raises_only_the_fixed_bases(monkeypatch):
+    # each bit's decoy branch is G^(s + r e) * H^((b - decoy) e), so proving
+    # on a wide profile never falls back to a variable-base pow
+    g = STANDARD_GROUP
+    bases = []
+    real = GroupParams._wide_power
+    monkeypatch.setattr(GroupParams, "_wide_power",
+                        lambda self, base, exp: bases.append(base)
+                        or real(self, base, exp))
+    v, r = 3_000_000_007, 123456789 ** 5 % g.q
+    proof = prove_range(g, v, r, g.range_bits)
+    assert bases and set(bases) <= {g.g, g.h}
+    bases.clear()
+    assert verify_range(g, commit(g, v, r), proof)
+    assert set(bases) - {g.g, g.h}  # the verifier does raise each K
