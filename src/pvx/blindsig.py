@@ -39,7 +39,7 @@ class IssuerKeypair:
 
     @cached_property
     def q_inv(self) -> int:
-        """q^-1 mod p, derived once per keypair (as GroupParams' tables)."""
+        """q^-1 mod p, derived once per keypair."""
         return pow(self.q, -1, self.p)
 
 

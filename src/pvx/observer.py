@@ -278,7 +278,7 @@ def _guess_key_image_graph(corpus: SpendCorpus, rng: random.Random) -> list[int]
     uniformly among survivors.
 
     Each ring's candidates are its own ascending `ring_ids`, replaced by a
-    shorter tuple when a pass drops pinned members: no per-ring set."""
+    shorter tuple when a pass drops pinned members."""
     candidates = [s.ring_ids for s in corpus.spends]
     spent: set[int] = set()
     changed = True
