@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .group import TAG_CRED, tagged_hash
 
@@ -34,13 +33,13 @@ class IssuerPublicKey:
 class IssuerKeypair:
     public: IssuerPublicKey
     d: int
-    p: int  # the modulus's prime factors, for signing by CRT
+    # for signing by CRT: the modulus's prime factors, d reduced by each
+    # p - 1 and q - 1, and q^-1 mod p
+    p: int
     q: int
-
-    @cached_property
-    def q_inv(self) -> int:
-        """q^-1 mod p, derived once per keypair."""
-        return pow(self.q, -1, self.p)
+    dp: int
+    dq: int
+    q_inv: int
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,8 @@ def issuer_keygen(seed: bytes) -> IssuerKeypair:
         q = _derive_prime(seed, 2)
     phi = (p - 1) * (q - 1)
     d = pow(_E, -1, phi)
-    return IssuerKeypair(IssuerPublicKey(p * q, _E), d, p, q)
+    return IssuerKeypair(IssuerPublicKey(p * q, _E), d, p, q,
+                         d % (p - 1), d % (q - 1), pow(q, -1, p))
 
 
 def _message_int(pub: IssuerPublicKey, serial: int, attribute: str) -> int:
@@ -144,9 +144,9 @@ def credential_issue(keypair: IssuerKeypair, blinded: int) -> int:
     reduced by each p - 1 and q - 1, then recombined (Garner)."""
     if not 0 < blinded < keypair.public.n:
         raise ValueError("blinded request out of range")
-    d, p, q = keypair.d, keypair.p, keypair.q
-    sp = pow(blinded, d % (p - 1), p)
-    sq = pow(blinded, d % (q - 1), q)
+    p, q = keypair.p, keypair.q
+    sp = pow(blinded, keypair.dp, p)
+    sq = pow(blinded, keypair.dq, q)
     return sq + (sp - sq) * keypair.q_inv % p * q
 
 

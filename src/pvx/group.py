@@ -202,20 +202,6 @@ class GroupParams:
                 return s
             ctr += 1
 
-    def nonzero_scalars_at(self, state, count: int) -> list[int]:
-        """`[nonzero_scalar_at(state, i.to_bytes(4, "big")) for i in
-        range(count)]`, with each index and its first counter framed in one
-        `update`; a zero draw falls back to `nonzero_scalar_at`."""
-        q, out = self.q, []
-        for i in range(count):
-            index = i.to_bytes(4, "big")
-            h = state.copy()
-            h.update(b"\x00\x00\x00\x04" + index
-                     + b"\x00\x00\x00\x04\x00\x00\x00\x00")
-            s = int.from_bytes(h.digest(), "big") % q
-            out.append(s or self.nonzero_scalar_at(state, index))
-        return out
-
     def hash_to_group(self, tag: str, *items: bytes) -> int:
         """Map arbitrary data to an element of unknown discrete log.
 

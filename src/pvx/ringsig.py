@@ -22,8 +22,8 @@ item count alone separates column counts.  Each point is one
 `GroupParams.power2`, folded once.  Every challenge shares the prefix
 (tag, ring, I, msg), which a walk absorbs into one hash state and copies
 for each row.  Nonces continue one hash state of the signing keys,
-message and ring (`nonzero_scalars_at`), making signing a pure function
-of its inputs.
+message and ring (`nonzero_scalar_at`), making signing a pure function of
+its inputs.
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ def _sign(group: GroupParams, message: bytes, rows: Sequence[Sequence[int]],
     seed = tagged_hash(TAG_RING + "/seed", *map(group.scalar_to_bytes, secrets),
                        message, ring_b)
     nonce = tagged_prefix(TAG_RING + "/nonce", seed)
-    s = group.nonzero_scalars_at(nonce, n * m)
+    s = [group.nonzero_scalar_at(nonce, k.to_bytes(4, "big"))
+         for k in range(n * m)]
     # Entering the signer's row with challenge 0 makes its L and R the
     # commitments G^alpha_j, Hp^alpha_0 to its own nonces alpha_j = s_l,j.
     c = _chain(group, message, rows, ring_b, image, s, true_index, 0)

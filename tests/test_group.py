@@ -174,31 +174,6 @@ def test_nonzero_scalar_at_retries_a_zero_candidate():
         == retry
 
 
-@pytest.mark.parametrize("g", [TEST_GROUP, STANDARD_GROUP],
-                         ids=["test", "standard"])
-def test_nonzero_scalars_at_matches_the_per_index_form(g):
-    state = tagged_prefix("pvx/nz", b"batch")
-    for count in range(65):
-        assert g.nonzero_scalars_at(state, count) == [
-            g.nonzero_scalar_at(state, i.to_bytes(4, "big"))
-            for i in range(count)]
-
-
-def test_nonzero_scalars_at_retries_a_zero_draw():
-    # index 353 under this prefix draws 0 at counter 0 on `test` (the
-    # search above), so the batch must fall back to the counter retry
-    g = TEST_GROUP
-    state = tagged_prefix("pvx/nz", b"prefix")
-    item = (353).to_bytes(4, "big")
-    assert g.hash_to_scalar("pvx/nz", b"prefix", item, bytes(4)) == 0
-    batch = g.nonzero_scalars_at(state, 360)
-    assert batch == [g.nonzero_scalar_at(state, i.to_bytes(4, "big"))
-                     for i in range(360)]
-    assert batch[353] == g.hash_to_scalar("pvx/nz", b"prefix", item,
-                                          (1).to_bytes(4, "big"))
-    assert 0 not in batch
-
-
 def test_unknown_profile_rejected():
     with pytest.raises(ValueError):
         get_profile("p256")
