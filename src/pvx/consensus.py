@@ -8,8 +8,9 @@ plus 2f matching prepares from backups, after which it broadcasts Commit;
 2f+1 matching commits finalize the block, executed strictly in sequence
 order.  Timeouts trigger view changes with exponential backoff; ViewChange
 messages carry prepared certificates (block included) so the next leader
-re-proposes anything that may have committed somewhere.  Checkpointing is
-omitted: logs are desk-scale.
+re-proposes anything that may have committed somewhere.  An executed slot
+retires into a log of commit certificates for catch-up; checkpoints, which
+would truncate it, are omitted: logs are desk-scale.
 
 Authentication is a simulation-level MAC keyed by replica name, apart from
 the privacy layer's signatures; only replica names have keys.  `LAYOUT`
@@ -280,7 +281,8 @@ class PBFTNode:
         self.chain: list[Block] = []
         # txid -> tx, fully checked against self.ledger on admission
         self.mempool: dict[str, Transaction] = {}
-        self.slots: dict[int, Slot] = {}
+        self.slots: dict[int, Slot] = {}  # live: every key above `executed`
+        self.commit_certs: list[tuple[Commit, ...]] = []  # one per height
         self.buffered_commits: dict[int, Block] = {}
         self.view_votes: dict[int, dict[str, ViewChange]] = {}
         self.vc_target = 0
@@ -347,8 +349,7 @@ class PBFTNode:
 
     def _work_pending(self) -> bool:
         return bool(self.mempool) or any(
-            not s.committed and s.seq > self.executed and s.digest is not None
-            for s in self.slots.values())
+            not s.committed and s.digest is not None for s in self.slots.values())
 
     # -- client txs ------------------------------------------------------------
 
@@ -531,6 +532,11 @@ class PBFTNode:
     def _drain_commits(self, actions: list) -> None:
         while self.executed + 1 in self.buffered_commits:
             block = self.buffered_commits.pop(self.executed + 1)
+            # () if a view change deleted an uncommitted replacement slot
+            slot = self.slots.pop(self.executed + 1, None)
+            digest = block_digest(self.ledger.group, block)
+            self.commit_certs.append(() if slot is None else tuple(
+                c for c in slot.commit_msgs.values() if c.digest == digest))
             self.ledger = apply_block(self.ledger, block.txs, block.height)
             self.chain.append(block)
             for tx in block.txs:
@@ -547,16 +553,12 @@ class PBFTNode:
     def _make_catchup(self, seq: int) -> CatchUp | None:
         if not 1 <= seq <= self.executed:
             return None
-        block = self.chain[seq - 1]
-        digest = block_digest(self.ledger.group, block)
-        slot = self.slots.get(seq)
-        if slot is None:
-            return None
-        certs = tuple(c for c in slot.commit_msgs.values()
-                      if c.digest == digest and c.seq == seq)
+        certs = self.commit_certs[seq - 1]
         if len({c.sender for c in certs}) < 2 * self.f + 1:
             return None
-        return CatchUp(seq, digest, block, certs, self.node_id)
+        block = self.chain[seq - 1]
+        return CatchUp(seq, block_digest(self.ledger.group, block), block, certs,
+                       self.node_id)
 
     def _on_catchup(self, msg: CatchUp, actions: list) -> None:
         """Inner commit MACs are already verified at the network boundary."""
@@ -580,12 +582,8 @@ class PBFTNode:
     # -- view changes ---------------------------------------------------------
 
     def _prepared_certs(self) -> tuple[PreparedCert, ...]:
-        certs = []
-        for seq in sorted(self.slots):
-            slot = self.slots[seq]
-            if slot.prepared and seq > self.executed:
-                certs.append(PreparedCert(seq, slot.view, slot.digest, slot.block))
-        return tuple(certs)
+        return tuple(PreparedCert(seq, slot.view, slot.digest, slot.block)
+                     for seq, slot in sorted(self.slots.items()) if slot.prepared)
 
     def _start_view_change(self, target: int, actions: list) -> None:
         if target <= self.vc_target:
@@ -663,9 +661,7 @@ class PBFTNode:
         self.view = view
         self.vc_target = max(self.vc_target, view)
         # uncommitted per-view bookkeeping restarts in the new view
-        for seq in list(self.slots):
-            if seq > self.executed and not self.slots[seq].committed:
-                del self.slots[seq]
+        self.slots = {seq: s for seq, s in self.slots.items() if s.committed}
         self.view_votes = {v: vs for v, vs in self.view_votes.items() if v > view}
 
     _HANDLERS = {PrePrepare: _on_preprepare, Prepare: _on_prepare, Commit: _on_commit,
@@ -739,6 +735,9 @@ class World:
                       for nid in replicas}
         self.byzantine = {nid for nid, node in self.nodes.items()
                           if node.fault.equivocate_heights}
+        # per height, a block digest and the first honest replica to show it
+        self.agreed: list[tuple[str, str]] = []
+        self.checked = dict.fromkeys(self.honest_ids(), 0)  # height checked
 
     # -- routing ------------------------------------------------------------
 
@@ -819,26 +818,25 @@ class World:
         return sorted(set(self.nodes) - self.byzantine)
 
     def check_safety(self) -> None:
-        """Prefix consistency of honest chains, and identical ledger digests
-        at equal heights."""
-        honest = [self.nodes[nid] for nid in self.honest_ids()]
-        for i, a in enumerate(honest):
-            for b in honest[i + 1:]:
-                common = min(len(a.chain), len(b.chain))
-                for h in range(common):
-                    da = block_digest(self.group, a.chain[h])
-                    db = block_digest(self.group, b.chain[h])
-                    if da != db:
-                        raise SafetyViolation(
-                            f"{a.node_id} and {b.node_id} diverge at height {h + 1}")
-        by_height: dict[int, str] = {}
-        for node in honest:
-            if node.chain:
-                digest = node.ledger.digest()
-                prior = by_height.get(node.executed)
-                if prior is not None and prior != digest:
-                    raise SafetyViolation("ledger state divergence")
-                by_height[node.executed] = digest
+        """Prefix consistency of honest chains, and equal ledger states at
+        equal heights.  Chains only grow (`PBFTNode._drain_commits` is their
+        one writer), so each block is checked once, when first seen, against
+        the digest the first honest replica to reach its height showed."""
+        by_height: dict[int, LedgerState] = {}
+        for nid, checked in self.checked.items():
+            node = self.nodes[nid]
+            for h in range(checked, node.executed):
+                digest = block_digest(self.group, node.chain[h])
+                if h == len(self.agreed):
+                    self.agreed.append((digest, nid))
+                elif self.agreed[h][0] != digest:
+                    first, other = sorted((self.agreed[h][1], nid))
+                    raise SafetyViolation(
+                        f"{first} and {other} diverge at height {h + 1}")
+            self.checked[nid] = node.executed
+            if node.chain and by_height.setdefault(node.executed,
+                                                   node.ledger) != node.ledger:
+                raise SafetyViolation("ledger state divergence")
 
     def tx_final_everywhere(self, tx: Transaction) -> bool:
         txid = transaction_digest(self.group, tx).hex()

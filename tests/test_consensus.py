@@ -141,6 +141,9 @@ def test_committed_transactions_leave_no_per_transaction_state():
             if isinstance(table, (dict, set)) and name != "committed_at":
                 assert not (txids | set(txs)) & set(table), (node.node_id,
                                                                name)
+        # executed slots retire into the commit-certificate log
+        assert all(seq > node.executed for seq in node.slots), node.node_id
+        assert len(node.commit_certs) == node.executed
 
 
 def test_liveness_under_message_drop():
@@ -215,6 +218,58 @@ def test_safety_checker_detects_divergence():
     node.chain[0] = forged
     with pytest.raises(SafetyViolation):
         w.check_safety()
+
+
+def _committed_world(*txs, faults=None):
+    """A 4-replica world that has committed `txs` on every live replica,
+    one block each, and passed `check_safety`."""
+    w = make_world(4, 1, faults=faults)
+    for i, tx in enumerate(txs):
+        w.submit_client_tx("node0", tx, at=i * 50_000)
+        assert w.run_until(lambda: w.tx_final_everywhere(tx), 30_000_000)
+    w.check_safety()
+    return w
+
+
+@pytest.mark.parametrize("forge", [
+    lambda s: replace(s, balances={**s.balances, "b": s.balances["b"] + 1}),
+    lambda s: replace(s, key_images=s.key_images | {G.g})],
+    ids=["balance", "key-image"])
+def test_safety_checker_detects_ledger_divergence(forge):
+    w = _committed_world(transfer(0))
+    node = w.nodes["node2"]
+    node.ledger = forge(node.ledger)
+    with pytest.raises(SafetyViolation, match="ledger state divergence"):
+        w.check_safety()
+
+
+def test_safety_checker_checks_blocks_appended_after_a_passing_call():
+    # node2 crashed at 0, so it was at height 0 while the others agreed on
+    # heights 1 and 2; its later blocks are checked against theirs
+    w = _committed_world(transfer(0), transfer(1),
+                         faults={"node2": ["crash@0"]})
+    node, honest = w.nodes["node2"], w.nodes["node0"]
+    assert node.executed == 0 and honest.executed == 2
+    node.chain.append(honest.chain[0])
+    w.check_safety()
+    node.chain.append(replace(honest.chain[1], proposer="evil"))
+    with pytest.raises(SafetyViolation,
+                       match="node0 and node2 diverge at height 2"):
+        w.check_safety()
+
+
+@pytest.mark.parametrize("height", [0, 1])
+def test_preprepare_for_sequence_zero_gets_no_catchup(height):
+    # a catch-up for seq 0 would read the commit-certificate log at -1
+    w = _committed_world(*[transfer(i) for i in range(height)])
+    catchups = w.net.stats.by_type.get("CatchUp")
+    block = Block(0, (), "", "node0")
+    pre_prepare = PrePrepare(0, 0, block, block_digest(G, block), "node0")
+    w.net.send("node1", w._sealed(w.nodes["node0"], pre_prepare))
+    w.step()
+    node = w.nodes["node1"]
+    assert node.executed == height and node.stats.rejected_byzantine == 0
+    assert w.net.stats.by_type.get("CatchUp") == catchups
 
 
 @pytest.mark.parametrize("n,f", [(1, 0), (4, 1)])

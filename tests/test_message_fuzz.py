@@ -116,7 +116,9 @@ def _fingerprint(node):
              if s.digest is not None or s.prepares or s.commit_msgs}
     return (node.view, node.vc_target,
             [block_digest(G, b) for b in node.chain], sorted(node.mempool),
-            slots, sorted(node.buffered_commits),
+            slots, [sorted(c.sender for c in certs)
+                    for certs in node.commit_certs],
+            sorted(node.buffered_commits),
             {v: sorted(vs) for v, vs in node.view_votes.items()})
 
 
