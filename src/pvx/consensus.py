@@ -253,6 +253,8 @@ class Slot:
     sent_prepare: bool = False
     prepared: bool = False  # and this node's Commit sent
     committed: bool = False
+    # the block's txs once `_validate_block` passed them here
+    checked: tuple[Transaction, ...] = ()
 
 
 @dataclass
@@ -363,7 +365,8 @@ class PBFTNode:
         if txid in self.committed_at:
             return actions  # already final
         if txid not in self.mempool:
-            verdict = validate_transaction(self.ledger, tx, self.policy_hook)
+            verdict = validate_transaction(self.ledger, tx, self.policy_hook,
+                                           self._checked_in_held_block(tx))
             if not verdict.accepted:
                 self.rejections[txid] = verdict.code
                 return actions
@@ -376,6 +379,18 @@ class PBFTNode:
             actions.append(("broadcast", TxForward(tx, self.node_id)))
         self._arm_progress(actions)
         return actions
+
+    def _checked_in_held_block(self, tx: Transaction) -> bool:
+        """Whether `tx` equals, as a whole transaction, one of the held block
+        that `_validate_block` passed against `self.ledger`, and each of its
+        ring refs names an output of `self.ledger`: then its proofs hold
+        here as well.  A ref past them named an output of an earlier
+        transaction of that block, which a view change may drop."""
+        slot = self.slots.get(self.executed + 1)
+        if slot is None or tx not in slot.checked:
+            return False
+        known = len(self.ledger.outputs)
+        return all(ref < known for si in tx.sin for ref in si.ring_refs)
 
     # -- proposing -------------------------------------------------------------
 
@@ -480,6 +495,7 @@ class PBFTNode:
                 return
             slot.digest = msg.digest
             slot.block = msg.block
+            slot.checked = msg.block.txs
         if not slot.sent_prepare:
             slot.sent_prepare = True
             slot.prepares[self.node_id] = msg.digest

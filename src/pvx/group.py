@@ -22,7 +22,9 @@ Scalars are integers mod q.  H is derived by hashing the fixed domain tag
 
 On a profile whose q is wider than a machine word, ``power`` and
 ``power2`` raise G and H through fixed-base tables; otherwise they call
-builtin ``pow``.  Either way gives the same answer.
+builtin ``pow``.  Either way gives the same answer.  ``multi_power``
+raises many variable bases at once through Pippenger's buckets, which
+share one chain of squarings among all of them.
 
 Serialization is unsigned big-endian in one fixed byte length per
 profile, ``scalar_bytes``, for elements and scalars alike: no element
@@ -48,6 +50,13 @@ TAG_CRED = "pvx/cred"
 # Python-level loop.
 WINDOW_BITS = 8
 WORD_MAX = 2**64 - 1
+
+# Bucket multi-exponentiation (Pippenger, "On the evaluation of powers and
+# related problems", FOCS 1976): per MULTI_WINDOW_BITS-bit digit window,
+# one mul-mod per base plus 2 * 31 to sum the buckets, and one shared
+# chain of squarings.  On a 160-bit q that beats one builtin pow per base
+# from a few dozen bases up.
+MULTI_WINDOW_BITS = 5
 
 
 def absorb(h, items):
@@ -145,6 +154,31 @@ class GroupParams:
         else:
             z = pow(a, x % q, p) * pow(b, y % q, p) % p
         return z if z <= q else p - z
+
+    def multi_power(self, pairs) -> int:
+        """|prod b^e| over the (base, exponent) `pairs`, folded once; 1 for
+        no pairs.  Exponents are read mod q, so a negative one inverts."""
+        p, q = self.p, self.q
+        pairs = [(b, e % q) for b, e in pairs]
+        mask = (1 << MULTI_WINDOW_BITS) - 1
+        acc = 1
+        # digit windows from the top: acc = acc^32 * prod_d bucket[d]^d
+        top = (q.bit_length() - 1) // MULTI_WINDOW_BITS * MULTI_WINDOW_BITS
+        for shift in range(top, -1, -MULTI_WINDOW_BITS):
+            for _ in range(MULTI_WINDOW_BITS):
+                acc = acc * acc % p
+            buckets = [1] * (mask + 1)
+            for b, e in pairs:
+                d = e >> shift & mask
+                if d:
+                    buckets[d] = buckets[d] * b % p
+            # prod_d bucket[d]^d as a running product of suffix products
+            run = total = 1
+            for d in range(mask, 0, -1):
+                run = run * buckets[d] % p
+                total = total * run % p
+            acc = acc * total % p
+        return acc if acc <= q else p - acc
 
     def _wide_power(self, base: int, exp: int) -> int:
         """base^exp mod p, unfolded: G and H through their fixed-base

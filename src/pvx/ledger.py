@@ -135,6 +135,8 @@ def _enc_rangeproof(group: GroupParams, proof: RangeProof) -> bytes:
     parts = [proof.k.to_bytes(2, "big")]
     for bp in proof.bits:
         parts.append(group.element_to_bytes(bp.bit_commitment))
+        parts.append(group.element_to_bytes(bp.a0))
+        parts.append(group.element_to_bytes(bp.a1))
         parts.append(group.scalar_to_bytes(bp.c0))
         parts.append(group.scalar_to_bytes(bp.s0))
         parts.append(group.scalar_to_bytes(bp.s1))
@@ -361,6 +363,7 @@ def shape_error(group: GroupParams, tx: Transaction) -> str | None:
                 and len(proof.bits) < 2 ** 16
                 and all(type(bp) is BitProof
                         and _element(group, bp.bit_commitment)
+                        and _element(group, bp.a0) and _element(group, bp.a1)
                         and _ints(bp.c0, bp.s0, bp.s1) for bp in proof.bits)):
             return "range proof out of range"
     for cred in tx.credentials:
@@ -507,13 +510,13 @@ def validate_transaction(state: LedgerState, tx: Transaction,
             return Verdict.reject("DuplicateOnetime")
         seen_onetime.add(so.onetime_address)
 
-    # (c) range proofs at the ledger's fixed bit width
+    # (c) range proofs at the ledger's fixed bit width, in one batch
     for so in tx.sout:
         if so.range_proof.k != state.range_bits:
             return Verdict.reject("RangeProof", "wrong proof width")
-        if not admitted and not verify_range(group, so.commitment,
-                                             so.range_proof):
-            return Verdict.reject("RangeProof")
+    if tx.sout and not admitted and not verify_range(
+            group, [(so.commitment, so.range_proof) for so in tx.sout]):
+        return Verdict.reject("RangeProof")
 
     # (d) commitment balance with excess signature
     if tx.kind is not TxKind.ISSUE and not admitted:

@@ -39,7 +39,7 @@ from pvx.ledger import (
 from pvx.observer import make_spend_corpus, run_link_attack
 from pvx.pedersen import commit
 from pvx.policy import DenyReason, EntityKind, LegClass, Mode, RuleSet, authorize_matrix
-from pvx.rangeproof import BitProof, RangeProof, prove_range
+from pvx.rangeproof import RangeProof, prove_range
 from pvx.scenario import emit_report, load_scenario, run_scenario
 from pvx.simnet import parse_faults
 from pvx.txbuild import (
@@ -270,9 +270,8 @@ def test_acceptance_6_inflation_resistance():
             donor = prove_range(g, 254, r, k=8)
             bits = list(donor.bits)
             j = rng.randrange(len(bits))
-            bits[j] = BitProof(g.mul(bits[j].bit_commitment,
-                                     g.power(g.h, g.q - 1)),
-                               bits[j].c0, bits[j].s0, bits[j].s1)
+            bits[j] = replace(bits[j], bit_commitment=g.mul(
+                bits[j].bit_commitment, g.power(g.h, g.q - 1)))
             forged = replace(so, commitment=commit(g, g.q - 1, r),
                              range_proof=RangeProof(tuple(bits)))
             expect = "RangeProof"

@@ -8,6 +8,7 @@ from pvx.consensus import (
     CatchUp,
     Commit,
     ConsensusParams,
+    NewView,
     PrePrepare,
     Prepare,
     SafetyViolation,
@@ -341,6 +342,82 @@ def test_admitted_transaction_rings_are_verified_once(monkeypatch):
     assert _propose(node, tx)
     assert len(verified) == len(tx.sin)
     assert node.stats.rejected_byzantine == 0
+
+
+def _counting_proofs(monkeypatch):
+    """Counts of the ring signatures and range-proof claims verified."""
+    counts = {"rings": 0, "claims": 0}
+    ring_verify, range_verify = ledger.dual_ring_verify, ledger.verify_range
+
+    def rings(*args):
+        counts["rings"] += 1
+        return ring_verify(*args)
+
+    def claims(group, batch):
+        batch = list(batch)
+        counts["claims"] += len(batch)
+        return range_verify(group, batch)
+
+    monkeypatch.setattr(ledger, "dual_ring_verify", rings)
+    monkeypatch.setattr(ledger, "verify_range", claims)
+    return counts
+
+
+def _chained_world():
+    """A 4-replica world, and two transactions valid in this order: the
+    second spends the first's payment to bob."""
+    h = Harness().fund()
+    before = h.state
+    first = build_shielded_transfer(G, h.state, h.wallets["alice"], "bob",
+                                    h.wallets["bob"].address, 50, 3,
+                                    h.sampler, h.rng, h.stream)
+    h.land(first)
+    second = build_shielded_transfer(G, h.state, h.wallets["bob"], "alice",
+                                     h.wallets["alice"].address, 20, 3,
+                                     h.sampler, h.rng, h.stream).tx
+    assert any(ref >= len(before.outputs)
+               for si in second.sin for ref in si.ring_refs)
+    world = World(replace(before, height=0), ConsensusParams(4, 1, seed=5))
+    return world, first.tx, second
+
+
+def test_forwarded_transaction_of_a_checked_block_is_not_proved_again(
+        monkeypatch):
+    w, first, second = _chained_world()
+    counts = _counting_proofs(monkeypatch)
+    node = w.nodes["node2"]
+    assert _propose(node, first, second)
+    proved = dict(counts)
+    assert proved == {"rings": len(first.sin) + len(second.sin),
+                      "claims": len(first.sout) + len(second.sout)}
+    node.on_client_tx(first, from_client=False)
+    assert transaction_digest(G, first).hex() in node.mempool
+    assert counts == proved
+    # the second's ring reaches past the committed outputs, into the
+    # first's: it is checked in full against the committed ledger
+    node.on_client_tx(second, from_client=False)
+    txid = transaction_digest(G, second).hex()
+    assert txid not in node.mempool
+    assert node.rejections[txid] == "MalformedTransaction"
+
+
+def test_forwarded_transaction_of_a_dropped_block_is_proved_in_full(
+        monkeypatch):
+    w, first, second = _chained_world()
+    counts = _counting_proofs(monkeypatch)
+    node = w.nodes["node2"]
+    assert _propose(node, first, second)
+    proved = dict(counts)
+    # the view-1 leader's NewView re-proposes nothing: the block is gone
+    node.on_message(NewView(1, (), "node1"))
+    assert node.view == 1 and not node.slots
+    node.on_client_tx(first, from_client=False)
+    assert transaction_digest(G, first).hex() in node.mempool
+    assert counts == {"rings": proved["rings"] + len(first.sin),
+                      "claims": proved["claims"] + len(first.sout)}
+    node.on_client_tx(second, from_client=False)
+    assert node.rejections[transaction_digest(G, second).hex()] == \
+        "MalformedTransaction"
 
 
 def _forged_excess(tx):

@@ -226,6 +226,38 @@ def test_power2_matches_two_powers(group):
 
 @pytest.mark.parametrize("group", [TEST_GROUP, STANDARD_GROUP, _OTHER_G],
                          ids=["test", "standard", "standard-g9"])
+def test_multi_power_matches_builtin_pows(group):
+    p, q = group.p, group.q
+    rnd = random.Random(0x3B0)
+    exps = [0, 1, q - 1, q, q + 1, -1, 2**200 + 3]
+    variable = group.hash_to_group("pvx/test-base", b"var")
+    bases = [group.g, group.h, variable, STANDARD_GROUP.g, p - group.h]
+    bases += [group.hash_to_group("pvx/test-base", bytes([i]))
+              for i in range(40)]
+
+    def product(pairs):
+        acc = 1
+        for b, e in pairs:
+            acc = acc * pow(b, e % q, p) % p
+        return fold(group, acc)
+
+    assert group.multi_power([]) == 1
+    # each special exponent alone, then on every base at once
+    for e in exps:
+        for b in bases[:5]:
+            assert group.multi_power([(b, e)]) == product([(b, e)]), (b, e)
+        pairs = [(b, e) for b in bases]
+        assert group.multi_power(pairs) == product(pairs), e
+    # repeated bases, mixed exponents, at several batch sizes
+    for n in (2, 3, 36, 144):
+        pairs = [(rnd.choice(bases[:8]),
+                  rnd.choice(exps + [rnd.randrange(-2**256, 2**256)]))
+                 for _ in range(n)]
+        assert group.multi_power(pairs) == product(pairs), n
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, STANDARD_GROUP, _OTHER_G],
+                         ids=["test", "standard", "standard-g9"])
 def test_is_element_matches_euler_criterion(group):
     # a encodes an element exactly when 0 < a <= q, and then exactly one
     # of a and p - a is a quadratic residue by Euler's criterion

@@ -16,6 +16,7 @@ from pvx.ledger import (
     apply_transaction,
     conservation_audit,
     ring_rows,
+    sign_excess,
     transaction_digest,
     validate_transaction,
 )
@@ -113,7 +114,7 @@ def test_pseudo_commitment_outside_subgroup_rejected(request, fixture):
 
 def _element_fields(tx):
     """(path, value) of every group-element field `shape_error` checks;
-    of each range proof, its first and last bit commitment."""
+    of each range proof, the elements of its first and last bit."""
     if tx.excess is not None:
         yield ("excess", "nonce_point"), tx.excess.nonce_point
     for i, si in enumerate(tx.sin):
@@ -124,8 +125,9 @@ def _element_fields(tx):
             yield ("sout", i, name), getattr(so, name)
         bits = so.range_proof.bits
         for j in (0, len(bits) - 1):
-            yield (("sout", i, "range_proof", "bits", j, "bit_commitment"),
-                   bits[j].bit_commitment)
+            for name in ("bit_commitment", "a0", "a1"):
+                yield (("sout", i, "range_proof", "bits", j, name),
+                       getattr(bits[j], name))
 
 
 def _set(obj, path, value):
@@ -337,6 +339,8 @@ UNENCODABLE = {
     "commitment=-1": lambda tx, p: _with_output(tx, commitment=-1),
     "bit-commitment=-1": lambda tx, p: _with_bit(tx, bit_commitment=-1),
     "bit-commitment=p": lambda tx, p: _with_bit(tx, bit_commitment=p),
+    "a0=-1": lambda tx, p: _with_bit(tx, a0=-1),
+    "a1=p": lambda tx, p: _with_bit(tx, a1=p),
     "proof-width=2^16": lambda tx, p: _with_output(tx, range_proof=RangeProof(
         tx.sout[0].range_proof.bits[:1] * 2 ** 16)),
     "serial=-1": lambda tx, p: _with_credential(tx, -1, 1),
@@ -582,7 +586,40 @@ def test_conservation_fresh_ledger():
 def test_range_proofs_reverify_later(harness):
     from pvx.rangeproof import verify_range
     for out in harness.state.outputs:
-        assert verify_range(G, out.commitment, out.range_proof)
+        assert verify_range(G, [(out.commitment, out.range_proof)])
+
+
+def test_one_bad_range_proof_among_four_outputs(harness):
+    """The four outputs' proofs are checked as one batch: one bad proof
+    fails the batch as RangeProof, and a branch commitment that encodes no
+    element is refused before it, as MalformedTransaction."""
+    h = harness
+    shields = [build_shield(G, h.state, h.wallets["alice"], "alice.acct",
+                            amount, h.stream) for amount in (5, 6, 7, 8)]
+
+    def shield_of(outputs, blinding):
+        tx = Transaction(TxKind.SHIELD,
+                         tin=(TransparentInput("alice.acct", 26),),
+                         sout=tuple(outputs))
+        digest = transaction_digest(G, tx)
+        return replace(tx, excess=sign_excess(G, -blinding % G.q, digest))
+
+    outputs = [b.tx.sout[0] for b in shields]
+    blinding = sum(b.created[0].blinding for b in shields)
+    assert validate_transaction(h.state, shield_of(outputs, blinding)).accepted
+    for i in range(4):
+        proof = outputs[i].range_proof
+        bits = list(proof.bits)
+        bad = list(outputs)
+        bits[3] = replace(bits[3], s1=(bits[3].s1 + 1) % G.q)
+        bad[i] = replace(outputs[i], range_proof=RangeProof(tuple(bits)))
+        assert validate_transaction(
+            h.state, shield_of(bad, blinding)).code == "RangeProof", i
+        bits[3] = replace(proof.bits[3], a0=G.p - proof.bits[3].a0)
+        bad[i] = replace(outputs[i], range_proof=RangeProof(tuple(bits)))
+        assert validate_transaction(
+            h.state, shield_of(bad, blinding)).code == \
+            "MalformedTransaction", i
 
 
 def test_state_digest_sensitivity(harness):
