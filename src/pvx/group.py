@@ -53,9 +53,9 @@ WORD_MAX = 2**64 - 1
 
 # Bucket multi-exponentiation (Pippenger, "On the evaluation of powers and
 # related problems", FOCS 1976): per MULTI_WINDOW_BITS-bit digit window,
-# one mul-mod per base plus 2 * 31 to sum the buckets, and one shared
-# chain of squarings.  On a 160-bit q that beats one builtin pow per base
-# from a few dozen bases up.
+# one mul-mod per base plus two per bucket to sum the buckets, and one
+# chain of squarings shared by all bases.  On a 160-bit q that beats one
+# builtin pow per base from a few dozen bases up.
 MULTI_WINDOW_BITS = 5
 
 
