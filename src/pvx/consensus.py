@@ -15,10 +15,10 @@ would truncate it, are omitted: logs are desk-scale.
 Authentication is a simulation-level MAC keyed by replica name, apart from
 the privacy layer's signatures; only replica names have keys.  `LAYOUT`
 describes each message once, for the MAC and for `message_error`, the one
-check a delivered message passes first.  Scripted faults: crash@t (stop),
-mute@t..t' (outbound dropped), equivocate@h (as leader at height h, send
-conflicting blocks to the two halves of the replica set and go silent for
-that sequence).
+check a delivered message passes first.  `PBFTNode` is honest only, and
+`World` enacts the scripted faults: crash@t (stop), mute@t..t' (outbound
+dropped), and equivocate@h, where `World` rewrites the Byzantine replica's
+outbound messages (`World._equivocation`).
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ class PBFTNode:
         self.f = f
         self.ledger = genesis
         self.policy_hook = policy_hook
-        self.fault = fault
+        self.fault = fault  # `World` acts on it; the replica never reads it
         self.view = 0
         self.chain: list[Block] = []
         # txid -> tx, fully checked against self.ledger on admission
@@ -294,7 +294,6 @@ class PBFTNode:
         self.retransmit_armed = False
         self.stats = NodeStats()
         self.rejections: dict[str, str] = {}  # txid -> latest ledger code
-        self.equivocated: set[int] = set()
         self.committed_at: dict[str, int] = {}  # txid -> height
 
     # -- helpers -------------------------------------------------------------
@@ -416,8 +415,6 @@ class PBFTNode:
         if not self.is_leader():
             return
         seq = self.executed + 1
-        if seq in self.equivocated:
-            return  # scripted: stay silent on this sequence after the split
         existing = self.slots.get(seq)
         if existing is not None and existing.view == self.view and (
                 existing.digest is not None or existing.committed):
@@ -426,9 +423,6 @@ class PBFTNode:
         if not txs:
             return
         slot = self._slot(seq)
-        if seq in self.fault.equivocate_heights:  # the block's height is seq
-            self._equivocate(actions, seq, txs)
-            return
         block = Block(seq, txs, self._chain_tip_digest(), self.node_id)
         digest = block_digest(self.ledger.group, block)
         pp = PrePrepare(self.view, seq, block, digest, self.node_id)
@@ -439,23 +433,6 @@ class PBFTNode:
         # the quorum is already met
         self._check_prepared(slot, actions)
         self._arm_progress(actions)
-
-    def _equivocate(self, actions: list, seq: int, txs) -> None:
-        """Send conflicting proposals to the two halves of the replica set,
-        then stay silent for this sequence (worst case for liveness)."""
-        self.equivocated.add(seq)
-        block_a = Block(seq, txs, self._chain_tip_digest(), self.node_id)
-        block_b = Block(seq, txs[:0], self._chain_tip_digest(), self.node_id)
-        others = [r for r in self.replicas if r != self.node_id]
-        half = (len(others) + 1) // 2
-        for dst in others[:half]:
-            pp = PrePrepare(self.view, seq, block_a,
-                            block_digest(self.ledger.group, block_a), self.node_id)
-            actions.append(("send", dst, pp))
-        for dst in others[half:]:
-            pp = PrePrepare(self.view, seq, block_b,
-                            block_digest(self.ledger.group, block_b), self.node_id)
-            actions.append(("send", dst, pp))
 
     # -- message handling --------------------------------------------------------
 
@@ -469,8 +446,6 @@ class PBFTNode:
         return actions
 
     def _on_preprepare(self, msg: PrePrepare, actions: list) -> None:
-        if msg.seq in self.equivocated:
-            return
         if msg.view != self.view or msg.sender != self.leader_of(msg.view):
             self.stats.rejected_byzantine += 1
             return
@@ -504,8 +479,7 @@ class PBFTNode:
         self._check_prepared(slot, actions)
 
     def _on_prepare(self, msg: Prepare, actions: list) -> None:
-        if msg.view != self.view or msg.seq <= self.executed \
-                or msg.seq in self.equivocated:
+        if msg.view != self.view or msg.seq <= self.executed:
             return
         slot = self._slot(msg.seq)
         slot.prepares[msg.sender] = msg.digest
@@ -527,7 +501,7 @@ class PBFTNode:
             self._check_committed(slot, actions)
 
     def _on_commit(self, msg: Commit, actions: list) -> None:
-        if msg.seq <= self.executed or msg.seq in self.equivocated:
+        if msg.seq <= self.executed:
             return
         slot = self._slot(msg.seq) if msg.view == self.view else self.slots.get(msg.seq)
         if slot is None:
@@ -705,8 +679,6 @@ class PBFTNode:
 
     def _retransmit(self, actions: list) -> None:
         seq = self.executed + 1
-        if seq in self.equivocated:
-            return
         slot = self.slots.get(seq)
         if slot and slot.view == self.view and slot.digest is not None:
             if self.is_leader():
@@ -749,6 +721,7 @@ class World:
         self.nodes = {nid: PBFTNode(nid, replicas, params.f, genesis, policy_hook,
                                     params.faults.get(nid, FaultScript()))
                       for nid in replicas}
+        # replicas whose outbound messages `_equivocation` rewrites
         self.byzantine = {nid for nid, node in self.nodes.items()
                           if node.fault.equivocate_heights}
         # per height, a block digest and the first honest replica to show it
@@ -767,13 +740,34 @@ class World:
             if node.fault.muted(t) or node.fault.crashed(t):
                 continue
             if action[0] == "broadcast":
-                msg = self._sealed(node, action[1])
-                for dst in node.replicas:
-                    if dst != node.node_id:
-                        self.net.send(dst, msg)
-            elif action[0] == "send":
+                msg = action[1]
+                dsts = [r for r in node.replicas if r != node.node_id]
+            else:
                 _, dst, msg = action
-                self.net.send(dst, self._sealed(node, msg))
+                dsts = [dst]
+            sends = (self._equivocation(node, dsts, msg)
+                     if node.node_id in self.byzantine else ((dsts, msg),))
+            for targets, out in sends:
+                sealed = self._sealed(node, out)
+                for dst in targets:
+                    self.net.send(dst, sealed)
+
+    def _equivocation(self, node: PBFTNode, dsts: list[str], msg) -> list:
+        """`equivocate@H`, a stateless rewrite of what a replica in
+        `byzantine` sends to `dsts`.  At a height H of its script, its
+        PrePrepare (always broadcast) goes as proposed to the first half of
+        the other replicas and with no transactions to the rest, and its
+        Prepare and Commit go nowhere.  Everything else passes unchanged."""
+        if type(msg) not in (PrePrepare, Prepare, Commit) \
+                or msg.seq not in node.fault.equivocate_heights:
+            return [(dsts, msg)]
+        if type(msg) is not PrePrepare:
+            return []
+        half = (len(dsts) + 1) // 2
+        empty = replace(msg.block, txs=())
+        return [(dsts[:half], msg),
+                (dsts[half:], replace(msg, block=empty,
+                                      digest=block_digest(self.group, empty)))]
 
     def _sealed(self, node: PBFTNode, msg):
         if isinstance(msg, CatchUp):

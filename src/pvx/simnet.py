@@ -6,8 +6,9 @@ time is integer microseconds; nothing reads a wall clock.
 
 Per-link behaviour: uniform delay jitter inside [delay_min, delay_max]
 and an independent drop probability.  Node fault scripts use the
-vocabulary crash@t, mute@t..t', equivocate@h (the last is interpreted by
-the consensus layer, not the network).
+vocabulary crash@t, mute@t..t', equivocate@h.  The network does not act
+on them: `pvx.consensus.World` does, and for equivocate@h it rewrites the
+Byzantine replica's outbound messages, so `PBFTNode` is honest only.
 """
 
 from __future__ import annotations

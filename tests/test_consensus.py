@@ -11,7 +11,9 @@ from pvx.consensus import (
     NewView,
     PrePrepare,
     Prepare,
+    PreparedCert,
     SafetyViolation,
+    ViewChange,
     World,
     block_digest,
     message_error,
@@ -92,6 +94,15 @@ def test_crashed_leader_triggers_view_change():
 
 def test_equivocating_leader_cannot_split_honest_nodes():
     w = make_world(4, 1, faults={"node0": ["equivocate@1"]})
+    sent_by_node0 = []
+    send = w.net.send
+
+    def record(dst, msg):
+        if msg.sender == "node0" and getattr(msg, "seq", None) == 1:
+            sent_by_node0.append((dst, msg))
+        send(dst, msg)
+
+    w.net.send = record
     tx = transfer(0)
     w.submit_client_tx("node0", tx)
     done = w.run_until(
@@ -104,6 +115,60 @@ def test_equivocating_leader_cannot_split_honest_nodes():
                for n in ("node1", "node2", "node3")}
     assert len(digests) == 1
     assert all(w.nodes[n].view >= 1 for n in ("node1", "node2", "node3"))
+    # the split: one block to node1 and node2, another to node3, no votes
+    proposed = {dst: {m.digest for d, m in sent_by_node0
+                      if d == dst and type(m) is PrePrepare}
+                for dst in ("node1", "node2", "node3")}
+    assert len(proposed["node1"]) == 1
+    assert proposed["node1"] == proposed["node2"] != proposed["node3"]
+    assert len(proposed["node3"]) == 1
+    assert not [m for _, m in sent_by_node0 if type(m) in (Prepare, Commit)]
+
+
+def _handed(node, *msgs):
+    """Hands `msgs` to `node`'s handlers, unsealed; what it sends back."""
+    return [action[-1] for msg in msgs for action in node.on_message(msg)
+            if action[0] != "timer"]
+
+
+@pytest.mark.xfail(strict=True, raises=SafetyViolation, reason=(
+    "a PreparedCert carries no Prepares and a NewView no quorum, so one "
+    "Byzantine replica's forged certificate makes the next leader re-propose "
+    "over a committed block: node0 and node1 diverge at height 1"))
+def test_forged_prepared_certificate_cannot_undo_a_commit():
+    w = make_world(4, 1)  # node3 is Byzantine: its messages are built here
+    node0, node1, node2 = (w.nodes[n] for n in ("node0", "node1", "node2"))
+    # 1. node0 proposes A; node0, node1 and node2 prepare it
+    (propose_a,) = [a[-1] for a in node0.on_client_tx(transfer(0))
+                    if a[0] == "broadcast"]
+    prepare1, prepare2 = _handed(node1, propose_a) + _handed(node2, propose_a)
+    commit1 = _handed(node1, prepare2)
+    _handed(node2, prepare1)
+    _handed(node0, prepare1, prepare2)
+    # 2. node0 alone executes A, on Commits from node1 and node3
+    _handed(node0, *commit1, Commit(0, 1, propose_a.digest, "node3"))
+    assert (node0.executed, node1.executed, node2.executed) == (1, 0, 0)
+    # 3. node1 and node2 vote for view 1, and node1 holds node2's vote
+    votes = []
+    for node in (node1, node2):
+        actions = []
+        node._start_view_change(1, actions)
+        votes += [a[-1] for a in actions if a[0] == "broadcast"]
+    _handed(node1, votes[1])
+    # 4. node3 votes too, with a certificate for B at a view nobody reached
+    block_b = Block(1, (transfer(1),), "", "node0")
+    digest_b = block_digest(G, block_b)
+    new_view = _handed(node1, ViewChange(
+        1, 0, (PreparedCert(1, 10 ** 6, digest_b, block_b),), "node3"))
+    # 5. node1 and node2 prepare and commit what node1 re-proposed, with
+    #    node3's votes for B
+    prepare3, commit3 = (Prepare(1, 1, digest_b, "node3"),
+                         Commit(1, 1, digest_b, "node3"))
+    from2 = _handed(node2, *new_view, prepare3)
+    from1 = _handed(node1, *from2, prepare3, commit3)
+    _handed(node2, *from1, commit3)
+    # 6. the honest replicas must still agree at height 1
+    w.check_safety()
 
 
 def test_invalid_tx_excluded_with_reason():

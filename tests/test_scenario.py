@@ -254,6 +254,24 @@ def test_parsed_fault_scripts_reach_the_replicas():
     assert runner.world.nodes["node0"].fault == FaultScript()
 
 
+def test_equivocating_replica_changes_only_the_consensus_block():
+    # the view-0 leader splits block 1; the honest three still agree, and the
+    # runner waits on them, so only the replication record may differ
+    with open(os.path.join(SCENARIO_DIR, "mediated_private_payment.json")) as fh:
+        doc = json.load(fh)
+    assert (doc["consensus"]["n"], doc["consensus"]["f"]) == (4, 1)
+    reports = []
+    for faults in ({}, {"node0": ["equivocate@1"]}):
+        doc["consensus"]["faults"] = faults
+        reports.append(run_scenario(parse_scenario(json.dumps(doc))).to_dict())
+    honest, byzantine = reports
+    assert not honest["expectations"]["mismatches"]
+    # the split block cost a view change
+    assert [max(r.pop("consensus")["views"].values())
+            for r in reports] == [0, 1]
+    assert honest == byzantine
+
+
 def test_issue_past_the_supply_ceiling_is_a_coded_denial():
     # distinct amounts, so that no two issues share a txid
     amounts = (2 ** 63 - 2, 2 ** 63 - 3, 2 ** 63 - 1)
