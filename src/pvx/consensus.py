@@ -8,9 +8,13 @@ plus 2f matching prepares from backups, after which it broadcasts Commit;
 2f+1 matching commits finalize the block, executed strictly in sequence
 order.  Timeouts trigger view changes with exponential backoff; ViewChange
 messages carry prepared certificates (block included) so the next leader
-re-proposes anything that may have committed somewhere.  An executed slot
-retires into a log of commit certificates for catch-up; checkpoints, which
-would truncate it, are omitted: logs are desk-scale.
+re-proposes anything that may have committed somewhere.  A `Slot` is the
+replica's only record of a sequence it has not executed: its block and
+digest, the votes it holds, and the replica's own Prepare and Commit, which
+are its "sent a prepare" and "prepared" marks.  A view change drops every
+uncommitted slot.  An executed slot retires into a log of commit
+certificates for catch-up; checkpoints, which would truncate it, are
+omitted: logs are desk-scale.
 
 Authentication is a simulation-level MAC keyed by replica name, apart from
 the privacy layer's signatures; only replica names have keys.  `LAYOUT`
@@ -187,7 +191,8 @@ def message_error(group: GroupParams, replicas: tuple[str, ...], msg,
     """Why a delivered message (a PreparedCert only travels nested), or one
     it nests as type `kind`, is malformed, or None.  Passing means exact
     `LAYOUT` types, counters in [0, 2^64), 64-character ASCII digests,
-    replica senders and blocks `block_digest` takes: no handler raises."""
+    replica senders, and blocks `block_digest` takes that digest to the
+    message's `digest` at height `seq`: no handler raises."""
     t = type(msg)
     if t not in LAYOUT or (t is not kind if kind else t is PreparedCert):
         return "unexpected message type"
@@ -201,9 +206,12 @@ def message_error(group: GroupParams, replicas: tuple[str, ...], msg,
         return "malformed digest"
     if "sender" in fields and msg.sender not in replicas:
         return "unknown sender"
-    if "block" in fields and (type(msg.block) is not Block
-                              or block_digest(group, msg.block) is None):
-        return "malformed block"
+    if "block" in fields:
+        digest = block_digest(group, msg.block) if type(msg.block) is Block else None
+        if digest is None:
+            return "malformed block"
+        if digest != msg.digest or msg.block.height != msg.seq:
+            return "block disagrees with its message"
     items = fields[nested[0]] if nested else ()
     if type(items) is not tuple:
         return f"{nested[0]} is not a tuple"
@@ -244,15 +252,15 @@ class ConsensusParams:
 
 @dataclass
 class Slot:
-    view: int
+    """One unexecuted sequence.  Uncommitted, it belongs to the current
+    view; the replica's own entry in `prepares` marks its Prepare sent,
+    and in `commit_msgs` marks it prepared."""
     seq: int
     digest: str | None = None
     block: Block | None = None
     prepares: dict[str, str] = field(default_factory=dict)
     commit_msgs: dict[str, Commit] = field(default_factory=dict)
-    sent_prepare: bool = False
-    prepared: bool = False  # and this node's Commit sent
-    committed: bool = False
+    committed: bool = False  # a CatchUp commits without filling commit_msgs
     # the block's txs once `_validate_block` passed them here
     checked: tuple[Transaction, ...] = ()
 
@@ -285,7 +293,6 @@ class PBFTNode:
         self.mempool: dict[str, Transaction] = {}
         self.slots: dict[int, Slot] = {}  # live: every key above `executed`
         self.commit_certs: list[tuple[Commit, ...]] = []  # one per height
-        self.buffered_commits: dict[int, Block] = {}
         self.view_votes: dict[int, dict[str, ViewChange]] = {}
         self.vc_target = 0
         self.timeout = BASE_TIMEOUT
@@ -310,9 +317,8 @@ class PBFTNode:
 
     def _slot(self, seq: int) -> Slot:
         slot = self.slots.get(seq)
-        if slot is None or slot.view != self.view:
-            slot = Slot(self.view, seq)
-            self.slots[seq] = slot
+        if slot is None:
+            slot = self.slots[seq] = Slot(seq)
         return slot
 
     def _chain_tip_digest(self) -> str:
@@ -416,8 +422,7 @@ class PBFTNode:
             return
         seq = self.executed + 1
         existing = self.slots.get(seq)
-        if existing is not None and existing.view == self.view and (
-                existing.digest is not None or existing.committed):
+        if existing is not None and existing.digest is not None:
             return
         txs = self._select_txs()
         if not txs:
@@ -471,8 +476,7 @@ class PBFTNode:
             slot.digest = msg.digest
             slot.block = msg.block
             slot.checked = msg.block.txs
-        if not slot.sent_prepare:
-            slot.sent_prepare = True
+        if self.node_id not in slot.prepares:
             slot.prepares[self.node_id] = msg.digest
             actions.append(("broadcast",
                             Prepare(self.view, msg.seq, msg.digest, self.node_id)))
@@ -486,7 +490,7 @@ class PBFTNode:
         self._check_prepared(slot, actions)
 
     def _check_prepared(self, slot: Slot, actions: list) -> None:
-        if slot.prepared or slot.digest is None:
+        if self.node_id in slot.commit_msgs or slot.digest is None:
             return
         # 2f matching prepares from backups: the leader's pre-prepare
         # stands in for its prepare
@@ -494,7 +498,6 @@ class PBFTNode:
         matching = sum(1 for s, d in slot.prepares.items()
                        if d == slot.digest and s != leader)
         if matching >= 2 * self.f:
-            slot.prepared = True
             own = Commit(self.view, slot.seq, slot.digest, self.node_id)
             slot.commit_msgs[self.node_id] = own
             actions.append(("broadcast", own))
@@ -516,17 +519,14 @@ class PBFTNode:
                        if m.digest == slot.digest)
         if matching >= 2 * self.f + 1:
             slot.committed = True
-            self.buffered_commits[slot.seq] = slot.block
             self._drain_commits(actions)
 
     def _drain_commits(self, actions: list) -> None:
-        while self.executed + 1 in self.buffered_commits:
-            block = self.buffered_commits.pop(self.executed + 1)
-            # () if a view change deleted an uncommitted replacement slot
-            slot = self.slots.pop(self.executed + 1, None)
-            digest = block_digest(self.ledger.group, block)
-            self.commit_certs.append(() if slot is None else tuple(
-                c for c in slot.commit_msgs.values() if c.digest == digest))
+        while (slot := self.slots.get(self.executed + 1)) and slot.committed:
+            del self.slots[slot.seq]
+            block = slot.block
+            self.commit_certs.append(tuple(
+                c for c in slot.commit_msgs.values() if c.digest == slot.digest))
             self.ledger = apply_block(self.ledger, block.txs, block.height)
             self.chain.append(block)
             for tx in block.txs:
@@ -566,14 +566,14 @@ class PBFTNode:
         slot.digest = msg.digest
         slot.block = msg.block
         slot.committed = True
-        self.buffered_commits[msg.seq] = msg.block
         self._drain_commits(actions)
 
     # -- view changes ---------------------------------------------------------
 
     def _prepared_certs(self) -> tuple[PreparedCert, ...]:
-        return tuple(PreparedCert(seq, slot.view, slot.digest, slot.block)
-                     for seq, slot in sorted(self.slots.items()) if slot.prepared)
+        return tuple(PreparedCert(seq, own.view, slot.digest, slot.block)
+                     for seq, slot in sorted(self.slots.items())
+                     if (own := slot.commit_msgs.get(self.node_id)))
 
     def _start_view_change(self, target: int, actions: list) -> None:
         if target <= self.vc_target:
@@ -630,8 +630,8 @@ class PBFTNode:
             cert = best[seq]
             pp = PrePrepare(target, seq, cert.block, cert.digest, self.node_id)
             slot = self._slot(seq)
-            slot.digest = cert.digest
-            slot.block = cert.block
+            if not slot.committed:  # a committed slot keeps its block
+                slot.digest, slot.block = cert.digest, cert.block
             pre_prepares.append(pp)
         actions.append(("broadcast",
                         NewView(target, tuple(pre_prepares), self.node_id)))
@@ -680,16 +680,15 @@ class PBFTNode:
     def _retransmit(self, actions: list) -> None:
         seq = self.executed + 1
         slot = self.slots.get(seq)
-        if slot and slot.view == self.view and slot.digest is not None:
+        if slot and slot.digest is not None:
             if self.is_leader():
                 actions.append(("broadcast", PrePrepare(
                     self.view, seq, slot.block, slot.digest, self.node_id)))
-            if slot.sent_prepare:
+            if self.node_id in slot.prepares:
                 actions.append(("broadcast", Prepare(
                     self.view, seq, slot.digest, self.node_id)))
-            if slot.prepared:
-                actions.append(("broadcast", Commit(
-                    self.view, seq, slot.digest, self.node_id)))
+            if own := slot.commit_msgs.get(self.node_id):
+                actions.append(("broadcast", own))
         if self.vc_target > self.view:
             vc = self.view_votes.get(self.vc_target, {}).get(self.node_id)
             if vc is not None:
@@ -737,7 +736,7 @@ class World:
                 _, kind, delay = action
                 self.net.set_timer(node.node_id, kind, delay)
                 continue
-            if node.fault.muted(t) or node.fault.crashed(t):
+            if node.fault.muted(t):
                 continue
             if action[0] == "broadcast":
                 msg = action[1]

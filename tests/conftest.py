@@ -72,6 +72,25 @@ class Harness:
         return self
 
 
+def assert_slot_invariants(world):
+    """What lets a replica keep one record per unexecuted sequence, its
+    `Slot`: a committed slot never waits at `executed + 1`, an uncommitted
+    slot belongs to the current view, so its own Commit (its prepared
+    mark) carries that view, and a committed slot's block digests to its
+    digest."""
+    from pvx.consensus import block_digest
+
+    for node in world.nodes.values():
+        for seq, slot in node.slots.items():
+            where = (node.node_id, seq)
+            own = slot.commit_msgs.get(node.node_id)
+            if slot.committed:
+                assert seq != node.executed + 1, where
+                assert block_digest(world.group, slot.block) == slot.digest, where
+            elif own is not None:
+                assert own.view == node.view, where
+
+
 @pytest.fixture
 def harness():
     return Harness().fund()

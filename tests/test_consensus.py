@@ -32,7 +32,7 @@ from pvx.txbuild import (
     build_shielded_transfer,
     build_transparent_transfer,
 )
-from conftest import Harness
+from conftest import Harness, assert_slot_invariants
 
 
 def make_world(n, f, seed=1, drop=0.0, faults=None):
@@ -223,6 +223,30 @@ def test_liveness_under_message_drop():
         w.submit_client_tx(f"node{retry % 7}", tx)
     w.check_safety()
     assert w.tx_final_everywhere(tx)
+
+
+def test_slot_invariants_hold_after_every_event():
+    # acceptance 4's run 5 at n = 7: 30 % drop, node0 (view 0's leader)
+    # crashed, node1 equivocating at height 2
+    w = make_world(7, 2, seed=1005, drop=0.3,
+                   faults={"node0": ["crash@0"], "node1": ["equivocate@2"]})
+    txs = [transfer(j) for j in range(2)]
+    for j, tx in enumerate(txs):
+        w.submit_client_tx(f"node{j}", tx, at=j * 5_000)
+
+    def final():  # `run_until` asks after every event
+        assert_slot_invariants(w)
+        return all(w.tx_final_everywhere(tx) for tx in txs)
+
+    for attempt in range(40):
+        if w.run_until(final, w.net.time + 2_000_000):
+            break
+        for j, tx in enumerate(txs):
+            w.submit_client_tx(f"node{(attempt + j) % 7}", tx)
+    w.check_safety()
+    assert final()
+    for node in list(w.nodes.values())[1:]:  # all but node0
+        assert node.executed == 2 and node.view >= 1
 
 
 def test_sequential_commits_in_order():
@@ -575,6 +599,26 @@ def test_message_without_a_block_is_rejected():
     assert node.stats.rejected_byzantine == 2
 
 
+def test_block_that_disagrees_with_its_message_is_rejected():
+    w = make_world(4, 1)
+    node = w.nodes["node1"]
+    block_a, block_b = (Block(1, (transfer(i),), "", "node0") for i in (0, 1))
+    digest_a = block_digest(G, block_a)
+    later = replace(block_a, height=2)
+    for msg in (PrePrepare(0, 1, block_b, digest_a, "node0"),
+                PrePrepare(0, 1, later, block_digest(G, later), "node0"),
+                CatchUp(1, digest_a, block_b, (), "node0"),
+                CatchUp(2, digest_a, block_a, (), "node0")):
+        assert message_error(G, node.replicas, msg) == \
+            "block disagrees with its message"
+    # a vote certifying A but carrying B would have node1, view 1's
+    # leader, re-propose B under A's digest
+    vote = ViewChange(1, 0, (PreparedCert(1, 0, digest_a, block_b),), "node3")
+    w.net.send("node1", w._sealed(w.nodes["node3"], vote))
+    assert w.step() == 1
+    assert node.stats.rejected_byzantine == 1 and not node.view_votes
+
+
 @pytest.mark.parametrize("field,value", [
     ("view", "0"), ("seq", "1"), ("digest", None), ("digest", "\ud800"),
     ("sender", None)])
@@ -608,4 +652,4 @@ def test_undigestible_catchup_is_rejected():
     node = w.nodes["node1"]
     node.on_message(CatchUp(1, "00" * 32, block, (), "node0"))
     assert node.stats.rejected_byzantine == 1
-    assert node.executed == 0 and not node.buffered_commits
+    assert node.executed == 0 and not node.slots

@@ -32,6 +32,7 @@ from pvx.txbuild import (
     build_transparent_transfer,
     build_unshield,
 )
+from conftest import Harness
 
 
 def test_issue_increases_supply(harness):
@@ -474,6 +475,86 @@ def test_validation_clause_codes(harness):
     res6 = build_transparent_transfer(G, "alice.acct", "bob.acct", "bob", 5)
     dup_serial = replace(res6.tx, credentials=(cred, cred))
     assert validate_transaction(state, dup_serial).code == "CredentialReused"
+
+
+@pytest.fixture(scope="module")
+def kinds():
+    """A funded test-profile ledger and one valid transaction per kind."""
+    h = Harness(group=TEST_GROUP, range_bits=8, seed=3).fund(
+        900, (120, 90, 60, 45))
+    alice, bob = h.wallets["alice"], h.wallets["bob"]
+    spend = (3, h.sampler, h.rng, h.stream)
+    legs = [MediatedLeg(alice, "bob", bob.address, 4),
+            MediatedLeg(alice, "bob", bob.address, 6)]
+    txs = [
+        build_issue("cb", "bob.acct", "bob", 10).tx,
+        build_transparent_transfer(h.group, "alice.acct", "bob.acct", "bob",
+                                   5).tx,
+        build_shield(h.group, h.state, alice, "alice.acct", 7, h.stream).tx,
+        build_unshield(h.group, h.state, alice, "acme.acct", "acme", 9,
+                       *spend).tx,
+        build_shielded_transfer(h.group, h.state, alice, "bob", bob.address,
+                                11, *spend).tx,
+        build_mediated_batch(h.group, h.state, "mix", legs, *spend).tx,
+    ]
+    return h.state, {tx.kind: tx for tx in txs}
+
+
+def _twice_first_ring_member(txs):
+    """The unshield's inputs, its first ring naming one member twice."""
+    si, *rest = txs[TxKind.UNSHIELD].sin
+    refs = (si.ring_refs[0], *si.ring_refs[:-1])
+    return (replace(si, ring_refs=refs), *rest)
+
+
+K = TxKind
+# each detail: the kind whose valid transaction breaks it, the field
+# replaced and its new value, a function of the valid transactions by kind
+LEG_RULES = {
+    "issuance carries only transparent outputs":
+        (K.ISSUE, "tin", lambda t: t[K.SHIELD].tin),
+    "issuance needs at least one output": (K.ISSUE, "tout", lambda t: ()),
+    "issuance is fee-free": (K.ISSUE, "fee", lambda t: 1),
+    "issuance names its authority": (K.ISSUE, "sponsor_id", lambda t: None),
+    "transparent transfer has no shielded legs":
+        (K.TRANSPARENT_TRANSFER, "sout", lambda t: t[K.SHIELD].sout),
+    "transparent transfer needs inputs and outputs":
+        (K.TRANSPARENT_TRANSFER, "tout", lambda t: ()),
+    "shield moves account funds into new shielded outputs":
+        (K.SHIELD, "tout", lambda t: t[K.TRANSPARENT_TRANSFER].tout),
+    "shield needs transparent inputs and shielded outputs":
+        (K.SHIELD, "tin", lambda t: ()),
+    "unshield spends only shielded inputs":
+        (K.UNSHIELD, "tin", lambda t: t[K.SHIELD].tin),
+    "unshield needs shielded inputs and transparent outputs":
+        (K.UNSHIELD, "tout", lambda t: ()),
+    "unshield carries a change output": (K.UNSHIELD, "sout", lambda t: ()),
+    "shielded transfer has no transparent legs":
+        (K.SHIELDED_TRANSFER, "tout", lambda t: t[K.UNSHIELD].tout),
+    "shielded transfer needs inputs, payment and change":
+        (K.SHIELDED_TRANSFER, "sout", lambda t: t[K.SHIELDED_TRANSFER].sout[:1]),
+    "mediated batch has no transparent legs":
+        (K.MEDIATED_BATCH, "tin", lambda t: t[K.SHIELD].tin),
+    "mediated batch swaps at least two inputs and outputs":
+        (K.MEDIATED_BATCH, "sin", lambda t: t[K.MEDIATED_BATCH].sin[:1]),
+    "mediated batch names its intermediary":
+        (K.MEDIATED_BATCH, "sponsor_id", lambda t: None),
+    "missing balance proof": (K.SHIELD, "excess", lambda t: None),
+    "malformed transparent input": (K.TRANSPARENT_TRANSFER, "tin",
+                                    lambda t: (TransparentInput("a", -5),)),
+    "duplicate ring member": (K.UNSHIELD, "sin", _twice_first_ring_member),
+}
+
+
+@pytest.mark.parametrize("detail", sorted(LEG_RULES))
+def test_each_leg_rule_names_its_breach(kinds, detail):
+    state, txs = kinds
+    assert all(validate_transaction(state, tx).accepted for tx in txs.values())
+    assert set(txs) == set(TxKind)
+    kind, name, value = LEG_RULES[detail]
+    verdict = validate_transaction(state,
+                                   replace(txs[kind], **{name: value(txs)}))
+    assert (verdict.code, verdict.detail) == ("MalformedTransaction", detail)
 
 
 def test_consumed_serial_rejected(harness):

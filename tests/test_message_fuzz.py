@@ -37,6 +37,7 @@ from pvx.group import STANDARD_GROUP as G
 from pvx.ledger import LedgerState, validate_transaction
 from pvx.simnet import Deliver
 from pvx.txbuild import build_transparent_transfer
+from conftest import assert_slot_invariants
 
 TRANSFERS = 6
 FOLLOW_EVENTS = 20  # events run after each mutant, which must not raise
@@ -57,12 +58,12 @@ def _transfers():
             for i in range(TRANSFERS)]
 
 
-def _honest_run(fork_at=frozenset()):
+def _honest_run(fork_at=frozenset(), after_event=None):
     """Runs the recorded world one event at a time, resubmitting as the
-    scenario runner does.  Returns its deliveries as (event index,
-    message, receiver, whether the receiver reached a new height or view)
-    and a copy of the world taken just before each event index in
-    `fork_at`."""
+    scenario runner does, and calls `after_event(world)` after each event
+    if given.  Returns its deliveries as (event index, message, receiver,
+    whether the receiver reached a new height or view) and a copy of the
+    world taken just before each event index in `fork_at`."""
     w, txs = _world(), _transfers()
     for i, tx in enumerate(txs):
         w.submit_client_tx(f"node{i % 4}", tx, at=i * 5_000)
@@ -78,6 +79,8 @@ def _honest_run(fork_at=frozenset()):
                 node = w.nodes[event.dst]
                 before = (node.executed, node.view)
             w.step(max_events=1)
+            if after_event is not None:
+                after_event(w)
             if isinstance(event, Deliver):
                 moved = (node.executed, node.view) != before
                 deliveries.append((index, event.message, event.dst, moved))
@@ -110,7 +113,9 @@ def _chosen_deliveries():
 
 
 def _fingerprint(node):
-    slots = {seq: (s.view, s.digest, s.prepared, s.committed,
+    # the replica's own Commit is its prepared mark and carries its view
+    slots = {seq: (getattr(s.commit_msgs.get(node.node_id), "view", None),
+                   s.digest, s.committed,
                    sorted(s.prepares.items()), sorted(s.commit_msgs))
              for seq, s in node.slots.items()
              if s.digest is not None or s.prepares or s.commit_msgs}
@@ -118,7 +123,7 @@ def _fingerprint(node):
             [block_digest(G, b) for b in node.chain], sorted(node.mempool),
             slots, [sorted(c.sender for c in certs)
                     for certs in node.commit_certs],
-            sorted(node.buffered_commits),
+            sorted(seq for seq, s in node.slots.items() if s.committed),
             {v: sorted(vs) for v, vs in node.view_votes.items()})
 
 
@@ -182,6 +187,10 @@ CHOSEN = _chosen_deliveries()
 @pytest.fixture(scope="module")
 def forks():
     return _honest_run(frozenset(index for index, _, _ in CHOSEN.values()))[1]
+
+
+def test_recorded_run_keeps_the_slot_invariants():
+    _honest_run(after_event=assert_slot_invariants)
 
 
 def test_recorded_run_delivers_every_message_type():
