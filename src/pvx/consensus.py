@@ -8,7 +8,11 @@ plus 2f matching prepares from backups, after which it broadcasts Commit;
 2f+1 matching commits finalize the block, executed strictly in sequence
 order.  Timeouts trigger view changes with exponential backoff; ViewChange
 messages carry prepared certificates (block included) so the next leader
-re-proposes anything that may have committed somewhere.  A `Slot` is the
+re-proposes anything that may have committed somewhere.  A block names
+itself: PrePrepare, CatchUp and PreparedCert carry the block and no copy of
+its height or digest, which are their sequence and digest, and the MAC
+binds the block's digest (PBFT signs <v, n, d> because its request travels
+apart from the pre-prepare; here the block never does).  A `Slot` is the
 replica's only record of a sequence it has not executed: its block and
 digest, the votes it holds, and the replica's own Prepare and Commit, which
 are its "sent a prepare" and "prepared" marks.  A view change drops every
@@ -102,9 +106,7 @@ def block_digest(group: GroupParams, block: Block) -> str | None:
 @dataclass(frozen=True)
 class PrePrepare:
     view: int
-    seq: int
     block: Block
-    digest: str
     sender: str
     mac: bytes = b""
 
@@ -129,9 +131,7 @@ class Commit:
 
 @dataclass(frozen=True)
 class PreparedCert:
-    seq: int
     view: int
-    digest: str
     block: Block
 
 
@@ -164,8 +164,6 @@ class CatchUp:
     """Commit-certificate transfer for a replica that fell behind: the
     committed block plus 2f+1 authenticated Commit messages proving it.
     Replaces full-PBFT state transfer at desk scale."""
-    seq: int
-    digest: str
     block: Block
     commits: tuple[Commit, ...]
     sender: str
@@ -173,16 +171,17 @@ class CatchUp:
 
 
 # Each message once: its MAC tag, its integer counters, and the field and exact
-# type of the messages it nests; `digest`, `sender` and `block` go by name.
+# type of the messages it nests; `digest`, `sender` and `block` (by its
+# digest) go by name.
 LAYOUT: dict[type, tuple[bytes, tuple[str, ...], tuple[str, type] | None]] = {
-    PrePrepare: (b"pp", ("view", "seq"), None),
+    PrePrepare: (b"pp", ("view",), None),
     Prepare: (b"p", ("view", "seq"), None),
     Commit: (b"c", ("view", "seq"), None),
-    PreparedCert: (b"pc", ("seq", "view"), None),
+    PreparedCert: (b"pc", ("view",), None),
     ViewChange: (b"vc", ("new_view", "last_exec"), ("prepared", PreparedCert)),
     NewView: (b"nv", ("view",), ("pre_prepares", PrePrepare)),
     TxForward: (b"fw", (), None),  # `on_client_tx` checks the transaction
-    CatchUp: (b"cu", ("seq",), ("commits", Commit)),
+    CatchUp: (b"cu", (), ("commits", Commit)),
 }
 
 
@@ -191,8 +190,9 @@ def message_error(group: GroupParams, replicas: tuple[str, ...], msg,
     """Why a delivered message (a PreparedCert only travels nested), or one
     it nests as type `kind`, is malformed, or None.  Passing means exact
     `LAYOUT` types, counters in [0, 2^64), 64-character ASCII digests,
-    replica senders, and blocks `block_digest` takes that digest to the
-    message's `digest` at height `seq`: no handler raises."""
+    replica senders, and blocks `block_digest` gives a digest: no handler
+    raises.  A block's height and digest are the sequence and digest of
+    the message that carries it, so there is no copy to disagree with."""
     t = type(msg)
     if t not in LAYOUT or (t is not kind if kind else t is PreparedCert):
         return "unexpected message type"
@@ -206,12 +206,9 @@ def message_error(group: GroupParams, replicas: tuple[str, ...], msg,
         return "malformed digest"
     if "sender" in fields and msg.sender not in replicas:
         return "unknown sender"
-    if "block" in fields:
-        digest = block_digest(group, msg.block) if type(msg.block) is Block else None
-        if digest is None:
-            return "malformed block"
-        if digest != msg.digest or msg.block.height != msg.seq:
-            return "block disagrees with its message"
+    if "block" in fields and (type(msg.block) is not Block
+                              or block_digest(group, msg.block) is None):
+        return "malformed block"
     items = fields[nested[0]] if nested else ()
     if type(items) is not tuple:
         return f"{nested[0]} is not a tuple"
@@ -219,18 +216,22 @@ def message_error(group: GroupParams, replicas: tuple[str, ...], msg,
                               for m in items)), None)
 
 
-def _mac_payload(msg) -> bytes:
+def _mac_payload(group: GroupParams, msg) -> bytes:
     tag, counters, nested = LAYOUT[type(msg)]
     fields = vars(msg)
+    # a block is bound by its digest, which encodes its height
+    digest = (block_digest(group, msg.block) if "block" in fields
+              else fields.get("digest", ""))
     parts = [tag, *[b"%d" % fields[name] for name in counters],
-             fields.get("digest", "").encode(), fields.get("sender", "").encode()]
+             digest.encode(), fields.get("sender", "").encode()]
     if nested:
-        parts.extend(map(_mac_payload, fields[nested[0]]))
+        parts.extend(_mac_payload(group, m) for m in fields[nested[0]])
     return b"|".join(parts)
 
 
-def compute_mac(secret: bytes, sender: str, msg) -> bytes:
-    return tagged_hash(TAG_MAC, secret, sender.encode("utf-8"), _mac_payload(msg))
+def compute_mac(group: GroupParams, secret: bytes, sender: str, msg) -> bytes:
+    return tagged_hash(TAG_MAC, secret, sender.encode("utf-8"),
+                       _mac_payload(group, msg))
 
 
 @dataclass(frozen=True)
@@ -296,8 +297,8 @@ class PBFTNode:
         self.view_votes: dict[int, dict[str, ViewChange]] = {}
         self.vc_target = 0
         self.timeout = BASE_TIMEOUT
-        self.progress_token: int | None = None  # armed-timer identity
-        self.next_token = 0
+        # the armed progress timer's kind, named by (executed, vc_target)
+        self.progress_token: str | None = None
         self.retransmit_armed = False
         self.stats = NodeStats()
         self.rejections: dict[str, str] = {}  # txid -> latest ledger code
@@ -346,10 +347,11 @@ class PBFTNode:
 
     def _arm_progress(self, actions: list) -> None:
         if self.progress_token is None and self._work_pending():
-            self.next_token += 1
-            self.progress_token = self.next_token
-            actions.append(("timer", f"progress:{self.progress_token}",
-                            self.timeout))
+            # both parts only grow, and the token is dropped only after one
+            # of them changed or its own timer fired: no pending timer
+            # shares this name
+            self.progress_token = f"progress:{self.executed}:{self.vc_target}"
+            actions.append(("timer", self.progress_token, self.timeout))
         if not self.retransmit_armed and self._work_pending():
             self.retransmit_armed = True
             actions.append(("timer", "retransmit", RETRANSMIT_EVERY))
@@ -430,7 +432,7 @@ class PBFTNode:
         slot = self._slot(seq)
         block = Block(seq, txs, self._chain_tip_digest(), self.node_id)
         digest = block_digest(self.ledger.group, block)
-        pp = PrePrepare(self.view, seq, block, digest, self.node_id)
+        pp = PrePrepare(self.view, block, self.node_id)
         slot.digest = digest
         slot.block = block
         actions.append(("broadcast", pp))
@@ -454,32 +456,30 @@ class PBFTNode:
         if msg.view != self.view or msg.sender != self.leader_of(msg.view):
             self.stats.rejected_byzantine += 1
             return
-        if msg.digest != block_digest(self.ledger.group, msg.block):
-            self.stats.rejected_byzantine += 1
-            return
-        if msg.seq <= self.executed:
+        seq, digest = msg.block.height, block_digest(self.ledger.group, msg.block)
+        if seq <= self.executed:
             # already final here; hand the lagging sender a commit proof
-            catchup = self._make_catchup(msg.seq)
+            catchup = self._make_catchup(seq)
             if catchup is not None:
                 actions.append(("send", msg.sender, catchup))
             return
-        if msg.seq != self.executed + 1:
+        if seq != self.executed + 1:
             return  # serial pipeline: future seqs arrive after re-proposal
-        slot = self._slot(msg.seq)
-        if slot.digest is not None and slot.digest != msg.digest:
+        slot = self._slot(seq)
+        if slot.digest is not None and slot.digest != digest:
             self.stats.rejected_byzantine += 1  # equivocating leader
             return
         if slot.digest is None:
             if not self._validate_block(msg.block):
                 self.stats.rejected_byzantine += 1
                 return
-            slot.digest = msg.digest
+            slot.digest = digest
             slot.block = msg.block
             slot.checked = msg.block.txs
         if self.node_id not in slot.prepares:
-            slot.prepares[self.node_id] = msg.digest
+            slot.prepares[self.node_id] = digest
             actions.append(("broadcast",
-                            Prepare(self.view, msg.seq, msg.digest, self.node_id)))
+                            Prepare(self.view, seq, digest, self.node_id)))
         self._check_prepared(slot, actions)
 
     def _on_prepare(self, msg: Prepare, actions: list) -> None:
@@ -546,24 +546,20 @@ class PBFTNode:
         certs = self.commit_certs[seq - 1]
         if len({c.sender for c in certs}) < 2 * self.f + 1:
             return None
-        block = self.chain[seq - 1]
-        return CatchUp(seq, block_digest(self.ledger.group, block), block, certs,
-                       self.node_id)
+        return CatchUp(self.chain[seq - 1], certs, self.node_id)
 
     def _on_catchup(self, msg: CatchUp, actions: list) -> None:
         """Inner commit MACs are already verified at the network boundary."""
-        if msg.seq != self.executed + 1:
-            return
-        if msg.digest != block_digest(self.ledger.group, msg.block):
-            self.stats.rejected_byzantine += 1
+        seq, digest = msg.block.height, block_digest(self.ledger.group, msg.block)
+        if seq != self.executed + 1:
             return
         senders = {c.sender for c in msg.commits
-                   if c.seq == msg.seq and c.digest == msg.digest}
+                   if c.seq == seq and c.digest == digest}
         if len(senders) < 2 * self.f + 1:
             self.stats.rejected_byzantine += 1
             return
-        slot = self._slot(msg.seq)
-        slot.digest = msg.digest
+        slot = self._slot(seq)
+        slot.digest = digest
         slot.block = msg.block
         slot.committed = True
         self._drain_commits(actions)
@@ -571,8 +567,8 @@ class PBFTNode:
     # -- view changes ---------------------------------------------------------
 
     def _prepared_certs(self) -> tuple[PreparedCert, ...]:
-        return tuple(PreparedCert(seq, own.view, slot.digest, slot.block)
-                     for seq, slot in sorted(self.slots.items())
+        return tuple(PreparedCert(own.view, slot.block)
+                     for _, slot in sorted(self.slots.items())
                      if (own := slot.commit_msgs.get(self.node_id)))
 
     def _start_view_change(self, target: int, actions: list) -> None:
@@ -619,20 +615,19 @@ class PBFTNode:
         best: dict[int, PreparedCert] = {}
         for vc in votes.values():
             for cert in vc.prepared:
-                cur = best.get(cert.seq)
+                cur = best.get(cert.block.height)
                 if cur is None or cert.view > cur.view:
-                    best[cert.seq] = cert
+                    best[cert.block.height] = cert
         self._enter_view(target)
         pre_prepares = []
         for seq in sorted(best):
             if seq <= self.executed:
                 continue
-            cert = best[seq]
-            pp = PrePrepare(target, seq, cert.block, cert.digest, self.node_id)
+            block = best[seq].block
             slot = self._slot(seq)
             if not slot.committed:  # a committed slot keeps its block
-                slot.digest, slot.block = cert.digest, cert.block
-            pre_prepares.append(pp)
+                slot.digest, slot.block = block_digest(self.ledger.group, block), block
+            pre_prepares.append(PrePrepare(target, block, self.node_id))
         actions.append(("broadcast",
                         NewView(target, tuple(pre_prepares), self.node_id)))
         self._maybe_propose(actions)
@@ -661,10 +656,7 @@ class PBFTNode:
 
     def on_timer(self, kind: str) -> list:
         actions: list = []
-        if kind.startswith("progress:"):
-            token = int(kind.split(":", 1)[1])
-            if token != self.progress_token:
-                return actions  # superseded arm; ignore the stale fire
+        if kind == self.progress_token:  # a superseded arm's fire falls through
             # _drain_commits drops the token: no block executed since the arm
             self.progress_token = None
             if self._work_pending():
@@ -682,8 +674,8 @@ class PBFTNode:
         slot = self.slots.get(seq)
         if slot and slot.digest is not None:
             if self.is_leader():
-                actions.append(("broadcast", PrePrepare(
-                    self.view, seq, slot.block, slot.digest, self.node_id)))
+                actions.append(("broadcast",
+                                PrePrepare(self.view, slot.block, self.node_id)))
             if self.node_id in slot.prepares:
                 actions.append(("broadcast", Prepare(
                     self.view, seq, slot.digest, self.node_id)))
@@ -756,28 +748,29 @@ class World:
         `byzantine` sends to `dsts`.  At a height H of its script, its
         PrePrepare (always broadcast) goes as proposed to the first half of
         the other replicas and with no transactions to the rest, and its
-        Prepare and Commit go nowhere.  Everything else passes unchanged."""
-        if type(msg) not in (PrePrepare, Prepare, Commit) \
-                or msg.seq not in node.fault.equivocate_heights:
-            return [(dsts, msg)]
-        if type(msg) is not PrePrepare:
+        Prepare and Commit go nowhere.  Everything else passes unchanged.
+        A CatchUp is not one of its votes at H: it is made only for a block
+        the replica executed, and hands on a commit certificate, 2f+1
+        Commits for that block, even when one of them is the replica's own."""
+        heights = node.fault.equivocate_heights
+        if type(msg) is PrePrepare and msg.block.height in heights:
+            half = (len(dsts) + 1) // 2
+            return [(dsts[:half], msg),
+                    (dsts[half:], replace(msg, block=replace(msg.block, txs=())))]
+        if type(msg) in (Prepare, Commit) and msg.seq in heights:
             return []
-        half = (len(dsts) + 1) // 2
-        empty = replace(msg.block, txs=())
-        return [(dsts[:half], msg),
-                (dsts[half:], replace(msg, block=empty,
-                                      digest=block_digest(self.group, empty)))]
+        return [(dsts, msg)]
 
     def _sealed(self, node: PBFTNode, msg):
         if isinstance(msg, CatchUp):
             # a node may authenticate its own commit when assembling the
             # certificate; everyone else's must arrive pre-sealed
             commits = tuple(
-                replace(c, mac=compute_mac(self.secret, c.sender, c))
+                replace(c, mac=compute_mac(self.group, self.secret, c.sender, c))
                 if c.sender == node.node_id and not c.mac else c
                 for c in msg.commits)
             msg = replace(msg, commits=commits)
-        return replace(msg, mac=compute_mac(self.secret, node.node_id, msg))
+        return replace(msg, mac=compute_mac(self.group, self.secret, node.node_id, msg))
 
     def submit_client_tx(self, node_id: str, tx: Transaction, at: int | None = None) -> None:
         if node_id not in self.nodes:
@@ -796,8 +789,8 @@ class World:
         elif isinstance(event, ClientSubmit):
             self._dispatch_actions(node, node.on_client_tx(event.tx))
         elif (message_error(self.group, node.replicas, msg := event.message)
-              or msg.mac != compute_mac(self.secret, msg.sender, msg)
-              or any(c.mac != compute_mac(self.secret, c.sender, c)
+              or msg.mac != compute_mac(self.group, self.secret, msg.sender, msg)
+              or any(c.mac != compute_mac(self.group, self.secret, c.sender, c)
                      for c in getattr(msg, "commits", ()))):
             node.stats.rejected_byzantine += 1
         else:

@@ -8,7 +8,10 @@ Per-link behaviour: uniform delay jitter inside [delay_min, delay_max]
 and an independent drop probability.  Node fault scripts use the
 vocabulary crash@t, mute@t..t', equivocate@h.  The network does not act
 on them: `pvx.consensus.World` does, and for equivocate@h it rewrites the
-Byzantine replica's outbound messages, so `PBFTNode` is honest only.
+Byzantine replica's outbound messages, so `PBFTNode` is honest only.  Its
+votes at h are its PrePrepare, Prepare and Commit; a CatchUp it sends for h
+hands on the commit certificate of the block that committed there, and is
+not one of them.
 """
 
 from __future__ import annotations

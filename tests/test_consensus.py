@@ -16,6 +16,7 @@ from pvx.consensus import (
     ViewChange,
     World,
     block_digest,
+    compute_mac,
     message_error,
 )
 from pvx.group import STANDARD_GROUP as G
@@ -98,7 +99,8 @@ def test_equivocating_leader_cannot_split_honest_nodes():
     send = w.net.send
 
     def record(dst, msg):
-        if msg.sender == "node0" and getattr(msg, "seq", None) == 1:
+        seq = msg.block.height if hasattr(msg, "block") else getattr(msg, "seq", 0)
+        if msg.sender == "node0" and seq == 1:
             sent_by_node0.append((dst, msg))
         send(dst, msg)
 
@@ -116,13 +118,47 @@ def test_equivocating_leader_cannot_split_honest_nodes():
     assert len(digests) == 1
     assert all(w.nodes[n].view >= 1 for n in ("node1", "node2", "node3"))
     # the split: one block to node1 and node2, another to node3, no votes
-    proposed = {dst: {m.digest for d, m in sent_by_node0
+    proposed = {dst: {block_digest(G, m.block) for d, m in sent_by_node0
                       if d == dst and type(m) is PrePrepare}
                 for dst in ("node1", "node2", "node3")}
     assert len(proposed["node1"]) == 1
     assert proposed["node1"] == proposed["node2"] != proposed["node3"]
     assert len(proposed["node3"]) == 1
     assert not [m for _, m in sent_by_node0 if type(m) in (Prepare, Commit)]
+
+
+def test_equivocating_replica_catchups_certify_the_honest_block():
+    # a CatchUp is not one of the faulty replica's votes at its height: it
+    # hands on a commit certificate, its own Commit among the 2f+1, for the
+    # block the honest replicas executed
+    catchups = []
+    for seed in range(4):
+        w = make_world(4, 1, seed=seed, drop=0.1,
+                       faults={"node0": ["equivocate@1"]})
+        send = w.net.send
+
+        def record(dst, msg, send=send, w=w):
+            if type(msg) is CatchUp and msg.sender == "node0" \
+                    and msg.block.height == 1:
+                catchups.append((w, msg))
+            send(dst, msg)
+
+        w.net.send = record
+        txs = [transfer(i) for i in range(3)]
+        for j, tx in enumerate(txs):
+            w.submit_client_tx(f"node{j}", tx, at=j * 5_000)
+        assert w.run_until(
+            lambda: all(w.tx_final_everywhere(tx) for tx in txs), 120_000_000)
+        w.check_safety()
+    assert catchups
+    for w, msg in catchups:
+        (digest,) = {block_digest(G, w.nodes[n].chain[0])
+                     for n in w.honest_ids()}
+        assert block_digest(G, msg.block) == digest
+        senders = {c.sender for c in msg.commits
+                   if c.seq == 1 and c.digest == digest}
+        assert len(senders) >= 3 and len(msg.commits) == len(senders)
+    assert any(c.sender == "node0" for _, msg in catchups for c in msg.commits)
 
 
 def _handed(node, *msgs):
@@ -146,7 +182,8 @@ def test_forged_prepared_certificate_cannot_undo_a_commit():
     _handed(node2, prepare1)
     _handed(node0, prepare1, prepare2)
     # 2. node0 alone executes A, on Commits from node1 and node3
-    _handed(node0, *commit1, Commit(0, 1, propose_a.digest, "node3"))
+    _handed(node0, *commit1,
+            Commit(0, 1, block_digest(G, propose_a.block), "node3"))
     assert (node0.executed, node1.executed, node2.executed) == (1, 0, 0)
     # 3. node1 and node2 vote for view 1, and node1 holds node2's vote
     votes = []
@@ -159,7 +196,7 @@ def test_forged_prepared_certificate_cannot_undo_a_commit():
     block_b = Block(1, (transfer(1),), "", "node0")
     digest_b = block_digest(G, block_b)
     new_view = _handed(node1, ViewChange(
-        1, 0, (PreparedCert(1, 10 ** 6, digest_b, block_b),), "node3"))
+        1, 0, (PreparedCert(10 ** 6, block_b),), "node3"))
     # 5. node1 and node2 prepare and commit what node1 re-proposed, with
     #    node3's votes for B
     prepare3, commit3 = (Prepare(1, 1, digest_b, "node3"),
@@ -354,7 +391,7 @@ def test_preprepare_for_sequence_zero_gets_no_catchup(height):
     w = _committed_world(*[transfer(i) for i in range(height)])
     catchups = w.net.stats.by_type.get("CatchUp")
     block = Block(0, (), "", "node0")
-    pre_prepare = PrePrepare(0, 0, block, block_digest(G, block), "node0")
+    pre_prepare = PrePrepare(0, block, "node0")
     w.net.send("node1", w._sealed(w.nodes["node0"], pre_prepare))
     w.step()
     node = w.nodes["node1"]
@@ -411,8 +448,7 @@ def _propose(node, *txs):
     """Hands `node` the view-0 leader's PrePrepare of a block of `txs`;
     whether it broadcast a Prepare."""
     block = Block(1, txs, "", "node0")
-    actions = node.on_message(
-        PrePrepare(0, 1, block, block_digest(G, block), "node0"))
+    actions = node.on_message(PrePrepare(0, block, "node0"))
     return any(isinstance(a[-1], Prepare) for a in actions)
 
 
@@ -566,11 +602,19 @@ def test_block_transaction_never_admitted_is_checked_in_full():
     assert node.stats.rejected_byzantine == 1 and not node.mempool
 
 
+def _deliver(w, dst, *msgs):
+    """Delivers `msgs` to `dst` as they are, sealed or not, through
+    `World.step`, before anything else happens."""
+    for msg in msgs:
+        w.net.send(dst, msg)
+    assert w.step(max_events=len(msgs)) == len(msgs)
+
+
 def test_undigestible_preprepare_is_rejected():
     w, block = _wide_pseudo_world()
     node = w.nodes["node1"]
     leader = node.leader_of(node.view)
-    node.on_message(PrePrepare(node.view, 1, block, "00" * 32, leader))
+    _deliver(w, "node1", PrePrepare(node.view, block, leader))
     assert node.stats.rejected_byzantine == 1
     assert node.slots.get(1) is None or node.slots[1].digest is None
 
@@ -583,73 +627,83 @@ def test_block_with_unencodable_header_is_rejected(field, value):
     w = make_world(4, 1)
     node = w.nodes["node1"]
     block = replace(Block(1, (transfer(0),), "", "node0"), **{field: value})
-    node.on_message(PrePrepare(node.view, 1, block, "00" * 32, "node0"))
-    node.on_message(CatchUp(1, "00" * 32, block, (), "node0"))
+    _deliver(w, "node1", PrePrepare(node.view, block, "node0"),
+             CatchUp(block, (), "node0"))
     assert node.stats.rejected_byzantine == 2
 
 
 def test_message_without_a_block_is_rejected():
     w = make_world(4, 1)
     node = w.nodes["node1"]
-    for msg in (PrePrepare(node.view, 1, None, "00" * 32, "node0"),
-                CatchUp(1, "00" * 32, None, (), "node0")):
+    msgs = PrePrepare(node.view, None, "node0"), CatchUp(None, (), "node0")
+    for msg in msgs:
         assert message_error(G, node.replicas, msg) == "malformed block"
-        w.net.send("node1", w._sealed(w.nodes["node0"], msg))
-    assert w.step() == 2
+    _deliver(w, "node1", *msgs)
     assert node.stats.rejected_byzantine == 2
 
 
-def test_block_that_disagrees_with_its_message_is_rejected():
+@pytest.mark.parametrize("kind", [PrePrepare, CatchUp])
+def test_mac_binds_the_block(kind):
+    # the MAC encodes the block's digest, and so its height: a sealed
+    # message whose block is swapped for another at the same height no
+    # longer authenticates, though the boundary check passes it
     w = make_world(4, 1)
     node = w.nodes["node1"]
-    block_a, block_b = (Block(1, (transfer(i),), "", "node0") for i in (0, 1))
-    digest_a = block_digest(G, block_a)
-    later = replace(block_a, height=2)
-    for msg in (PrePrepare(0, 1, block_b, digest_a, "node0"),
-                PrePrepare(0, 1, later, block_digest(G, later), "node0"),
-                CatchUp(1, digest_a, block_b, (), "node0"),
-                CatchUp(2, digest_a, block_a, (), "node0")):
-        assert message_error(G, node.replicas, msg) == \
-            "block disagrees with its message"
-    # a vote certifying A but carrying B would have node1, view 1's
-    # leader, re-propose B under A's digest
-    vote = ViewChange(1, 0, (PreparedCert(1, 0, digest_a, block_b),), "node3")
-    w.net.send("node1", w._sealed(w.nodes["node3"], vote))
-    assert w.step() == 1
-    assert node.stats.rejected_byzantine == 1 and not node.view_votes
+    block, other = (Block(1, (transfer(i),), "", "node0") for i in (0, 1))
+    if kind is PrePrepare:
+        msg = PrePrepare(0, block, "node0")
+    else:
+        msg = CatchUp(block, tuple(
+            w._sealed(w.nodes[s], Commit(0, 1, block_digest(G, block), s))
+            for s in ("node0", "node2", "node3")), "node0")
+    sealed = w._sealed(w.nodes["node0"], msg)
+    forged = replace(sealed, block=other)
+    assert message_error(G, node.replicas, forged) is None
+    assert forged.mac != compute_mac(G, w.secret, "node0", forged)
+    _deliver(w, "node1", forged)
+    assert node.stats.rejected_byzantine == 1
+    assert not node.slots and node.executed == 0
+    # the message as sealed is taken
+    _deliver(w, "node1", sealed)
+    assert node.stats.rejected_byzantine == 1
+    if kind is PrePrepare:
+        assert node.slots[1].block is block
+    else:
+        assert node.chain == [block]
 
 
 @pytest.mark.parametrize("field,value", [
     ("view", "0"), ("seq", "1"), ("digest", None), ("digest", "\ud800"),
     ("sender", None)])
 def test_delivered_message_the_mac_cannot_encode_is_rejected(field, value):
-    # a field the MAC encoding cannot take, in a PrePrepare or in a
-    # CatchUp's inner Commit, is refused by the boundary check and counts
-    # as byzantine instead of raising out of `World.step`
+    # a field the MAC encoding cannot take, in a PrePrepare (which has no
+    # seq or digest: its block names them) or in a CatchUp's inner Commit,
+    # is refused by the boundary check and counts as byzantine instead of
+    # raising out of `World.step`
     w = make_world(4, 1)
     node = w.nodes["node1"]
     block = Block(1, (transfer(0),), "", "node0")
     digest = block_digest(G, block)
-    pre_prepare = PrePrepare(0, 1, block, digest, "node0")
+    pre_prepare = PrePrepare(0, block, "node0")
     commit = Commit(0, 1, digest, "node2")
-    for msg in (replace(pre_prepare, **{field: value}),
-                CatchUp(1, digest, block, (replace(commit, **{field: value}),),
-                        "node0")):
+    msgs = [replace(pre_prepare, **{field: value})] \
+        if field in vars(pre_prepare) else []
+    msgs.append(CatchUp(block, (replace(commit, **{field: value}),), "node0"))
+    for msg in msgs:
         assert message_error(G, node.replicas, msg) is not None
-        w.net.send("node1", msg)
-    assert w.step() == 2
-    assert node.stats.rejected_byzantine == 2
+    _deliver(w, "node1", *msgs)
+    assert node.stats.rejected_byzantine == len(msgs)
     assert node.slots.get(1) is None and node.executed == 0
     # the same messages, well formed and sealed, are taken
     w.net.send("node1", w._sealed(w.nodes["node0"], pre_prepare))
     w.step(max_events=1)
-    assert node.stats.rejected_byzantine == 2
+    assert node.stats.rejected_byzantine == len(msgs)
     assert node.slots[1].digest == digest
 
 
 def test_undigestible_catchup_is_rejected():
     w, block = _wide_pseudo_world()
     node = w.nodes["node1"]
-    node.on_message(CatchUp(1, "00" * 32, block, (), "node0"))
+    _deliver(w, "node1", CatchUp(block, (), "node0"))
     assert node.stats.rejected_byzantine == 1
     assert node.executed == 0 and not node.slots

@@ -12,7 +12,11 @@ field is mutated, and every field one level down (a nested message, a
 block, a prepared certificate, a transaction).  Nothing may raise, in
 that step or the next few, safety must hold, and the receiver either
 counts the mutant in `stats.rejected_byzantine` and is unchanged, or ends
-as it would without it or with the recorded message."""
+as it would without it or with the recorded message.  Two kinds of mutant
+are messages their sender may send, and are taken: a forwarded transaction
+that validates, and a PrePrepare whose mutated block is another valid
+block at the same height, which the MAC, binding the block's digest, seals
+as the leader's proposal."""
 
 import copy
 from dataclasses import fields, is_dataclass, replace
@@ -167,7 +171,7 @@ def _mutants(msg):
 
 def _sealed(w, msg):
     try:
-        return replace(msg, mac=compute_mac(w.secret, msg.sender, msg))
+        return replace(msg, mac=compute_mac(w.group, w.secret, msg.sender, msg))
     except (AttributeError, KeyError, TypeError, UnicodeError):
         return msg  # the MAC cannot encode it: delivered as it is
 
@@ -204,6 +208,8 @@ def test_mutated_message_is_rejected_or_changes_nothing(delivery, forks):
     snapshot = forks[index]
     before = _fingerprint(snapshot.nodes[dst])
     reference = copy.deepcopy(snapshot, {id(G): G})
+    # mutants are sealed as `World` sealed the recorded message
+    assert _sealed(reference, replace(msg, mac=b"")).mac == msg.mac
     recorded = _fingerprint(_deliver_in_place(reference, dst, msg))
     mutants = list(_mutants(msg))
     assert len(mutants) > 20
@@ -217,9 +223,14 @@ def test_mutated_message_is_rejected_or_changes_nothing(delivery, forks):
             ok = after == before
         else:
             # a forwarded transaction that passes validation is one any
-            # client may send, and the receiver admits it
+            # client may send, and the receiver admits it; a PrePrepare
+            # whose block is another valid block at its height is one the
+            # leader may propose, and the receiver holds it for that height
             ok = after in (before, recorded) or type(mutant) is TxForward \
-                and validate_transaction(node.ledger, mutant.tx).accepted
+                and validate_transaction(node.ledger, mutant.tx).accepted \
+                or type(mutant) is PrePrepare and getattr(
+                    node.slots.get(mutant.block.height), "block", None) \
+                is mutant.block
         if not ok:
             failures.append(label)
         fork.step(max_events=FOLLOW_EVENTS)
@@ -258,7 +269,7 @@ def test_view_changes_nesting_a_commit_are_rejected():
 def test_prepared_certificate_without_a_block_is_rejected():
     w = _world()
     _deliver_sealed(w, "node1", *(
-        ViewChange(1, 0, (PreparedCert(1, 0, "00" * 32, None),), s)
+        ViewChange(1, 0, (PreparedCert(0, None),), s)
         for s in ("node0", "node2", "node3")))
     node = w.nodes["node1"]
     assert node.stats.rejected_byzantine == 3
